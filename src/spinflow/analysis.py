@@ -270,6 +270,20 @@ class DivisibilityReport:
     grid: int
 
 
+def _pair_min_eigs(kind, p: MapParams, t1s, t2s) -> np.ndarray:
+    """Closed-form smallest Choi eigenvalue of each t1 -> t2 intermediate map.
+
+    Broadcasts over t1s and t2s; inf where the earlier map is not invertible.
+    """
+    e1, e3, et = snapshot_arrays(kind, p, t1s)
+    l1, l3, lt = snapshot_arrays(kind, p, t2s)
+    invertible = (np.abs(e1) >= INVERSION_FLOOR) & (np.abs(e3) >= INVERSION_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam3 = l3 / e3
+        mins = _snapshot_min_eigs(l1 / e1, lam3, lt - lam3 * et)
+    return np.where(invertible, mins, np.inf)
+
+
 def divisibility_scan(
     kind,
     p: MapParams,
@@ -278,56 +292,48 @@ def divisibility_scan(
     tol: float = 1e-9,
     refine: bool = True,
 ) -> DivisibilityReport:
-    """Search (t1, t2) for an intermediate map that is not CP.
+    """Search 0 <= t1 <= t2 <= tau_end for an intermediate map that is not CP.
 
-    Uniform grid over the triangle 0 <= t1 < t2 <= tau_end using the
-    closed-form Choi spectrum, optional local refinement around the most
-    negative eigenvalue, and a numerical eigensolver verdict at the winner.
-    Grid times where the one-time map is not invertible are skipped.
+    Three stages, the first two on the closed-form Choi spectrum of the
+    two-time map:
+
+    1. a uniform `grid` x `grid` screen of the pairs t1 < t2, skipping times
+       where the one-time map is not invertible;
+    2. with `refine`, a stencil search from the grid winner: each step
+       evaluates a 9 x 9 stencil of half-width `step` around the current
+       pair (clipped to [0, tau_end] and ordered) in one vectorized call,
+       moves to its best point on a strict improvement and halves `step`
+       otherwise, from the grid spacing down to 1e-7 * max(tau_end, 1);
+    3. a numerical eigensolver verdict on the intermediate map at the winner.
+
+    Raises ValueError unless tau_end is finite and > 0 and grid >= 2.
     """
     kind = parse_kind(kind)
+    if not (math.isfinite(tau_end) and tau_end > 0.0):
+        raise ValueError(f"tau_end must be finite and > 0, got {tau_end}")
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2, got {grid}")
     taus = np.linspace(0.0, tau_end, grid)
-    lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
-    invertible = (np.abs(lam1) >= INVERSION_FLOOR) & (np.abs(lam3) >= INVERSION_FLOOR)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l1 = lam1[None, :] / lam1[:, None]
-        l3 = lam3[None, :] / lam3[:, None]
-        tt = t3[None, :] - l3 * t3[:, None]
-        mins = _snapshot_min_eigs(l1, l3, tt)
-    valid = invertible[:, None] & (taus[None, :] > taus[:, None])
-    mins = np.where(valid, mins, np.inf)
+    mins = _pair_min_eigs(kind, p, taus[:, None], taus[None, :])
+    mins = np.where(taus[None, :] > taus[:, None], mins, np.inf)
     i, j = np.unravel_index(int(np.argmin(mins)), mins.shape)
     t1, t2 = float(taus[i]), float(taus[j])
 
-    def objective(pair):
-        a, b = pair
-        try:
-            im = intermediate_map(kind, p, a, b)
-        except (MapInversionError, ValueError):
-            return -np.inf
-        return -float(
-            _snapshot_min_eigs(
-                np.array(im.lambda1), np.array(im.lambda3), np.array(im.t3)
-            )
-        )
-
     if refine and np.isfinite(mins[i, j]):
-        spacing = taus[1] - taus[0] if grid > 1 else tau_end
-
-        def project(pair):
-            a = min(max(pair[0], 0.0), tau_end)
-            b = min(max(pair[1], 0.0), tau_end)
-            return np.array([min(a, b), max(a, b)])
-
-        refined, _, _ = pattern_search(
-            objective,
-            np.array([t1, t2]),
-            project=project,
-            step=spacing,
-            min_step=1e-7 * max(tau_end, 1.0),
-        )
-        t1, t2 = float(refined[0]), float(refined[1])
+        best = mins[i, j]
+        step = taus[1] - taus[0]
+        min_step = 1e-7 * max(tau_end, 1.0)
+        stencil = np.linspace(-1.0, 1.0, 9)
+        while step >= min_step:
+            a = np.clip(t1 + step * stencil[:, None], 0.0, tau_end)
+            b = np.clip(t2 + step * stencil[None, :], 0.0, tau_end)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            values = _pair_min_eigs(kind, p, lo, hi)
+            k = np.unravel_index(int(np.argmin(values)), values.shape)
+            if values[k] < best:
+                best, t1, t2 = values[k], float(lo[k]), float(hi[k])
+            else:
+                step *= 0.5
 
     try:
         worst = intermediate_map(kind, p, t1, t2)

@@ -89,6 +89,21 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one stderr line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _positive_time(text: str) -> float:
+    """argparse type of --tau-end: a finite time > 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _add_output_flags(sp) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -122,8 +137,6 @@ def _params(args, parser) -> tuple[EquationKind, MapParams]:
 
 
 def _grid(args, parser) -> np.ndarray:
-    if not args.tau_end > 0.0:
-        parser.error(f"--tau-end must be positive, got {args.tau_end}")
     if args.points < 2:
         parser.error(f"--points must be >= 2, got {args.points}")
     return np.linspace(0.0, args.tau_end, args.points)
@@ -350,6 +363,8 @@ def cmd_choi(args, parser) -> int:
 
 def cmd_divisibility(args, parser) -> int:
     kind, p = _params(args, parser)
+    if args.grid < 2:
+        parser.error(f"--grid must be >= 2, got {args.grid}")
     report = divisibility_scan(kind, p, tau_end=args.tau_end, grid=args.grid)
     headers = ("divisible", "min_eigenvalue", "t1", "t2", "tau_end", "grid")
     row = (
@@ -722,7 +737,7 @@ def cmd_sweep(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinflow",
         description="Damping-map evaluations, information-flow analysis, sweeps.",
     )
@@ -736,13 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("xi", cmd_xi, help="decay profile xi and its tau-derivative on a grid")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, required=True)
+    sp.add_argument("--tau-end", type=_positive_time, required=True)
     sp.add_argument("--points", type=int, default=201)
     _add_output_flags(sp)
 
     sp = add("solve", cmd_solve, help="evolve one state (closed form or integrator)")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, required=True)
+    sp.add_argument("--tau-end", type=_positive_time, required=True)
     sp.add_argument("--points", type=int, default=201)
     sp.add_argument("--state", default="1,0,0", help="initial state as 'pe,re,im'")
     sp.add_argument(
@@ -754,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("trace-distance", cmd_trace_distance, help="distance of an evolving pair")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, required=True)
+    sp.add_argument("--tau-end", type=_positive_time, required=True)
     sp.add_argument("--points", type=int, default=201)
     sp.add_argument("--state1", default="1,0,0")
     sp.add_argument("--state2", default="0,0,0")
@@ -762,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("sigma", cmd_sigma, help="trace-distance rate of change for a pair")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, required=True)
+    sp.add_argument("--tau-end", type=_positive_time, required=True)
     sp.add_argument("--points", type=int, default=201)
     sp.add_argument("--state1", default="1,0,0")
     sp.add_argument("--state2", default="0,0,0")
@@ -770,14 +785,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("measure", cmd_measure, help="non-Markovianity measure by pair search")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, default=None)
+    sp.add_argument("--tau-end", type=_positive_time, default=None)
     sp.add_argument("--budget", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(sp)
 
     sp = add("tcl-rates", cmd_tcl_rates, help="time-local decay rates on a grid")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, required=True)
+    sp.add_argument("--tau-end", type=_positive_time, required=True)
     sp.add_argument("--points", type=int, default=201)
     _add_output_flags(sp)
 
@@ -789,20 +804,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("divisibility", cmd_divisibility, help="two-time intermediate-map CP scan")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, default=20.0)
+    sp.add_argument("--tau-end", type=_positive_time, default=20.0)
     sp.add_argument("--grid", type=int, default=200)
     _add_output_flags(sp)
 
     sp = add("positivity", cmd_positivity, help="Bloch-ball contraction check on a grid")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, default=20.0)
+    sp.add_argument("--tau-end", type=_positive_time, default=20.0)
     sp.add_argument("--points", type=int, default=201)
     sp.add_argument("--samples", type=int, default=1000)
     _add_output_flags(sp)
 
     sp = add("oracle", cmd_oracle, help="closed form vs both integration routes")
     _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=float, required=True)
+    sp.add_argument("--tau-end", type=_positive_time, required=True)
     sp.add_argument("--points", type=int, default=101)
     sp.add_argument("--state", default="1,0,0")
     sp.add_argument("--tol", type=float, default=1e-6)

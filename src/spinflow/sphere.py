@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["icosphere", "sphere_grid", "antipodal_half", "pattern_search"]
@@ -53,13 +55,24 @@ def icosphere(subdivisions: int) -> np.ndarray:
 
 
 def sphere_grid(min_vertices: int) -> np.ndarray:
-    """Smallest icosphere with at least min_vertices points."""
+    """Smallest icosphere with at least min_vertices points.
+
+    The grid is built once per subdivision level and shared: the returned
+    array is read-only.
+    """
     level = 0
     while 10 * 4**level + 2 < min_vertices:
         level += 1
         if level > 7:  # 163 842 vertices; denser grids are never useful here
             raise ValueError(f"min_vertices = {min_vertices} is unreasonably large")
-    return icosphere(level)
+    return _shared_icosphere(level)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_icosphere(level: int) -> np.ndarray:
+    verts = icosphere(level)
+    verts.setflags(write=False)
+    return verts
 
 
 def antipodal_half(vertices: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinflow import analysis
 from spinflow.analysis import (
     DivisibilityReport,
     MapInversionError,
@@ -26,6 +29,7 @@ from spinflow.maps import (
     tcl_rates,
     xi,
 )
+from spinflow.measure import certified_horizon
 from spinflow.states import QubitState
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -224,6 +228,66 @@ def test_divisibility_scan_post_markovian_holds():
     report = divisibility_scan("post", p, tau_end=20.0, grid=120)
     assert report.divisible
     assert report.min_eigenvalue >= -1e-9
+
+
+def test_divisibility_refinement_finds_pinned_witness():
+    # at the certified horizon the coarse grid reads divisible; only the
+    # refinement reaches the negative eigenvalue of the memory kernel
+    p = MapParams.from_ratio(0.05, n_occ=1.0)
+    horizon = certified_horizon("mem", p)
+    assert horizon == 640.0
+    assert divisibility_scan("mem", p, tau_end=horizon, grid=100, refine=False).divisible
+    report = divisibility_scan("mem", p, tau_end=horizon, grid=100)
+    assert not report.divisible
+    assert report.min_eigenvalue < -1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["mem", "post"]),
+    r=st.floats(min_value=0.0, max_value=0.25, exclude_min=True),
+    n=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_divisibility_refinement_properties(kind, r, n):
+    p = MapParams.from_ratio(r, n_occ=n)
+    tau_end = 20.0
+    coarse = divisibility_scan(kind, p, tau_end=tau_end, grid=60, refine=False)
+    report = divisibility_scan(kind, p, tau_end=tau_end, grid=60)
+    # the search only moves on a strict improvement of the closed form, so
+    # the eigensolver values differ at most by rounding
+    assert report.min_eigenvalue <= coarse.min_eigenvalue + 1e-14
+    t1, t2 = report.worst_pair
+    assert 0.0 <= t1 <= t2 <= tau_end
+    direct = np.linalg.eigvalsh(
+        _oracle_choi(intermediate_map(kind, p, t1, t2).as_snapshot())
+    )[0]
+    assert report.min_eigenvalue == pytest.approx(direct, rel=1e-12)
+
+
+def test_divisibility_scan_builds_one_intermediate_map(monkeypatch):
+    calls = []
+    real = analysis.intermediate_map
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "intermediate_map", counting)
+    p = MapParams.from_ratio(0.05, n_occ=1.0)
+    for kind in ("mem", "post"):
+        calls.clear()
+        divisibility_scan(kind, p, tau_end=certified_horizon(kind, p), grid=100)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "tau_end,grid",
+    [(20.0, 1), (20.0, 0), (-1.0, 100), (0.0, 100), (math.nan, 100), (math.inf, 100)],
+)
+def test_divisibility_scan_rejects_degenerate_inputs(tau_end, grid):
+    p = MapParams.from_ratio(0.2, n_occ=1.0)
+    with pytest.raises(ValueError):
+        divisibility_scan("mem", p, tau_end=tau_end, grid=grid)
 
 
 def test_divisibility_agrees_with_rate_signs():

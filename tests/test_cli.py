@@ -82,11 +82,21 @@ def test_physical_parameter_entry(capsys):
          "--state1", "1,0,0", "--state2", "1,0,0"],
         ["oracle", "--kind", "mem", "--r", "0.1", "--tau-end", "1", "--tol", "0.01"],
         ["measure", "--kind", "mem", "--r", "0.1", "--budget", "10"],
+        ["measure", "--kind", "mem", "--r", "0.2", "--tau-end", "-5"],
+        ["measure", "--kind", "mem", "--r", "0.2", "--tau-end", "nan"],
+        ["divisibility", "--kind", "mem", "--r", "0.2", "--tau-end", "-1"],
+        ["divisibility", "--kind", "mem", "--r", "0.2", "--tau-end", "nan"],
+        ["divisibility", "--kind", "mem", "--r", "0.2", "--tau-end", "inf"],
+        ["divisibility", "--kind", "mem", "--r", "0.2", "--grid", "1"],
+        ["divisibility", "--kind", "mem", "--r", "0.2", "--grid", "0"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
-    code, _, _ = run_cli(argv, capsys)
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_solve_methods_agree(capsys):
