@@ -403,7 +403,6 @@ def classify(
     samples: int = 1000,
     divisibility_grid: int = 150,
     measure_budget: int = 400,
-    seed: int | None = None,
     measure_result=None,
 ) -> RegimeReport:
     """Classify the dynamics generated by (kind, p).
@@ -423,9 +422,8 @@ def classify(
     pos = positivity_scan(kind, p, taus, samples=samples)
     cp = cp_scan(kind, p, taus)
     if measure_result is None:
-        kwargs = {} if seed is None else {"seed": seed}
         measure_result = measure_mod.measure(
-            kind, p, t_end=tau_end, budget=measure_budget, **kwargs
+            kind, p, t_end=tau_end, budget=measure_budget
         )
     div = divisibility_scan(kind, p, tau_end=tau_end, grid=divisibility_grid)
 

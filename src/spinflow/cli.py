@@ -7,6 +7,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .maps import (
     xi,
     xi_derivative,
 )
-from .measure import DEFAULT_SEED, DegeneratePairError, measure, sigma_analytic
+from .measure import DegeneratePairError, measure, sigma_analytic
 from .states import QubitState, StatePair, state_from_bloch, trace_distance
 from .volterra import (
     IntegrationDivergenceError,
@@ -199,6 +200,25 @@ def cmd_solve(args, parser) -> int:
     return 0
 
 
+def _quadrature_on_grid(kind, p, s0, tau_end, points, steps):
+    """Volterra quadrature trajectory sampled on linspace(0, tau_end, points).
+
+    The step count is rounded up to a multiple of the grid so every
+    requested tau lands exactly on a quadrature node.
+    """
+    per_cell = max(1, -(-steps // (points - 1)))
+    traj = integrate_quadrature(
+        kind, generator_matrix(p), p, s0, tau_end, steps=per_cell * (points - 1)
+    )
+    keep = np.arange(points) * per_cell
+    return replace(
+        traj,
+        times=traj.times[keep],
+        states=tuple(traj.states[k] for k in keep),
+        auxiliary=traj.auxiliary[keep],
+    )
+
+
 def _integrate(kind, p, s0, args, parser):
     if args.method == "ode":
         run = (
@@ -211,25 +231,10 @@ def _integrate(kind, p, s0, args, parser):
         except ValueError as exc:
             parser.error(str(exc))
     if args.method == "quadrature":
-        # round the step count up to a multiple of the grid so every
-        # requested tau lands exactly on a quadrature node
-        per_cell = max(1, -(-args.steps // (args.points - 1)))
-        steps = per_cell * (args.points - 1)
         try:
-            traj = integrate_quadrature(
-                kind, generator_matrix(p), p, s0, args.tau_end, steps=steps
-            )
+            return _quadrature_on_grid(kind, p, s0, args.tau_end, args.points, args.steps)
         except ValueError as exc:
             parser.error(str(exc))
-        keep = np.arange(args.points) * per_cell
-        return type(traj)(
-            times=traj.times[keep],
-            states=tuple(traj.states[k] for k in keep),
-            auxiliary=traj.auxiliary[keep],
-            steps=traj.steps,
-            max_residual=traj.max_residual,
-            meta=traj.meta,
-        )
     try:
         return integrate_tcl(kind, p, s0, args.tau_end, args.tol, points=args.points)
     except ValueError as exc:
@@ -273,14 +278,13 @@ def cmd_sigma(args, parser) -> int:
     return 0
 
 
-def _quick_classify(kind, p, seed, measure_result=None, budget=150):
+def _quick_classify(kind, p, measure_result=None, budget=150):
     return classify(
         kind,
         p,
         grid_points=201,
         divisibility_grid=100,
         measure_budget=budget,
-        seed=seed,
         measure_result=measure_result,
     )
 
@@ -289,8 +293,8 @@ def cmd_measure(args, parser) -> int:
     kind, p = _params(args, parser)
     if args.budget < 100:
         parser.error(f"--budget must be >= 100, got {args.budget}")
-    result = measure(kind, p, t_end=args.tau_end, budget=args.budget, seed=args.seed)
-    report = _quick_classify(kind, p, args.seed, measure_result=result)
+    result = measure(kind, p, t_end=args.tau_end, budget=args.budget)
+    report = _quick_classify(kind, p, measure_result=result)
     first = result.argmax_pair.first.bloch()
     second = result.argmax_pair.second.bloch()
     headers = (
@@ -382,6 +386,8 @@ def cmd_divisibility(args, parser) -> int:
 def cmd_positivity(args, parser) -> int:
     kind, p = _params(args, parser)
     taus = _grid(args, parser)
+    if args.samples < 1000:
+        parser.error(f"--samples must be >= 1000, got {args.samples}")
     result = positivity_scan(kind, p, taus, samples=args.samples)
     wx, wy, wz = result.witness.bloch()
     headers = ("ok", "worst_tau", "max_norm", "witness_x", "witness_y", "witness_z")
@@ -418,19 +424,15 @@ def cmd_oracle(args, parser) -> int:
             generator_matrix(p), p, s0, args.tau_end, min(args.tol, 1e-8),
             points=args.points,
         )
-        per_cell = max(1, -(-args.steps // (args.points - 1)))
-        steps = per_cell * (args.points - 1)
-        quad = integrate_quadrature(kind, generator_matrix(p), p, s0, args.tau_end, steps=steps)
+        quad = _quadrature_on_grid(kind, p, s0, args.tau_end, args.points, args.steps)
     except IntegrationDivergenceError as exc:
         _diag(f"integrator diverged: {exc}")
         return 1
-    keep = np.arange(args.points) * per_cell
-    quad_states = [quad.states[k] for k in keep]
 
     rows = []
     worst = 0.0
     for k, tau in enumerate(taus):
-        so, sq = ode.states[k], quad_states[k]
+        so, sq = ode.states[k], quad.states[k]
         row = (
             tau,
             pe_closed[k],
@@ -466,7 +468,7 @@ def cmd_oracle(args, parser) -> int:
 
 def cmd_classify(args, parser) -> int:
     kind, p = _params(args, parser)
-    report = _quick_classify(kind, p, args.seed, budget=args.budget)
+    report = _quick_classify(kind, p, budget=args.budget)
     headers = (
         "verdict",
         "params_physical",
@@ -565,8 +567,8 @@ def _load_sweep_config(path: str) -> dict:
         raise ConfigError("config must set r or gamma0")
 
     tau_end = float(raw.get("tau_end", 20.0))
-    if tau_end <= 0.0:
-        raise ConfigError("tau_end must be > 0")
+    if not (np.isfinite(tau_end) and tau_end > 0.0):
+        raise ConfigError("tau_end must be finite and > 0")
     tau_points = int(raw.get("tau_points", 201))
     if tau_points < 2:
         raise ConfigError("tau_points must be >= 2")
@@ -582,13 +584,13 @@ def _load_sweep_config(path: str) -> dict:
     budget = int(raw.get("budget", 1000))
     if budget < 100:
         raise ConfigError("budget must be >= 100")
+    int(raw.get("seed", 0))  # must be an integer; echoed, but changes no output
     return {
         "points": points,
         "tau_end": tau_end,
         "tau_points": tau_points,
         "analyses": analyses,
         "format": fmt,
-        "seed": int(raw.get("seed", DEFAULT_SEED)),
         "budget": budget,
         "out_dir": raw.get("out_dir"),
         "echo": raw,
@@ -597,13 +599,12 @@ def _load_sweep_config(path: str) -> dict:
 
 def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
     taus = np.linspace(0.0, cfg["tau_end"], cfg["tau_points"])
-    seed = cfg["seed"]
     out: dict = {"index": index, "kind": kind.value, "r": p.R, "n": p.n_occ}
     analyses = cfg["analyses"]
 
     measure_result = None
     if "measure" in analyses:
-        measure_result = measure(kind, p, budget=cfg["budget"], seed=seed)
+        measure_result = measure(kind, p, budget=cfg["budget"])
         out["measure"] = [
             (
                 index, kind.value, p.R, p.n_occ,
@@ -642,8 +643,7 @@ def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
             (index, kind.value, p.R, p.n_occ, res.ok, res.worst_tau, res.worst_value)
         ]
     report = _quick_classify(
-        kind, p, seed, measure_result=measure_result,
-        budget=min(cfg["budget"], 150),
+        kind, p, measure_result=measure_result, budget=min(cfg["budget"], 150),
     )
     out["classification"] = report.verdict
     out["measure_value"] = (
@@ -666,6 +666,8 @@ _SWEEP_HEADERS = {
 
 
 def cmd_sweep(args, parser) -> int:
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
     started = time.perf_counter()
     try:
         cfg = _load_sweep_config(args.config)
@@ -787,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--tau-end", type=_positive_time, default=None)
     sp.add_argument("--budget", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, help="accepted; changes no output")
     _add_output_flags(sp)
 
     sp = add("tcl-rates", cmd_tcl_rates, help="time-local decay rates on a grid")
@@ -832,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("classify", cmd_classify, help="regime verdict for one parameter point")
     _add_param_flags(sp)
     sp.add_argument("--budget", type=int, default=400)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, help="accepted; changes no output")
     _add_output_flags(sp)
 
     return parser

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["icosphere", "sphere_grid", "antipodal_half", "pattern_search"]
+__all__ = ["icosphere", "sphere_grid", "pattern_search"]
 
 _PHI = (1.0 + 5.0**0.5) / 2.0
 
@@ -73,17 +73,6 @@ def _shared_icosphere(level: int) -> np.ndarray:
     verts = icosphere(level)
     verts.setflags(write=False)
     return verts
-
-
-def antipodal_half(vertices: np.ndarray) -> np.ndarray:
-    """One representative per antipodal vertex pair (lexicographic pick)."""
-    eps = 1e-12
-    keep = []
-    for v in vertices:
-        x, y, z = v
-        if z > eps or (abs(z) <= eps and (y > eps or (abs(y) <= eps and x > eps))):
-            keep.append(v)
-    return np.array(keep)
 
 
 def pattern_search(

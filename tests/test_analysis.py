@@ -341,7 +341,7 @@ def test_cp_temperature_threshold_frozen_values():
 
 
 def _quick(kind, p, **overrides):
-    settings = dict(grid_points=201, divisibility_grid=80, measure_budget=150, seed=5)
+    settings = dict(grid_points=201, divisibility_grid=80, measure_budget=150)
     settings.update(overrides)
     return classify(kind, p, **settings)
 

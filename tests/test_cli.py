@@ -9,9 +9,8 @@ import pytest
 from spinflow.cli import TRIG_WARNING, main
 from spinflow.maps import xi
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schemas" / "run_record.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schemas" / "run_record.schema.json").read_text())
 
 
 def run_cli(argv, capsys):
@@ -89,6 +88,8 @@ def test_physical_parameter_entry(capsys):
         ["divisibility", "--kind", "mem", "--r", "0.2", "--tau-end", "inf"],
         ["divisibility", "--kind", "mem", "--r", "0.2", "--grid", "1"],
         ["divisibility", "--kind", "mem", "--r", "0.2", "--grid", "0"],
+        ["positivity", "--kind", "mem", "--r", "0.2", "--n", "1", "--samples", "5"],
+        ["sweep", "--config", str(ROOT / "configs" / "smoke_sweep.txt"), "--workers", "0"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -420,6 +421,8 @@ def test_sweep_json_config_and_json_outputs(tmp_path, capsys):
         "kind = mem\nr = 0.1\nanalyses = rates\nformat = yaml\n",
         "kind = mem\nr = 0.1\nanalyses = rates\nbudget = 5\n",
         "kind = mem\nr = 0.1\nanalyses = spectroscopy\n",
+        "kind = mem\nr = 0.1\nanalyses = rates\ntau_end = NaN\n",
+        "kind = mem\nr = 0.1\nanalyses = rates\ntau_end = inf\n",
     ],
 )
 def test_sweep_config_errors_exit_2(text, tmp_path, capsys):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinflow.maps import MapParams, apply_map, snapshot
 from spinflow.measure import (
-    DEFAULT_SEED,
     DegeneratePairError,
     certified_horizon,
     flow_report,
@@ -16,11 +17,14 @@ from spinflow.states import (
     PLUS,
     QubitState,
     StatePair,
+    state_from_bloch,
     trace_distance,
 )
 
 OSCILLATORY = MapParams.from_ratio(0.5, n_occ=10.0)
 PHYSICAL = MapParams.from_ratio(0.2, n_occ=1.0)
+#: 4R > 1 and every pair direction has inflow, not only those near the poles
+BACKFLOW = MapParams.from_ratio(1.0, n_occ=0.0)
 POLE_PAIR = StatePair(EXCITED, GROUND)
 GENERIC_PAIR = StatePair(QubitState(0.8, 0.1 + 0.2j), QubitState(0.3, -0.15j))
 
@@ -130,8 +134,8 @@ def test_measure_positive_in_oscillatory_regime():
 
 
 def test_measure_is_deterministic():
-    a = measure("mem", OSCILLATORY, budget=200, seed=DEFAULT_SEED)
-    b = measure("mem", OSCILLATORY, budget=200, seed=DEFAULT_SEED)
+    a = measure("mem", OSCILLATORY, budget=200)
+    b = measure("mem", OSCILLATORY, budget=200)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
     assert a.argmax_pair == b.argmax_pair
@@ -140,3 +144,38 @@ def test_measure_is_deterministic():
 def test_measure_budget_floor():
     with pytest.raises(ValueError, match="budget"):
         measure("mem", PHYSICAL, budget=50)
+
+
+def _inside_ball(v):
+    """Pull a vector of the [-1, 1] cube strictly inside the Bloch ball."""
+    v = np.asarray(v)
+    norm = np.linalg.norm(v)
+    return v if norm <= 0.999 else v * (0.999 / norm)
+
+
+BLOCH = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).map(_inside_ball)
+#: any two states, or a state and its mirror image through the ball's centre
+PAIRS = st.one_of(st.tuples(BLOCH, BLOCH), BLOCH.map(lambda v: (v, -v)))
+
+
+@pytest.fixture(scope="module")
+def backflow_measure():
+    return measure("mem", BACKFLOW, budget=100)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bloch_pair=PAIRS)
+def test_no_pair_beats_the_measure(backflow_measure, bloch_pair):
+    pair = StatePair(*(state_from_bloch(*r) for r in bloch_pair))
+    report = flow_report("mem", BACKFLOW, pair, backflow_measure.tau_end, 2001)
+    assert report.total_gain <= backflow_measure.value + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(r1=BLOCH, r2=BLOCH, c=st.floats(min_value=1e-6, max_value=1.0))
+def test_gain_scales_with_the_bloch_vectors(r1, r2, c):
+    def gain(scale):
+        pair = StatePair(state_from_bloch(*(scale * r1)), state_from_bloch(*(scale * r2)))
+        return flow_report("mem", BACKFLOW, pair, 40.0, 2001).total_gain
+
+    assert gain(c) == pytest.approx(c * gain(1.0), rel=1e-12, abs=1e-15)
