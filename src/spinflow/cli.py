@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,6 +104,22 @@ def _positive_time(text: str) -> float:
     return value
 
 
+def _time(text: str) -> float:
+    """argparse type of choi --tau and --tau-start: a finite time >= 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _budget(text: str) -> int:
+    """argparse type of --budget: a cap on gain evaluations, >= 100."""
+    value = int(text)
+    if value < 100:
+        raise argparse.ArgumentTypeError(f"must be >= 100, got {text}")
+    return value
+
+
 def _add_output_flags(sp) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -178,9 +193,7 @@ def cmd_solve(args, parser) -> int:
     s0 = _state_triple(args.state, parser, "--state")
     headers = ("tau", "pe", "re_b", "im_b")
     if args.method == "closed":
-        lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
-        pe = 0.5 * (1.0 + t3 - lam3) + lam3 * s0.population_e
-        b = lam1 * complex(s0.coherence)
+        pe, b = _closed_form(kind, p, s0, taus)
         rows = list(zip(taus, pe, b.real, b.imag))
     else:
         try:
@@ -200,17 +213,38 @@ def cmd_solve(args, parser) -> int:
     return 0
 
 
-def _quadrature_on_grid(kind, p, s0, tau_end, points, steps):
-    """Volterra quadrature trajectory sampled on linspace(0, tau_end, points).
+def _closed_form(kind, p, s0, taus):
+    """Closed-form population pe and coherence b of s0 evolved over taus."""
+    lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
+    return 0.5 * (1.0 + t3 - lam3) + lam3 * s0.population_e, lam1 * complex(s0.coherence)
 
-    The step count is rounded up to a multiple of the grid so every
-    requested tau lands exactly on a quadrature node.
-    """
-    per_cell = max(1, -(-steps // (points - 1)))
-    traj = integrate_quadrature(
-        kind, generator_matrix(p), p, s0, tau_end, steps=per_cell * (points - 1)
+
+def _augmented_ode(kind, p, s0, tau_end, tol, points):
+    """Augmented-ODE trajectory of the equation of the given kind."""
+    run = (
+        integrate_memory_kernel
+        if kind is EquationKind.MEMORY_KERNEL
+        else integrate_post_markovian
     )
-    keep = np.arange(points) * per_cell
+    return run(generator_matrix(p), p, s0, tau_end, tol, points=points)
+
+
+def _quadrature_on_grid(kind, p, s0, args, parser):
+    """Volterra quadrature trajectory sampled on linspace(0, --tau-end, --points).
+
+    The --steps count is rounded up to a multiple of the grid so every
+    requested tau lands exactly on a quadrature node; a count the quadrature
+    rejects is a usage error.
+    """
+    per_cell = max(1, -(-args.steps // (args.points - 1)))
+    try:
+        traj = integrate_quadrature(
+            kind, generator_matrix(p), p, s0, args.tau_end,
+            steps=per_cell * (args.points - 1),
+        )
+    except ValueError as exc:
+        parser.error(f"--steps {args.steps} on {args.points} points: {exc}")
+    keep = np.arange(args.points) * per_cell
     return replace(
         traj,
         times=traj.times[keep],
@@ -220,22 +254,11 @@ def _quadrature_on_grid(kind, p, s0, tau_end, points, steps):
 
 
 def _integrate(kind, p, s0, args, parser):
-    if args.method == "ode":
-        run = (
-            integrate_memory_kernel
-            if kind is EquationKind.MEMORY_KERNEL
-            else integrate_post_markovian
-        )
-        try:
-            return run(generator_matrix(p), p, s0, args.tau_end, args.tol, points=args.points)
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.method == "quadrature":
-        try:
-            return _quadrature_on_grid(kind, p, s0, args.tau_end, args.points, args.steps)
-        except ValueError as exc:
-            parser.error(str(exc))
+        return _quadrature_on_grid(kind, p, s0, args, parser)
     try:
+        if args.method == "ode":
+            return _augmented_ode(kind, p, s0, args.tau_end, args.tol, args.points)
         return integrate_tcl(kind, p, s0, args.tau_end, args.tol, points=args.points)
     except ValueError as exc:
         parser.error(str(exc))
@@ -291,8 +314,6 @@ def _quick_classify(kind, p, measure_result=None, budget=150):
 
 def cmd_measure(args, parser) -> int:
     kind, p = _params(args, parser)
-    if args.budget < 100:
-        parser.error(f"--budget must be >= 100, got {args.budget}")
     result = measure(kind, p, t_end=args.tau_end, budget=args.budget)
     report = _quick_classify(kind, p, measure_result=result)
     first = result.argmax_pair.first.bloch()
@@ -346,14 +367,14 @@ def cmd_tcl_rates(args, parser) -> int:
 
 def cmd_choi(args, parser) -> int:
     kind, p = _params(args, parser)
-    if args.tau < 0.0 or args.tau_start < 0.0:
-        parser.error("--tau and --tau-start must be >= 0")
+    if args.tau_start > args.tau:
+        parser.error(f"--tau-start {args.tau_start:g} is after --tau {args.tau:g}")
     try:
         if args.tau_start > 0.0:
             snap = intermediate_map(kind, p, args.tau_start, args.tau).as_snapshot()
         else:
             snap = snapshot(kind, p, args.tau)
-    except (MapInversionError, ValueError) as exc:
+    except MapInversionError as exc:
         _diag(str(exc))
         return 1
     c = choi_of(snap)
@@ -410,21 +431,10 @@ def cmd_oracle(args, parser) -> int:
         )
     s0 = _state_triple(args.state, parser, "--state")
 
-    lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
-    pe_closed = 0.5 * (1.0 + t3 - lam3) + lam3 * s0.population_e
-    b_closed = lam1 * complex(s0.coherence)
-
-    run = (
-        integrate_memory_kernel
-        if kind is EquationKind.MEMORY_KERNEL
-        else integrate_post_markovian
-    )
+    pe_closed, b_closed = _closed_form(kind, p, s0, taus)
     try:
-        ode = run(
-            generator_matrix(p), p, s0, args.tau_end, min(args.tol, 1e-8),
-            points=args.points,
-        )
-        quad = _quadrature_on_grid(kind, p, s0, args.tau_end, args.points, args.steps)
+        ode = _augmented_ode(kind, p, s0, args.tau_end, min(args.tol, 1e-8), args.points)
+        quad = _quadrature_on_grid(kind, p, s0, args, parser)
     except IntegrationDivergenceError as exc:
         _diag(f"integrator diverged: {exc}")
         return 1
@@ -680,16 +690,11 @@ def cmd_sweep(args, parser) -> int:
     points = cfg["points"]
     results: list[dict | None] = [None] * len(points)
     failures = []
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        futures = {
-            pool.submit(_sweep_point, idx, kind, p, cfg): idx
-            for idx, (kind, p) in enumerate(points)
-        }
-        for future, idx in futures.items():
-            try:
-                results[idx] = future.result()
-            except Exception as exc:
-                failures.append({"index": idx, "error": f"{type(exc).__name__}: {exc}"})
+    for idx, (kind, p) in enumerate(points):
+        try:
+            results[idx] = _sweep_point(idx, kind, p, cfg)
+        except Exception as exc:  # a failed point is recorded; the sweep goes on
+            failures.append({"index": idx, "error": f"{type(exc).__name__}: {exc}"})
 
     for analysis in cfg["analyses"]:
         rows = []
@@ -723,7 +728,7 @@ def cmd_sweep(args, parser) -> int:
             }
             for idx, (kind, p) in enumerate(points)
         ],
-        "failures": sorted(failures, key=lambda f: f["index"]),
+        "failures": failures,
         "wall_time_s": time.perf_counter() - started,
     }
     (out_dir / "run_record.json").write_text(
@@ -788,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("measure", cmd_measure, help="non-Markovianity measure by pair search")
     _add_param_flags(sp)
     sp.add_argument("--tau-end", type=_positive_time, default=None)
-    sp.add_argument("--budget", type=int, default=1000)
+    sp.add_argument("--budget", type=_budget, default=1000)
     sp.add_argument("--seed", type=int, help="accepted; changes no output")
     _add_output_flags(sp)
 
@@ -800,8 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("choi", cmd_choi, help="Choi matrix of the map at tau (or tau-start->tau)")
     _add_param_flags(sp)
-    sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--tau-start", type=float, default=0.0)
+    sp.add_argument("--tau", type=_time, required=True)
+    sp.add_argument("--tau-start", type=_time, default=0.0)
     _add_output_flags(sp)
 
     sp = add("divisibility", cmd_divisibility, help="two-time intermediate-map CP scan")
@@ -829,11 +834,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("sweep", cmd_sweep, help="parameter sweep driven by a config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--workers", type=int, default=4)
+    sp.add_argument(
+        "--workers", type=int, default=4,
+        help="accepted (>= 1); points run one after another, so it changes no output",
+    )
 
     sp = add("classify", cmd_classify, help="regime verdict for one parameter point")
     _add_param_flags(sp)
-    sp.add_argument("--budget", type=int, default=400)
+    sp.add_argument("--budget", type=_budget, default=400)
     sp.add_argument("--seed", type=int, help="accepted; changes no output")
     _add_output_flags(sp)
 

@@ -61,7 +61,6 @@ __all__ = [
     "snapshot",
     "snapshot_arrays",
     "apply_map",
-    "apply",
     "tcl_rates",
     "tcl_rate_arrays",
     "rate_divergence_time",
@@ -130,6 +129,8 @@ class MapParams:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.n_occ < 0.0:
             raise ValueError(f"n_occ must be >= 0, got {self.n_occ}")
+        if not math.isfinite(self.R):
+            raise ValueError(f"R = gamma0 (2N+1) / gamma overflows, got {self.R!r}")
 
     @property
     def R(self) -> float:
@@ -154,14 +155,14 @@ class MapParams:
         return 4.0 * self.R <= 1.0
 
 
-def _profile(kind: EquationKind, r: float) -> tuple[float, float, float, float]:
-    """Branch data (w**2, 1 - w**2, dtheta/dtau, branch distance) for rate r."""
-    if kind is EquationKind.MEMORY_KERNEL:
-        w2 = 1.0 - 4.0 * r
-        return w2, 4.0 * r, 0.5, abs(w2)
-    w = (r - 1.0) / (r + 1.0)
-    one_minus_w2 = 4.0 * r / ((r + 1.0) * (r + 1.0))
-    return w * w, one_minus_w2, 0.5 * (r + 1.0), abs(r - 1.0)
+def _check_times(tau) -> np.ndarray:
+    """tau as a float array; ValueError unless every entry is finite and >= 0."""
+    t = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("tau must be finite")
+    if np.any(t < 0.0):
+        raise ValueError("tau must be >= 0")
+    return t
 
 
 def _check_args(kind, r, tau):
@@ -169,50 +170,106 @@ def _check_args(kind, r, tau):
     r = float(r)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"rate argument must be finite and >= 0, got {r!r}")
-    t = np.asarray(tau, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tau must be finite")
-    if np.any(t < 0.0):
-        raise ValueError("tau must be >= 0")
-    return kind, r, t
+    return kind, r, _check_times(tau)
 
 
-def _xi_core(w2: float, one_minus_w2: float, dist: float, theta):
-    if dist <= BRANCH_EXACT_TOL:
-        return np.exp(-theta) * (1.0 + theta)
-    if dist <= BRANCH_TAYLOR_TOL:
-        # signed x2 = (w theta)^2 keeps one expression valid on both sides
-        x2 = w2 * theta * theta
-        sinhc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-        coshv = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
-        return np.exp(-theta) * (theta * sinhc + coshv)
-    if w2 < 0.0:
-        q = math.sqrt(-w2)
-        return np.exp(-theta) * (np.sin(q * theta) / q + np.cos(q * theta))
-    w = math.sqrt(w2)
-    m1 = one_minus_w2 / (1.0 + w)
-    # factor the slow exponential out and route the fast one through expm1:
-    # the near-branch cancellation between the two w-scaled terms disappears
-    return np.exp(-m1 * theta) * (
-        1.0 - (1.0 - w) / (2.0 * w) * np.expm1(-2.0 * w * theta)
-    )
+def _shaped(t, val):
+    """A float for a scalar time, the array otherwise."""
+    return float(val) if np.ndim(t) == 0 else val
 
 
-def _xi_theta_derivative(w2: float, one_minus_w2: float, dist: float, theta):
-    if dist <= BRANCH_EXACT_TOL:
-        return -theta * np.exp(-theta)
-    if dist <= BRANCH_TAYLOR_TOL:
-        x2 = w2 * theta * theta
-        sinhc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-        return -one_minus_w2 * theta * np.exp(-theta) * sinhc
-    if w2 < 0.0:
-        q = math.sqrt(-w2)
-        return -one_minus_w2 * np.exp(-theta) * np.sin(q * theta) / q
-    w = math.sqrt(w2)
-    m1 = one_minus_w2 / (1.0 + w)
-    # same expm1 factoring as the value: exact where the plain difference
-    # of exponentials would lose digits to cancellation
-    return one_minus_w2 / (2.0 * w) * np.exp(-m1 * theta) * np.expm1(-2.0 * w * theta)
+class _Channel:
+    """The decay profile xi(r, .) of one family and rate, without argument checks.
+
+    Holds the branch data (w**2, 1 - w**2, dtheta/dtau, branch distance).
+    value, derivative and envelope take a float or an array of times that
+    the caller has checked (finite, >= 0) and return a float or an array.
+    """
+
+    __slots__ = ("w2", "one_minus_w2", "tscale", "dist")
+
+    def __init__(self, kind: EquationKind, r: float):
+        if kind is EquationKind.MEMORY_KERNEL:
+            self.w2 = 1.0 - 4.0 * r
+            self.one_minus_w2 = 4.0 * r
+            self.tscale = 0.5
+            self.dist = abs(self.w2)
+        else:
+            w = (r - 1.0) / (r + 1.0)
+            self.w2 = w * w
+            self.one_minus_w2 = 4.0 * r / ((r + 1.0) * (r + 1.0))
+            self.tscale = 0.5 * (r + 1.0)
+            self.dist = abs(r - 1.0)
+
+    def value(self, t):
+        """xi at t; exactly 1.0 at t = 0."""
+        w2, one_minus_w2, dist = self.w2, self.one_minus_w2, self.dist
+        theta = self.tscale * t
+        if dist <= BRANCH_EXACT_TOL:
+            val = np.exp(-theta) * (1.0 + theta)
+        elif dist <= BRANCH_TAYLOR_TOL:
+            # signed x2 = (w theta)^2 keeps one expression valid on both sides
+            x2 = w2 * theta * theta
+            sinhc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
+            coshv = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
+            val = np.exp(-theta) * (theta * sinhc + coshv)
+        elif w2 < 0.0:
+            q = math.sqrt(-w2)
+            val = np.exp(-theta) * (np.sin(q * theta) / q + np.cos(q * theta))
+        else:
+            w = math.sqrt(w2)
+            m1 = one_minus_w2 / (1.0 + w)
+            # factor the slow exponential out and route the fast one through
+            # expm1: the near-branch cancellation between the two w-scaled
+            # terms disappears
+            val = np.exp(-m1 * theta) * (
+                1.0 - (1.0 - w) / (2.0 * w) * np.expm1(-2.0 * w * theta)
+            )
+        return _shaped(t, np.where(t == 0.0, 1.0, val))
+
+    def derivative(self, t):
+        """d xi / d tau at t; exactly 0.0 at t = 0."""
+        w2, one_minus_w2, dist = self.w2, self.one_minus_w2, self.dist
+        theta = self.tscale * t
+        if dist <= BRANCH_EXACT_TOL:
+            val = -theta * np.exp(-theta)
+        elif dist <= BRANCH_TAYLOR_TOL:
+            x2 = w2 * theta * theta
+            sinhc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
+            val = -one_minus_w2 * theta * np.exp(-theta) * sinhc
+        elif w2 < 0.0:
+            q = math.sqrt(-w2)
+            val = -one_minus_w2 * np.exp(-theta) * np.sin(q * theta) / q
+        else:
+            w = math.sqrt(w2)
+            m1 = one_minus_w2 / (1.0 + w)
+            # same expm1 factoring as the value: exact where the plain
+            # difference of exponentials would lose digits to cancellation
+            val = one_minus_w2 / (2.0 * w) * np.exp(-m1 * theta) * np.expm1(-2.0 * w * theta)
+        return _shaped(t, np.where(t == 0.0, 0.0, self.tscale * val))
+
+    def envelope(self, t):
+        """Decaying upper bound for |xi(t')| at t' >= t."""
+        w2, dist = self.w2, self.dist
+        theta = self.tscale * t
+        if dist <= BRANCH_TAYLOR_TOL:
+            w = math.sqrt(max(w2, 0.0))
+            val = (1.0 + theta) * np.exp(-(1.0 - w) * theta)
+        elif w2 < 0.0:
+            val = math.sqrt(1.0 - 1.0 / w2) * np.exp(-theta)
+        else:
+            w = math.sqrt(w2)
+            m1 = self.one_minus_w2 / (1.0 + w)
+            m2 = 1.0 + w
+            val = 0.5 * (1.0 + 1.0 / w) * np.exp(-m1 * theta) + 0.5 * abs(
+                1.0 - 1.0 / w
+            ) * np.exp(-m2 * theta)
+        return _shaped(t, val)
+
+
+def _channels(kind: EquationKind, r: float) -> tuple[_Channel, _Channel]:
+    """The full-rate (lambda3 = xi(r)) and half-rate (lambda1 = xi(r/2)) channels."""
+    return _Channel(kind, r), _Channel(kind, 0.5 * r)
 
 
 def xi(kind, r: float, tau):
@@ -222,10 +279,7 @@ def xi(kind, r: float, tau):
     Exactly 1.0 at tau = 0.  Negative or non-finite arguments are rejected.
     """
     kind, r, t = _check_args(kind, r, tau)
-    w2, one_minus_w2, tscale, dist = _profile(kind, r)
-    val = _xi_core(w2, one_minus_w2, dist, tscale * t)
-    val = np.where(t == 0.0, 1.0, val)
-    return float(val) if np.ndim(tau) == 0 else val
+    return _Channel(kind, r).value(t)
 
 
 def xi_derivative(kind, r: float, tau):
@@ -236,10 +290,7 @@ def xi_derivative(kind, r: float, tau):
     the overflow-safe exponential pair.
     """
     kind, r, t = _check_args(kind, r, tau)
-    w2, one_minus_w2, tscale, dist = _profile(kind, r)
-    val = tscale * _xi_theta_derivative(w2, one_minus_w2, dist, tscale * t)
-    val = np.where(t == 0.0, 0.0, val)
-    return float(val) if np.ndim(tau) == 0 else val
+    return _Channel(kind, r).derivative(t)
 
 
 def xi_envelope(kind, r: float, tau):
@@ -250,21 +301,7 @@ def xi_envelope(kind, r: float, tau):
     or the (1 + theta) prefactor (near the branch point).
     """
     kind, r, t = _check_args(kind, r, tau)
-    w2, one_minus_w2, tscale, dist = _profile(kind, r)
-    theta = tscale * t
-    if dist <= BRANCH_TAYLOR_TOL:
-        w = math.sqrt(max(w2, 0.0))
-        val = (1.0 + theta) * np.exp(-(1.0 - w) * theta)
-    elif w2 < 0.0:
-        val = math.sqrt(1.0 - 1.0 / w2) * np.exp(-theta)
-    else:
-        w = math.sqrt(w2)
-        m1 = one_minus_w2 / (1.0 + w)
-        m2 = 1.0 + w
-        val = 0.5 * (1.0 + 1.0 / w) * np.exp(-m1 * theta) + 0.5 * abs(
-            1.0 - 1.0 / w
-        ) * np.exp(-m2 * theta)
-    return float(val) if np.ndim(tau) == 0 else val
+    return _Channel(kind, r).envelope(t)
 
 
 @dataclass(frozen=True)
@@ -301,23 +338,19 @@ IDENTITY_SNAPSHOT = MapSnapshot(1.0, 1.0, 0.0)
 
 def snapshot(kind, p: MapParams, tau: float) -> MapSnapshot:
     """Damping factors and translation of the map at dimensionless time tau."""
-    kind = parse_kind(kind)
-    r = p.R
-    lam3 = xi(kind, r, tau)
-    lam1 = xi(kind, 0.5 * r, tau)
-    t3 = (lam3 - 1.0) / (2.0 * p.n_occ + 1.0)
-    return MapSnapshot(lambda1=lam1, lambda3=lam3, t3=t3)
+    return MapSnapshot(*snapshot_arrays(kind, p, float(tau)))
 
 
 def snapshot_arrays(kind, p: MapParams, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda1, lambda3, t3) arrays over a tau grid; the vectorized snapshot."""
-    kind = parse_kind(kind)
-    r = p.R
-    taus = np.asarray(taus, dtype=float)
-    lam3 = xi(kind, r, taus)
-    lam1 = xi(kind, 0.5 * r, taus)
+    """(lambda1, lambda3, t3) arrays over a tau grid; the vectorized snapshot.
+
+    A scalar tau gives three floats.
+    """
+    t = _check_times(taus)
+    full, half = _channels(parse_kind(kind), p.R)
+    lam3 = full.value(t)
     t3 = (lam3 - 1.0) / (2.0 * p.n_occ + 1.0)
-    return lam1, lam3, t3
+    return half.value(t), lam3, t3
 
 
 def apply_map(snap: MapSnapshot, s: QubitState) -> QubitState:
@@ -329,10 +362,6 @@ def apply_map(snap: MapSnapshot, s: QubitState) -> QubitState:
     """
     pe = snap.v + snap.lambda3 * s.population_e
     return QubitState(pe, snap.lambda1 * complex(s.coherence))
-
-
-# interface alias: the map action is plain application
-apply = apply_map
 
 
 @dataclass(frozen=True)
@@ -365,12 +394,10 @@ def rate_divergence_time(kind, p: MapParams) -> float:
     return 2.0 * (math.pi - math.atan(q)) / q
 
 
-def _rate_pieces(kind, p: MapParams, taus):
-    r = p.R
-    x_full = xi(kind, r, taus)
-    x_half = xi(kind, 0.5 * r, taus)
-    d_full = xi_derivative(kind, r, taus)
-    d_half = xi_derivative(kind, 0.5 * r, taus)
+def _rate_pieces(kind: EquationKind, p: MapParams, t):
+    full, half = _channels(kind, p.R)
+    x_full, x_half = full.value(t), half.value(t)
+    d_full, d_half = full.derivative(t), half.derivative(t)
     g = p.gamma
     # + 0.0 clears the negative zero the sign flip leaves at tau = 0
     shared = -g * (d_full / x_full) / (2.0 * p.n_occ + 1.0) + 0.0
@@ -387,29 +414,21 @@ def tcl_rates(kind, p: MapParams, tau: float) -> TclRates:
     (gamma1 + gamma2)/2 + 2 gamma3; both reproduce the closed-form map.
     Raises SingularRateError at or beyond the first zero of the profile.
     """
-    kind = parse_kind(kind)
-    tau = float(tau)
-    if not math.isfinite(tau) or tau < 0.0:
-        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
-    horizon = rate_divergence_time(kind, p)
-    if tau >= horizon:
-        raise SingularRateError(
-            f"time-local rates diverge at tau = {horizon:.9g} where the "
-            f"population decay profile first crosses zero; got tau = {tau:.9g}"
-        )
-    g1, g2, g3 = _rate_pieces(kind, p, tau)
-    return TclRates(gamma1=g1, gamma2=g2, gamma3=g3)
+    return TclRates(*tcl_rate_arrays(kind, p, float(tau)))
 
 
 def tcl_rate_arrays(kind, p: MapParams, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized time-local rates over a tau grid (same guard as tcl_rates)."""
+    """Vectorized time-local rates over a tau grid (same guard as tcl_rates).
+
+    A scalar tau gives three floats.
+    """
     kind = parse_kind(kind)
-    taus = np.asarray(taus, dtype=float)
+    taus = _check_times(taus)
     horizon = rate_divergence_time(kind, p)
     if np.any(taus >= horizon):
         raise SingularRateError(
             f"time-local rates diverge at tau = {horizon:.9g} where the "
-            f"population decay profile first crosses zero; grid reaches "
-            f"tau = {float(np.max(taus)):.9g}"
+            f"population decay profile first crosses zero; got tau = "
+            f"{float(np.max(taus)):.9g}"
         )
     return _rate_pieces(kind, p, taus)

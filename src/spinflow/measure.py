@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .maps import MapParams, parse_kind, xi, xi_derivative, xi_envelope
+from .maps import MapParams, _channels, _check_times, parse_kind, xi_envelope
 from .sphere import pattern_search
 from .states import StatePair, state_from_bloch
 
@@ -82,19 +82,11 @@ def sigma_analytic(kind, p: MapParams, pair: StatePair, tau) -> float:
     """
     kind = parse_kind(kind)
     a2, b2 = _require_distinct(pair)
-    r = p.R
-    taus = np.asarray(tau, dtype=float)
-    x_full = xi(kind, r, taus)
-    x_half = xi(kind, 0.5 * r, taus)
-    d_full = xi_derivative(kind, r, taus)
-    d_half = xi_derivative(kind, 0.5 * r, taus)
-    num = a2 * x_full * d_full + b2 * x_half * d_half
-    den = np.sqrt(a2 * x_full * x_full + b2 * x_half * x_half)
+    t = _check_times(tau)
+    full, half = _channels(kind, p.R)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = p.gamma * num / den
-    if np.ndim(tau) == 0:
-        return float(out)
-    return out
+        out = p.gamma * _numerator(full, half, a2, b2, t) / _distance(full, half, a2, b2, t)
+    return float(out) if np.ndim(tau) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -115,27 +107,29 @@ class FlowReport:
     total_gain: float
 
 
-def _distance_at(kind, p: MapParams, a2: float, b2: float, tau: float) -> float:
-    xf = xi(kind, p.R, tau)
-    xh = xi(kind, 0.5 * p.R, tau)
-    return math.sqrt(a2 * xf * xf + b2 * xh * xh)
+def _distance(full, half, a2: float, b2: float, t):
+    """Trace distance D of a pair with weights (a2, b2) = (a0**2, |b0|**2)."""
+    xf, xh = full.value(t), half.value(t)
+    return np.sqrt(a2 * xf * xf + b2 * xh * xh)
+
+
+def _numerator(full, half, a2: float, b2: float, t):
+    """D dD/dtau, the numerator of sigma / gamma: it has sigma's sign."""
+    return a2 * full.value(t) * full.derivative(t) + b2 * half.value(t) * half.derivative(t)
 
 
 def _positive_intervals(
-    kind, p: MapParams, a2: float, b2: float, taus: np.ndarray, num: np.ndarray
+    full, half, a2: float, b2: float, taus: np.ndarray, num: np.ndarray
 ) -> tuple[tuple[float, float, float], ...]:
     """Maximal sub-intervals of the grid span where sigma's numerator > 0.
 
-    Grid sign changes are polished with brentq on the continuous numerator;
-    each gain is the exact trace-distance difference across the interval.
+    full and half are the two channels from maps._channels.  Grid sign
+    changes are polished with brentq on the continuous numerator; each gain
+    is the exact trace-distance difference across the interval.
     """
 
     def numerator(t: float) -> float:
-        xf = xi(kind, p.R, t)
-        xh = xi(kind, 0.5 * p.R, t)
-        return a2 * xf * xi_derivative(kind, p.R, t) + b2 * xh * xi_derivative(
-            kind, 0.5 * p.R, t
-        )
+        return _numerator(full, half, a2, b2, t)
 
     def crossing(lo: float, hi: float) -> float:
         flo, fhi = numerator(lo), numerator(hi)
@@ -160,7 +154,7 @@ def _positive_intervals(
     if inside:
         intervals.append((float(start), float(taus[-1])))
     return tuple(
-        (lo, hi, _distance_at(kind, p, a2, b2, hi) - _distance_at(kind, p, a2, b2, lo))
+        (lo, hi, float(_distance(full, half, a2, b2, hi) - _distance(full, half, a2, b2, lo)))
         for lo, hi in intervals
     )
 
@@ -169,22 +163,17 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
     """Distance path, sigma both ways, and the inflow intervals of one pair.
 
     Identical pairs are allowed here (unlike sigma_analytic) and produce the
-    all-zero report.
+    all-zero report.  Raises ValueError unless t_end is finite and > 0.
     """
-    kind = parse_kind(kind)
     if grid_points < 100:
         raise ValueError(f"grid_points must be >= 100, got {grid_points}")
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     taus = np.linspace(0.0, t_end, grid_points)
     a2, b2 = _pair_weights(pair)
-
-    x_full = xi(kind, p.R, taus)
-    x_half = xi(kind, 0.5 * p.R, taus)
-    d_full = xi_derivative(kind, p.R, taus)
-    d_half = xi_derivative(kind, 0.5 * p.R, taus)
-    distance = np.sqrt(a2 * x_full * x_full + b2 * x_half * x_half)
-    num = a2 * x_full * d_full + b2 * x_half * d_half
+    full, half = _channels(parse_kind(kind), p.R)
+    distance = _distance(full, half, a2, b2, taus)
+    num = _numerator(full, half, a2, b2, taus)
 
     if a2 == 0.0 and b2 == 0.0:
         zeros = np.zeros_like(taus)
@@ -194,7 +183,7 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
         sigma = p.gamma * num / distance
     sigma_discrete = p.gamma * np.gradient(distance, taus)
 
-    intervals = _positive_intervals(kind, p, a2, b2, taus, num)
+    intervals = _positive_intervals(full, half, a2, b2, taus, num)
     total = float(sum(gain for _, _, gain in intervals))
     return FlowReport(pair, taus, distance, sigma, sigma_discrete, intervals, total)
 
@@ -258,22 +247,20 @@ def measure(
     so the cap does not bind.  The search is deterministic: there is no seed.
 
     The horizon defaults to the certified decay time of both xi channels so
-    the truncated integral provably captures all flow up to TAIL_TOL.
+    the truncated integral provably captures all flow up to TAIL_TOL; a
+    given t_end must be finite and > 0.
     """
     kind = parse_kind(kind)
     if budget < 100:
         raise ValueError(f"budget must be >= 100, got {budget}")
     if t_end is None:
         t_end = certified_horizon(kind, p)
+    elif not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     taus = np.linspace(0.0, t_end, grid_points)
-
-    r = p.R
-    x_full = xi(kind, r, taus)
-    x_half = xi(kind, 0.5 * r, taus)
-    d_full = xi_derivative(kind, r, taus)
-    d_half = xi_derivative(kind, 0.5 * r, taus)
-    full_term = x_full * d_full
-    half_term = x_half * d_half
+    full, half = _channels(kind, p.R)
+    full_term = full.value(taus) * full.derivative(taus)
+    half_term = half.value(taus) * half.derivative(taus)
 
     evaluations = 0
 
@@ -284,7 +271,7 @@ def measure(
         if not np.any(num > 0.0):
             return 0.0
         total = 0.0
-        for _, _, interval_gain in _positive_intervals(kind, p, s, 1.0 - s, taus, num):
+        for _, _, interval_gain in _positive_intervals(full, half, s, 1.0 - s, taus, num):
             total += interval_gain
         return total
 

@@ -28,9 +28,7 @@ __all__ = [
     "GROUND",
     "MAXIMALLY_MIXED",
     "PLUS",
-    "validate_state",
     "trace_distance",
-    "bloch_of",
     "state_from_bloch",
     "random_state",
     "random_states",
@@ -100,11 +98,6 @@ class StatePair:
         return StatePair(self.second, self.first)
 
 
-def validate_state(state: QubitState, tol: float = DEFAULT_STATE_TOL) -> bool:
-    """Check positivity and normalization of a stored qubit state."""
-    return state.is_valid(tol)
-
-
 def trace_distance(
     s1: QubitState,
     s2: QubitState,
@@ -133,13 +126,8 @@ def trace_distance(
     return math.hypot(a, abs(db))
 
 
-def bloch_of(state: QubitState) -> tuple[float, float, float]:
-    """Bloch vector (x, y, z) = (2 Re b, 2 Im b, 2p - 1)."""
-    return state.bloch()
-
-
 def state_from_bloch(x: float, y: float, z: float) -> QubitState:
-    """Inverse of :func:`bloch_of`; does not validate the ball constraint."""
+    """Inverse of :meth:`QubitState.bloch`; does not validate the ball constraint."""
     return QubitState(0.5 * (1.0 + z), 0.5 * (x + 1j * y))
 
 

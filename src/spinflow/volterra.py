@@ -40,7 +40,7 @@ from .maps import (
     rate_divergence_time,
     tcl_rate_arrays,
 )
-from .states import QubitState, validate_state
+from .states import QubitState
 
 __all__ = [
     "IntegrationDivergenceError",
@@ -102,7 +102,7 @@ def _states_from_rows(rows: np.ndarray) -> tuple[QubitState, ...]:
 
 
 def _initial_vector(s0: QubitState) -> np.ndarray:
-    if not validate_state(s0):
+    if not s0.is_valid():
         raise ValueError(f"initial state is not a valid qubit state: {s0!r}")
     b = complex(s0.coherence)
     return np.array([s0.population_e, b.real, b.imag, 1.0])
@@ -135,6 +135,38 @@ def _run_ivp(rhs, y0: np.ndarray, t_end: float, tol: float, points: int):
     return grid, sol.y.T, int(sol.nfev)
 
 
+def _integrate_augmented(rhs, g, p: MapParams, s0: QubitState, t_end, tol, points):
+    """Solve y' = rhs(ghat, rho, aux) for y = (rho, aux) from (s0, 0).
+
+    ghat is the generator in units of gamma; aux is the memory variable.
+    """
+    _check_grid_args(t_end, tol)
+    ghat = np.asarray(g, dtype=float) / p.gamma
+    y0 = np.concatenate((_initial_vector(s0), np.zeros(4)))
+    grid, rows, nfev = _run_ivp(
+        lambda _t, y: rhs(ghat, y[:4], y[4:]), y0, t_end, tol, points
+    )
+    residual = float(np.max(np.abs(rows[:, 3] - 1.0)))
+    return AugmentedTrajectory(
+        times=grid,
+        states=_states_from_rows(rows[:, :4]),
+        auxiliary=rows[:, 4:],
+        steps=nfev,
+        max_residual=residual,
+        meta={"route": "augmented-ode", "tol": tol},
+    )
+
+
+def _memory_kernel_rhs(ghat, rho, aux):
+    """rho' = n, n' = ghat rho - n (route 1 of the module docstring)."""
+    return np.concatenate((aux, ghat @ rho - aux))
+
+
+def _post_markovian_rhs(ghat, rho, aux):
+    """rho' = ghat m, m' = rho + (ghat - 1) m."""
+    return np.concatenate((ghat @ aux, rho + (ghat - np.eye(4)) @ aux))
+
+
 def integrate_memory_kernel(
     g: np.ndarray,
     p: MapParams,
@@ -145,24 +177,7 @@ def integrate_memory_kernel(
     points: int = 201,
 ) -> AugmentedTrajectory:
     """Augmented-system solution of the convolution equation up to tau = t_end."""
-    _check_grid_args(t_end, tol)
-    ghat = np.asarray(g, dtype=float) / p.gamma
-
-    def rhs(_t, y):
-        rho, aux = y[:4], y[4:]
-        return np.concatenate((aux, ghat @ rho - aux))
-
-    y0 = np.concatenate((_initial_vector(s0), np.zeros(4)))
-    grid, rows, nfev = _run_ivp(rhs, y0, t_end, tol, points)
-    residual = float(np.max(np.abs(rows[:, 3] - 1.0)))
-    return AugmentedTrajectory(
-        times=grid,
-        states=_states_from_rows(rows[:, :4]),
-        auxiliary=rows[:, 4:],
-        steps=nfev,
-        max_residual=residual,
-        meta={"route": "augmented-ode", "tol": tol},
-    )
+    return _integrate_augmented(_memory_kernel_rhs, g, p, s0, t_end, tol, points)
 
 
 def integrate_post_markovian(
@@ -175,25 +190,7 @@ def integrate_post_markovian(
     points: int = 201,
 ) -> AugmentedTrajectory:
     """Augmented-system solution of the dressed-kernel equation."""
-    _check_grid_args(t_end, tol)
-    ghat = np.asarray(g, dtype=float) / p.gamma
-    eye = np.eye(4)
-
-    def rhs(_t, y):
-        rho, aux = y[:4], y[4:]
-        return np.concatenate((ghat @ aux, rho + (ghat - eye) @ aux))
-
-    y0 = np.concatenate((_initial_vector(s0), np.zeros(4)))
-    grid, rows, nfev = _run_ivp(rhs, y0, t_end, tol, points)
-    residual = float(np.max(np.abs(rows[:, 3] - 1.0)))
-    return AugmentedTrajectory(
-        times=grid,
-        states=_states_from_rows(rows[:, :4]),
-        auxiliary=rows[:, 4:],
-        steps=nfev,
-        max_residual=residual,
-        meta={"route": "augmented-ode", "tol": tol},
-    )
+    return _integrate_augmented(_post_markovian_rhs, g, p, s0, t_end, tol, points)
 
 
 def _semigroup_factors(p: MapParams, taus: np.ndarray):

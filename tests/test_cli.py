@@ -90,6 +90,13 @@ def test_physical_parameter_entry(capsys):
         ["divisibility", "--kind", "mem", "--r", "0.2", "--grid", "0"],
         ["positivity", "--kind", "mem", "--r", "0.2", "--n", "1", "--samples", "5"],
         ["sweep", "--config", str(ROOT / "configs" / "smoke_sweep.txt"), "--workers", "0"],
+        ["classify", "--kind", "mem", "--r", "0.2", "--n", "1", "--budget", "10"],
+        ["oracle", "--kind", "mem", "--r", "0.1", "--tau-end", "1", "--points", "3",
+         "--steps", "-5"],
+        ["choi", "--kind", "mem", "--r", "0.2", "--tau", "nan"],
+        ["choi", "--kind", "mem", "--r", "0.2", "--tau", "1e400"],
+        ["choi", "--kind", "mem", "--r", "0.2", "--tau", "1", "--tau-start", "inf"],
+        ["choi", "--kind", "mem", "--r", "0.2", "--tau", "1", "--tau-start", "2"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinflow.maps import (
+    BRANCH_EXACT_TOL,
+    BRANCH_TAYLOR_TOL,
     EquationKind,
     IDENTITY_SNAPSHOT,
     MapParams,
     MapSnapshot,
     SingularRateError,
-    apply,
     apply_map,
     parse_kind,
     rate_divergence_time,
@@ -20,6 +23,8 @@ from spinflow.maps import (
     xi,
     xi_derivative,
     xi_envelope,
+    _Channel,
+    _channels,
 )
 from spinflow.states import EXCITED, GROUND, MAXIMALLY_MIXED, QubitState
 
@@ -50,6 +55,8 @@ def test_params_ratio_and_validation():
         MapParams(gamma0=1.0, n_occ=-1.0)
     with pytest.raises(ValueError):
         MapParams.from_ratio(-0.1)
+    with pytest.raises(ValueError, match="overflows"):
+        MapParams(gamma0=1e308, gamma=1e-10)
 
 
 def test_physical_regime_flag():
@@ -157,6 +164,58 @@ def test_argument_validation():
             func("mem", float("nan"), 1.0)
 
 
+#: rate at the branch point w = 0, and d(branch distance)/dr there
+BRANCH_RATE = {"mem": (0.25, 4.0), "post": (1.0, 1.0)}
+
+
+def _regime(channel: _Channel) -> str:
+    if channel.dist <= BRANCH_EXACT_TOL:
+        return "exact"
+    if channel.dist <= BRANCH_TAYLOR_TOL:
+        return "taylor"
+    return "oscillatory" if channel.w2 < 0.0 else "hyperbolic"
+
+
+@st.composite
+def kind_regime_rate(draw):
+    kind = draw(st.sampled_from(KINDS))
+    regimes = ["hyperbolic", "taylor", "exact"] + (["oscillatory"] if kind == "mem" else [])
+    regime = draw(st.sampled_from(regimes))
+    if regime == "hyperbolic":
+        r = draw(st.floats(0.0, 0.24) if kind == "mem" else st.one_of(
+            st.floats(0.0, 0.9), st.floats(1.1, 50.0)))
+    elif regime == "oscillatory":
+        r = draw(st.floats(0.26, 20.0))
+    else:
+        lo, hi = (0.0, 0.9e-12) if regime == "exact" else (2e-12, 0.9e-6)
+        branch, slope = BRANCH_RATE[kind]
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        r = branch + sign * draw(st.floats(lo, hi)) / slope
+    return kind, regime, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    krr=kind_regime_rate(),
+    tau=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+    taus=st.lists(st.floats(0.0, 200.0), max_size=20),
+)
+def test_channel_core_equals_public_xi(krr, tau, taus):
+    kind, regime, r = krr
+    core = _Channel(parse_kind(kind), r)
+    assert _regime(core) == regime
+    value, derivative = core.value(tau), core.derivative(tau)
+    assert type(value) is float and type(derivative) is float
+    assert value == xi(kind, r, tau)
+    assert derivative == xi_derivative(kind, r, tau)
+    grid = np.array([0.0, *taus])
+    assert np.array_equal(core.value(grid), xi(kind, r, grid))
+    assert np.array_equal(core.derivative(grid), xi_derivative(kind, r, grid))
+    full, half = _channels(parse_kind(kind), r)
+    assert np.array_equal(full.value(grid), xi(kind, r, grid))
+    assert np.array_equal(half.derivative(grid), xi_derivative(kind, 0.5 * r, grid))
+
+
 def test_profile_bounded_and_monotone_in_physical_regime():
     taus = np.linspace(0.0, 50.0, 10001)
     for kind, rs in (("mem", (0.01, 0.1, 0.2, 0.25)), ("post", (0.01, 0.3, 1.0, 4.0, 40.0))):
@@ -226,7 +285,6 @@ def test_snapshot_arrays_match_scalar():
 
 
 def test_apply_map_basics():
-    assert apply is apply_map
     out = apply_map(IDENTITY_SNAPSHOT, QubitState(0.3, 0.1 + 0.2j))
     assert out == QubitState(0.3, 0.1 + 0.2j)
 

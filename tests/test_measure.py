@@ -1,9 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinflow.maps import MapParams, apply_map, snapshot
+from spinflow.maps import (
+    MapParams,
+    apply_map,
+    snapshot,
+    snapshot_arrays,
+    tcl_rate_arrays,
+    xi,
+    xi_derivative,
+    xi_envelope,
+)
 from spinflow.measure import (
     DegeneratePairError,
     certified_horizon,
@@ -102,6 +113,27 @@ def test_flow_report_validation():
         flow_report("mem", PHYSICAL, POLE_PAIR, 5.0, grid_points=10)
     with pytest.raises(ValueError, match="t_end"):
         flow_report("mem", PHYSICAL, POLE_PAIR, -1.0)
+
+
+#: every public function that takes times, called with one bad time
+TIME_TAKERS = {
+    "xi": lambda t: xi("mem", 0.2, t),
+    "xi_derivative": lambda t: xi_derivative("mem", 0.2, t),
+    "xi_envelope": lambda t: xi_envelope("mem", 0.2, t),
+    "snapshot": lambda t: snapshot("mem", PHYSICAL, t),
+    "snapshot_arrays": lambda t: snapshot_arrays("mem", PHYSICAL, np.array([0.0, 1.0, t])),
+    "tcl_rate_arrays": lambda t: tcl_rate_arrays("mem", PHYSICAL, np.array([0.0, 1.0, t])),
+    "sigma_analytic": lambda t: sigma_analytic("mem", PHYSICAL, POLE_PAIR, t),
+    "flow_report": lambda t: flow_report("mem", PHYSICAL, POLE_PAIR, t_end=t),
+    "measure": lambda t: measure("mem", PHYSICAL, t_end=t, budget=100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIME_TAKERS))
+def test_public_time_arguments_validated(name):
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError):
+            TIME_TAKERS[name](bad)
 
 
 def test_frozen_map_has_zero_measure():

@@ -10,12 +10,10 @@ from spinflow.states import (
     PLUS,
     QubitState,
     StatePair,
-    bloch_of,
     random_state,
     random_states,
     state_from_bloch,
     trace_distance,
-    validate_state,
 )
 
 
@@ -30,7 +28,7 @@ def test_matrix_is_hermitian_unit_trace():
 def test_bloch_round_trip(rng):
     for _ in range(200):
         s = random_state(rng)
-        x, y, z = bloch_of(s)
+        x, y, z = s.bloch()
         back = state_from_bloch(x, y, z)
         assert abs(back.population_e - s.population_e) <= 1e-15
         assert abs(complex(back.coherence) - complex(s.coherence)) <= 1e-15
@@ -38,7 +36,7 @@ def test_bloch_round_trip(rng):
 
 def test_named_states_valid():
     for s in (EXCITED, GROUND, MAXIMALLY_MIXED, PLUS):
-        assert validate_state(s)
+        assert s.is_valid()
     assert EXCITED.bloch() == (0.0, 0.0, 1.0)
     assert GROUND.bloch() == (0.0, 0.0, -1.0)
 
@@ -53,7 +51,7 @@ def test_named_states_valid():
     ],
 )
 def test_invalid_states_rejected(state):
-    assert not validate_state(state)
+    assert not state.is_valid()
 
 
 def test_trace_distance_examples():
@@ -101,5 +99,5 @@ def test_pair_differences_and_swap():
 
 def test_random_states_inside_ball(rng):
     for s in random_states(rng, 500):
-        assert validate_state(s)
-        assert math.hypot(math.hypot(*bloch_of(s)[:2]), bloch_of(s)[2]) <= 1.0 + 1e-12
+        assert s.is_valid()
+        assert math.hypot(*s.bloch()) <= 1.0 + 1e-12
