@@ -113,7 +113,7 @@ def _time(text: str) -> float:
 
 
 def _budget(text: str) -> int:
-    """argparse type of --budget: a cap on gain evaluations, >= 100."""
+    """argparse type of --budget: >= 100; the closed-form measure needs one evaluation."""
     value = int(text)
     if value < 100:
         raise argparse.ArgumentTypeError(f"must be >= 100, got {text}")
@@ -790,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state2", default="0,0,0")
     _add_output_flags(sp)
 
-    sp = add("measure", cmd_measure, help="non-Markovianity measure by pair search")
+    sp = add("measure", cmd_measure, help="non-Markovianity measure of the best state pair")
     _add_param_flags(sp)
     sp.add_argument("--tau-end", type=_positive_time, default=None)
     sp.add_argument("--budget", type=_budget, default=1000)

@@ -129,7 +129,8 @@ class MapParams:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.n_occ < 0.0:
             raise ValueError(f"n_occ must be >= 0, got {self.n_occ}")
-        if not math.isfinite(self.R):
+        # the channels square R + 1 (post) and take 4R (mem)
+        if not math.isfinite((self.R + 1.0) * (self.R + 1.0)):
             raise ValueError(f"R = gamma0 (2N+1) / gamma overflows, got {self.R!r}")
 
     @property

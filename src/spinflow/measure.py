@@ -9,22 +9,21 @@ difference of the pair.  Its rate of change
 
     sigma = gamma * [a0**2 xi_R xi_R' + |b0|**2 xi_h xi_h'] / D
 
-(primes are d/dtau) is returned in physical inverse-time units.  The measure
-integrates sigma over the intervals where it is positive, which telescopes to
-sums of trace-distance differences at interval endpoints: no quadrature error
-enters the reported gains.
+(primes are d/dtau) is returned in physical inverse-time units.  The flow
+report of one pair integrates sigma over the intervals where it is positive,
+which telescopes to sums of trace-distance differences at interval
+endpoints: no quadrature error enters the reported gains.
 
 Interval endpoints are located by bracketing sign changes of sigma's
 numerator on a dense grid and polishing each bracket with a root finder; the
 numerator is used instead of sigma itself so that isolated zeros of D cannot
 poison the search.
 
-The measure maximizes the total gain over pairs.  Scaling (a0, b0) by c
-scales D, and hence every gain, by c, and every pair has a0**2 + |b0|**2 <= 1
-with equality for antipodal pure pairs.  The maximum is therefore reached by
-an antipodal pure pair and depends on one number, s = a0**2 / (a0**2 + |b0|**2)
-in [0, 1] (Wissmann, Karlsson, Laine, Piilo, Breuer, PRA 86, 062108, 2012):
-measure() is a deterministic 1-D search over s.
+The measure (Breuer, Laine, Piilo, PRL 103, 210401, 2009) maximizes the
+total gain over pairs.  It needs no search: the maximum is the gain of the
+pole pair, a finite sum of the known peaks of |xi(R, .)| (see measure()).
+flow_report of the pole pair is the independent numerical route to the
+same number.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .maps import MapParams, _channels, _check_times, parse_kind, xi_envelope
-from .sphere import pattern_search
+from .maps import EquationKind, MapParams, _channels, _check_times, parse_kind, xi_envelope
 from .states import StatePair, state_from_bloch
 
 __all__ = [
@@ -192,8 +190,8 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
 class MeasureResult:
     """Outcome of the pair maximization.
 
-    method is "analytic-sigma" when intervals come from the closed-form
-    sigma numerator (the only mode this package ships) as opposed to
+    method is "analytic-sigma": the value follows from the closed-form
+    sigma (the only mode this package ships), as opposed to
     finite-difference segmentation of the distance path.
     """
 
@@ -223,32 +221,38 @@ def certified_horizon(kind, p: MapParams, t_end: float = 20.0) -> float:
     return t_end
 
 
-def measure(
-    kind,
-    p: MapParams,
-    t_end: float | None = None,
-    budget: int = 1000,
-    *,
-    grid_points: int = 2001,
-) -> MeasureResult:
-    """Maximize the total inflow gain over initial state pairs.
+def measure(kind, p: MapParams, t_end: float | None = None, budget: int = 1000) -> MeasureResult:
+    """Maximal total inflow gain over initial state pairs, in closed form.
 
     The gain of a pair depends only on its weights (a0**2, |b0|**2), and
     scaling both by c**2 scales the gain by c.  Every pair has
     a0**2 + |b0|**2 <= 1, so its gain is at most that of the antipodal pure
-    pair with weights (s, 1 - s), s = a0**2 / (a0**2 + |b0|**2): the
-    maximum over pairs is exactly a maximum over s in [0, 1].  The search
-    scores 65 evenly spaced s, both ends included (s = 1 is the pole pair,
-    s = 0 an equatorial pair), then refines the best with a 1-D pattern
-    search from step 1/64 down to 1e-4.
+    pair with weights (s, 1 - s), s = a0**2 / (a0**2 + |b0|**2) (Wissmann,
+    Karlsson, Laine, Piilo, Breuer, PRA 86, 062108, 2012).
 
-    budget caps the number of gain evaluations and must be >= 100; the
-    search takes 82 when the refinement never moves and never more than 98,
-    so the cap does not bind.  The search is deterministic: there is no seed.
+    Lemma: gain(s) <= gain(1), so the pole pair (s = 1, the full-rate
+    channel alone, D = |xi(R, .)|) attains the maximum.  The lemma is
+    checked as a property over R in (1/4, 50] and s in [0, 1] by the tests;
+    it is not proved here.
 
-    The horizon defaults to the certified decay time of both xi channels so
-    the truncated integral provably captures all flow up to TAIL_TOL; a
-    given t_end must be finite and > 0.
+    The value is exact algebra.  Where xi > 0 and xi' <= 0 on both
+    channels no distance ever grows and the value is 0: for the
+    post-Markovian family, and for the memory kernel with 4R <= 1 (the
+    physical regime; the half-rate channel has 4 (R/2) <= 1/2), R = 0
+    included.  For the memory kernel with 4R > 1, xi(R, .) solves
+    xi'' + xi' + R xi = 0 with xi(0) = 1, xi'(0) = 0 and oscillates at
+    W = sqrt(4R - 1) / 2: xi' is a negative multiple of e**(-tau/2) sin(W tau),
+    so |xi| falls from each extremum tau_k = k pi / W to the next zero
+    z_{k+1} = ((k + 1) pi - atan(2W)) / W, where it is 0, and rises from there
+    to the next extremum, where |xi| = q**k with q = exp(-pi / (2W)).  Up to
+    the horizon T the gain is therefore the sum of the K = floor(T W / pi)
+    full peaks, q (1 - q**K) / (1 - q), plus the cut last rise |xi(R, T)|
+    when z_{K+1} < T.  As T grows it tends to 1 / expm1(pi / sqrt(4R - 1)).
+
+    evaluations is 1, the single closed-form evaluation.  budget is kept
+    for the interface and must be >= 100.  The horizon defaults to the
+    certified decay time of both xi channels so the truncated sum provably
+    captures all flow up to TAIL_TOL; a given t_end must be finite and > 0.
     """
     kind = parse_kind(kind)
     if budget < 100:
@@ -257,41 +261,24 @@ def measure(
         t_end = certified_horizon(kind, p)
     elif not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-    taus = np.linspace(0.0, t_end, grid_points)
-    full, half = _channels(kind, p.R)
-    full_term = full.value(taus) * full.derivative(taus)
-    half_term = half.value(taus) * half.derivative(taus)
-
-    evaluations = 0
-
-    def gain(s: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        num = s * full_term + (1.0 - s) * half_term
-        if not np.any(num > 0.0):
-            return 0.0
-        total = 0.0
-        for _, _, interval_gain in _positive_intervals(full, half, s, 1.0 - s, taus, num):
-            total += interval_gain
-        return total
-
-    scan = np.linspace(0.0, 1.0, 65)
-    start = int(np.argmax([gain(float(s)) for s in scan]))
-    best, best_value, _ = pattern_search(
-        lambda x: gain(float(x[0])),
-        scan[start : start + 1],
-        project=lambda x: np.clip(x, 0.0, 1.0),
-        step=1.0 / 64.0,
-        min_step=1e-4,
-        max_evals=budget - evaluations,
-    )
-    x, z = math.sqrt(1.0 - best[0]), math.sqrt(best[0])
+    value = 0.0
+    if kind is EquationKind.MEMORY_KERNEL and 4.0 * p.R > 1.0:
+        omega = 0.5 * math.sqrt(4.0 * p.R - 1.0)
+        decay = math.pi / (2.0 * omega)
+        # a float floor: an overflowing T W / pi gives K = inf, the limit
+        peaks = float(np.floor(t_end * omega / math.pi))
+        value = math.exp(-decay) * math.expm1(-peaks * decay) / math.expm1(-decay)
+        if ((peaks + 1.0) * math.pi - math.atan(2.0 * omega)) / omega < t_end:
+            value += abs(_channels(kind, p.R)[0].value(t_end))
+    # the pole pair when it gains, else the equatorial pair (1, 0, 0) and its antipode
+    s = 1.0 if value > 0.0 else 0.0
+    x, z = math.sqrt(1.0 - s), math.sqrt(s)
     first = state_from_bloch(x, 0.0, z)
     second = state_from_bloch(0.0 - x, 0.0, 0.0 - z)  # 0.0 - 0.0 is +0.0
     return MeasureResult(
-        value=max(best_value, 0.0),
+        value=value,
         argmax_pair=StatePair(first, second),
-        evaluations=evaluations,
+        evaluations=1,
         method="analytic-sigma",
         tau_end=t_end,
     )

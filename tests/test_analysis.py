@@ -26,11 +26,12 @@ from spinflow.maps import (
     MapSnapshot,
     apply_map,
     snapshot,
+    tcl_rate_arrays,
     tcl_rates,
     xi,
 )
 from spinflow.measure import certified_horizon
-from spinflow.states import QubitState
+from spinflow.states import QubitState, state_from_bloch
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -298,6 +299,69 @@ def test_divisibility_agrees_with_rate_signs():
     assert all(g.gamma1 >= 0 and g.gamma2 >= 0 and g.gamma3 >= -1e-15 for g in rates)
     report = divisibility_scan("post", p, tau_end=12.0, grid=80)
     assert report.divisible
+
+
+def test_divisibility_verdict_matches_gamma3_sign():
+    # for these invertible phase-covariant maps with gamma1, gamma2 > 0,
+    # CP-divisibility holds iff gamma3 >= 0 (Hall, Cresser, Li, Andersson,
+    # PRA 89, 042120, 2014): mem is nondivisible, post divisible
+    taus = np.linspace(0.0, 20.0, 1001)[1:]
+    for kind in ("mem", "post"):
+        for r in (0.05, 0.1, 0.2, 0.24):
+            for n in (0.5, 1.0, 10.0):
+                p = MapParams.from_ratio(r, n_occ=n)
+                gamma3 = tcl_rate_arrays(kind, p, taus)[2]
+                report = divisibility_scan(kind, p, tau_end=20.0, grid=100)
+                assert report.divisible == (float(np.min(gamma3)) >= 0.0), (kind, r, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["mem", "post"]),
+    r=st.floats(min_value=0.0, max_value=50.0),
+    n=st.floats(min_value=0.0, max_value=10.0),
+    tau=st.floats(min_value=0.0, max_value=200.0),
+)
+def test_every_map_preserves_trace(kind, r, n, tau):
+    # over the whole parameter space, mem beyond 4R = 1 included
+    blocks = choi_of(snapshot(kind, MapParams.from_ratio(r, n_occ=n), tau)).reshape(2, 2, 2, 2)
+    np.testing.assert_allclose(np.einsum("ikjk->ij", blocks), np.eye(2), atol=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.floats(min_value=0.0, max_value=1e3),
+    n=st.floats(min_value=0.0, max_value=100.0),
+    tau=st.floats(min_value=0.0, max_value=200.0),
+)
+def test_post_markovian_map_is_cp_everywhere(r, n, tau):
+    # Shabani, Lidar, PRA 71, 020101(R) (2005)
+    snap = snapshot("post", MapParams.from_ratio(r, n_occ=n), tau)
+    assert choi_eigenvalues(snap)[0] >= -1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind_r=st.one_of(
+        st.tuples(st.just("mem"), st.floats(min_value=0.0, max_value=0.25)),
+        st.tuples(st.just("post"), st.floats(min_value=0.0, max_value=50.0)),
+    ),
+    n=st.floats(min_value=0.0, max_value=10.0),
+    times=st.tuples(*[st.floats(min_value=0.0, max_value=20.0)] * 2).map(sorted),
+    bloch=st.tuples(*[st.floats(min_value=-0.57, max_value=0.57)] * 3),
+)
+def test_intermediate_map_composition_law(kind_r, n, times, bloch):
+    # intermediate_map(t1, t2) o snapshot(t1) = snapshot(t2), where the
+    # earlier map is invertible: the physical regime of mem, all of post
+    kind, r = kind_r
+    p = MapParams.from_ratio(r, n_occ=n)
+    t1, t2 = times
+    state = state_from_bloch(*bloch)
+    bridge = intermediate_map(kind, p, t1, t2).as_snapshot()
+    via = apply_map(bridge, apply_map(snapshot(kind, p, t1), state))
+    direct = apply_map(snapshot(kind, p, t2), state)
+    assert via.population_e == pytest.approx(direct.population_e, abs=1e-12)
+    assert abs(via.coherence - direct.coherence) < 1e-12
 
 
 def _threshold_by_bisection(kind, r, tau):

@@ -97,6 +97,10 @@ def test_physical_parameter_entry(capsys):
         ["choi", "--kind", "mem", "--r", "0.2", "--tau", "1e400"],
         ["choi", "--kind", "mem", "--r", "0.2", "--tau", "1", "--tau-start", "inf"],
         ["choi", "--kind", "mem", "--r", "0.2", "--tau", "1", "--tau-start", "2"],
+        # (R + 1)**2 overflows: the channels would read NaN (mem) or exactly 1 (post)
+        ["choi", "--kind", "mem", "--r", "1e200", "--tau", "1"],
+        ["measure", "--kind", "mem", "--r", "1e200"],
+        ["measure", "--kind", "post", "--r", "1e200"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -250,6 +254,20 @@ def test_measure_row_contract(capsys):
     assert record["evaluations"] <= 150
     for key in ("first_x", "first_y", "first_z", "second_x", "second_y", "second_z"):
         assert key in record
+
+
+def test_measure_past_a_crossing_exits_0(capsys):
+    # the search this closed form replaced ended here in a brentq traceback
+    code, out, err = run_cli(
+        ["measure", "--kind", "mem", "--r", "1", "--n", "0", "--tau-end", "1000",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    (record,) = json.loads(out)
+    assert record["value"] == pytest.approx(0.19479100012307, rel=1e-12)
+    assert record["evaluations"] == 1
 
 
 def test_divisibility_rows(capsys):

@@ -57,6 +57,11 @@ def test_params_ratio_and_validation():
         MapParams.from_ratio(-0.1)
     with pytest.raises(ValueError, match="overflows"):
         MapParams(gamma0=1e308, gamma=1e-10)
+    # R itself is finite, but 4R (mem) or (R + 1)**2 (post) is not
+    for r in (1e200, 1e308):
+        with pytest.raises(ValueError, match="overflows"):
+            MapParams.from_ratio(r)
+    assert MapParams.from_ratio(1e150).R == 1e150
 
 
 def test_physical_regime_flag():

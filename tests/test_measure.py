@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -211,3 +212,96 @@ def test_gain_scales_with_the_bloch_vectors(r1, r2, c):
         return flow_report("mem", BACKFLOW, pair, 40.0, 2001).total_gain
 
     assert gain(c) == pytest.approx(c * gain(1.0), rel=1e-12, abs=1e-15)
+
+
+#: the module itself: the package binds the name measure to the function
+MEASURE_MODULE = importlib.import_module("spinflow.measure")
+
+
+def _antipodal_pair(s):
+    """The antipodal pure pair with weights (a0**2, |b0|**2) = (s, 1 - s)."""
+    x, z = math.sqrt(1.0 - s), math.sqrt(s)
+    return StatePair(state_from_bloch(x, 0.0, z), state_from_bloch(-x, 0.0, -z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.floats(min_value=0.25, max_value=50.0, exclude_min=True),
+    s=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_no_antipodal_pair_beats_the_pole_pair(r, s):
+    # the lemma gain(s) <= gain(1) on which the closed form rests
+    p = MapParams.from_ratio(r)
+    result = measure("mem", p)
+    report = flow_report("mem", p, _antipodal_pair(s), result.tau_end, 2001)
+    assert report.total_gain <= result.value + 1e-12
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 1.0, 5.0, 20.0])
+def test_pole_pair_flow_equals_closed_form(r):
+    p = MapParams.from_ratio(r)
+    omega = 0.5 * math.sqrt(4.0 * r - 1.0)
+    q = math.exp(-math.pi / (2.0 * omega))
+    peak_2 = 2.0 * math.pi / omega
+    zero_2, zero_3 = ((k * math.pi - math.atan(2.0 * omega)) / omega for k in (2, 3))
+    rising, falling = 0.5 * (zero_2 + peak_2), 0.5 * (peak_2 + zero_3)
+    values = {}
+    for t_end in (rising, falling, certified_horizon("mem", p)):
+        values[t_end] = measure("mem", p, t_end=t_end).value
+        pole = flow_report("mem", p, POLE_PAIR, t_end, 2001)
+        assert pole.total_gain == pytest.approx(values[t_end], rel=1e-12, abs=0.0)
+    # two full peaks after the second one; the second rise cut short before it
+    assert values[falling] == pytest.approx(q + q * q, rel=1e-14)
+    assert q < values[rising] < q + q * q
+
+
+def test_measure_past_a_crossing_the_old_search_could_not_polish():
+    # the 1-D search once ended here in a brentq sign error
+    p = MapParams.from_ratio(1.0)
+    result = measure("mem", p, t_end=1000.0)
+    pole = flow_report("mem", p, POLE_PAIR, 1000.0, 2001)
+    assert result.value == pytest.approx(0.19479100012307, rel=1e-12)
+    assert result.value == pytest.approx(pole.total_gain, rel=1e-12, abs=0.0)
+    assert result.argmax_pair.first.bloch() == (0.0, 0.0, 1.0)
+    assert result.argmax_pair.second.bloch() == (0.0, 0.0, -1.0)
+    assert result.evaluations == 1
+
+
+def test_measure_tends_to_the_infinite_sum():
+    for r in (0.5, 1.0, 5.0):
+        limit = 1.0 / math.expm1(math.pi / math.sqrt(4.0 * r - 1.0))
+        assert measure("mem", MapParams.from_ratio(r), t_end=200.0).value == pytest.approx(
+            limit, rel=1e-14
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.floats(min_value=1e-3, max_value=1e3),
+    n=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_post_markovian_distances_never_grow(r, n):
+    p = MapParams.from_ratio(r, n_occ=n)
+    result = measure("post", p)
+    taus = np.linspace(0.0, result.tau_end, 2001)
+    for rate in (p.R, 0.5 * p.R):
+        assert np.max(xi_derivative("post", rate, taus)) <= 0.0
+    assert result.value == 0.0
+    assert result.argmax_pair.first.bloch() == (1.0, 0.0, 0.0)
+
+
+def test_measure_makes_no_brentq_call(monkeypatch):
+    calls = []
+    real = MEASURE_MODULE.brentq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(MEASURE_MODULE, "brentq", counting)
+    for kind, p in (("mem", BACKFLOW), ("mem", OSCILLATORY), ("mem", PHYSICAL), ("post", PHYSICAL)):
+        measure(kind, p)
+    assert calls == []
+    # the patched name is the one the numerical route polishes with
+    flow_report("mem", BACKFLOW, POLE_PAIR, 40.0, 2001)
+    assert calls
