@@ -376,6 +376,9 @@ _VERDICT_DIVISIBLE = "TimeDependentMarkovian-Divisible"
 
 #: information backflow below this total gain counts as zero
 MEASURE_TOL = 1e-8
+#: most points classify's flow grid grows to; at the horizon 40 that finds
+#: every inflow interval of the memory kernel up to R of about 1e5
+FLOW_GRID_CAP = 16384
 
 
 @dataclass(frozen=True)
@@ -402,7 +405,6 @@ def classify(
     grid_points: int = 401,
     samples: int = 1000,
     divisibility_grid: int = 150,
-    measure_budget: int = 400,
     measure_result=None,
 ) -> RegimeReport:
     """Classify the dynamics generated by (kind, p).
@@ -412,6 +414,10 @@ def classify(
     backflow makes it non-Markovian; otherwise divisibility separates the
     two time-dependent Markovian classes.  A CP defect alone (low
     temperature) is reported but does not change the verdict.
+
+    sigma_positive_intervals are the inflow intervals of the pole pair.  For
+    the memory kernel with 4R > 1 they are all found, and their gains sum to
+    the measure, as long as that takes fewer than FLOW_GRID_CAP grid points.
     """
     kind = parse_kind(kind)
     if tau_end is None:
@@ -422,13 +428,19 @@ def classify(
     pos = positivity_scan(kind, p, taus, samples=samples)
     cp = cp_scan(kind, p, taus)
     if measure_result is None:
-        measure_result = measure_mod.measure(
-            kind, p, t_end=tau_end, budget=measure_budget
-        )
+        measure_result = measure_mod.measure(kind, p, t_end=tau_end)
     div = divisibility_scan(kind, p, tau_end=tau_end, grid=divisibility_grid)
 
+    flow_points = max(grid_points, 400)
+    if kind is EquationKind.MEMORY_KERNEL and 4.0 * p.R > 1.0:
+        # four samples per half-period pi / W of xi find every rise; past the
+        # cap the grid stays coarse, so time and memory stay bounded at huge R
+        omega = 0.5 * math.sqrt(4.0 * p.R - 1.0)
+        wanted = 4.0 * tau_end * omega / math.pi
+        if wanted < FLOW_GRID_CAP:
+            flow_points = max(flow_points, math.ceil(wanted) + 1)
     pair = StatePair(EXCITED, GROUND)
-    flow = measure_mod.flow_report(kind, p, pair, tau_end, grid_points=max(grid_points, 400))
+    flow = measure_mod.flow_report(kind, p, pair, tau_end, grid_points=flow_points)
     intervals = flow.positive_intervals
 
     if not physical or not pos.ok:

@@ -113,7 +113,7 @@ def _time(text: str) -> float:
 
 
 def _budget(text: str) -> int:
-    """argparse type of --budget: >= 100; the closed-form measure needs one evaluation."""
+    """argparse type of --budget: >= 100; accepted, but changes no output."""
     value = int(text)
     if value < 100:
         raise argparse.ArgumentTypeError(f"must be >= 100, got {text}")
@@ -301,20 +301,15 @@ def cmd_sigma(args, parser) -> int:
     return 0
 
 
-def _quick_classify(kind, p, measure_result=None, budget=150):
+def _quick_classify(kind, p, measure_result=None):
     return classify(
-        kind,
-        p,
-        grid_points=201,
-        divisibility_grid=100,
-        measure_budget=budget,
-        measure_result=measure_result,
+        kind, p, grid_points=201, divisibility_grid=100, measure_result=measure_result
     )
 
 
 def cmd_measure(args, parser) -> int:
     kind, p = _params(args, parser)
-    result = measure(kind, p, t_end=args.tau_end, budget=args.budget)
+    result = measure(kind, p, t_end=args.tau_end)
     report = _quick_classify(kind, p, measure_result=result)
     first = result.argmax_pair.first.bloch()
     second = result.argmax_pair.second.bloch()
@@ -478,7 +473,7 @@ def cmd_oracle(args, parser) -> int:
 
 def cmd_classify(args, parser) -> int:
     kind, p = _params(args, parser)
-    report = _quick_classify(kind, p, budget=args.budget)
+    report = _quick_classify(kind, p)
     headers = (
         "verdict",
         "params_physical",
@@ -591,8 +586,7 @@ def _load_sweep_config(path: str) -> dict:
     fmt = str(raw.get("format", "csv"))
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    budget = int(raw.get("budget", 1000))
-    if budget < 100:
+    if int(raw.get("budget", 1000)) < 100:  # checked and echoed; changes no output
         raise ConfigError("budget must be >= 100")
     int(raw.get("seed", 0))  # must be an integer; echoed, but changes no output
     return {
@@ -601,7 +595,6 @@ def _load_sweep_config(path: str) -> dict:
         "tau_points": tau_points,
         "analyses": analyses,
         "format": fmt,
-        "budget": budget,
         "out_dir": raw.get("out_dir"),
         "echo": raw,
     }
@@ -614,7 +607,7 @@ def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
 
     measure_result = None
     if "measure" in analyses:
-        measure_result = measure(kind, p, budget=cfg["budget"])
+        measure_result = measure(kind, p)
         out["measure"] = [
             (
                 index, kind.value, p.R, p.n_occ,
@@ -652,9 +645,7 @@ def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
         out["positivity"] = [
             (index, kind.value, p.R, p.n_occ, res.ok, res.worst_tau, res.worst_value)
         ]
-    report = _quick_classify(
-        kind, p, measure_result=measure_result, budget=min(cfg["budget"], 150),
-    )
+    report = _quick_classify(kind, p, measure_result=measure_result)
     out["classification"] = report.verdict
     out["measure_value"] = (
         measure_result.value if measure_result is not None else report.measure.value
@@ -793,7 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("measure", cmd_measure, help="non-Markovianity measure of the best state pair")
     _add_param_flags(sp)
     sp.add_argument("--tau-end", type=_positive_time, default=None)
-    sp.add_argument("--budget", type=_budget, default=1000)
+    sp.add_argument(
+        "--budget", type=_budget, default=1000, help="accepted (>= 100); changes no output"
+    )
     sp.add_argument("--seed", type=int, help="accepted; changes no output")
     _add_output_flags(sp)
 
@@ -841,7 +834,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("classify", cmd_classify, help="regime verdict for one parameter point")
     _add_param_flags(sp)
-    sp.add_argument("--budget", type=_budget, default=400)
+    sp.add_argument(
+        "--budget", type=_budget, default=400, help="accepted (>= 100); changes no output"
+    )
     sp.add_argument("--seed", type=int, help="accepted; changes no output")
     _add_output_flags(sp)
 

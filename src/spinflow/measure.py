@@ -221,7 +221,7 @@ def certified_horizon(kind, p: MapParams, t_end: float = 20.0) -> float:
     return t_end
 
 
-def measure(kind, p: MapParams, t_end: float | None = None, budget: int = 1000) -> MeasureResult:
+def measure(kind, p: MapParams, t_end: float | None = None) -> MeasureResult:
     """Maximal total inflow gain over initial state pairs, in closed form.
 
     The gain of a pair depends only on its weights (a0**2, |b0|**2), and
@@ -249,14 +249,12 @@ def measure(kind, p: MapParams, t_end: float | None = None, budget: int = 1000) 
     full peaks, q (1 - q**K) / (1 - q), plus the cut last rise |xi(R, T)|
     when z_{K+1} < T.  As T grows it tends to 1 / expm1(pi / sqrt(4R - 1)).
 
-    evaluations is 1, the single closed-form evaluation.  budget is kept
-    for the interface and must be >= 100.  The horizon defaults to the
-    certified decay time of both xi channels so the truncated sum provably
-    captures all flow up to TAIL_TOL; a given t_end must be finite and > 0.
+    evaluations is 1, the single closed-form evaluation.  The horizon
+    defaults to the certified decay time of both xi channels so the
+    truncated sum provably captures all flow up to TAIL_TOL; a given t_end
+    must be finite and > 0.
     """
     kind = parse_kind(kind)
-    if budget < 100:
-        raise ValueError(f"budget must be >= 100, got {budget}")
     if t_end is None:
         t_end = certified_horizon(kind, p)
     elif not (math.isfinite(t_end) and t_end > 0.0):

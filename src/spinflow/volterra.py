@@ -19,18 +19,24 @@ Two independent routes are provided.
 2.  Trapezoidal Volterra quadrature on a uniform grid: the memory integral is
     discretized with trapezoid weights and the outer step is an implicit
     trapezoid, giving a scheme of global order two with a constant 4x4
-    implicit matrix.  No reduction is involved, so a bug in route 1 cannot
-    self-confirm.
+    implicit matrix.  Both kernels are powers of a one-step kernel, so the
+    discrete history is carried by a one-step recursion that sums exactly
+    the same trapezoid terms as the explicit sum.  The recursion never calls
+    maps or the augmented-ODE code, and its kernel comes from expm of the
+    generator, so route 2 stays independent of route 1 and a bug in route 1
+    cannot self-confirm.
 
 All public times are dimensionless, tau = gamma t.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .maps import (
     EquationKind,
@@ -108,9 +114,13 @@ def _initial_vector(s0: QubitState) -> np.ndarray:
     return np.array([s0.population_e, b.real, b.imag, 1.0])
 
 
+def _check_t_end(t_end: float) -> None:
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+
+
 def _check_grid_args(t_end: float, tol: float) -> None:
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
+    _check_t_end(t_end)
     if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
 
@@ -193,14 +203,6 @@ def integrate_post_markovian(
     return _integrate_augmented(_post_markovian_rhs, g, p, s0, t_end, tol, points)
 
 
-def _semigroup_factors(p: MapParams, taus: np.ndarray):
-    """exp(ghat * tau) entries for the diagonal-plus-pump generator."""
-    r = p.R
-    pump = p.n_occ / (2.0 * p.n_occ + 1.0) if p.n_occ > 0.0 else 0.0
-    fast = np.exp(-r * taus)
-    return fast, np.exp(-0.5 * r * taus), pump * (1.0 - fast)
-
-
 def integrate_quadrature(
     kind,
     g: np.ndarray,
@@ -212,14 +214,19 @@ def integrate_quadrature(
     """Implicit-trapezoid Volterra quadrature on a uniform grid.
 
     Second-order accurate; halving the step divides the error by about four.
-    Structurally independent of the augmented-ODE route: the history integral
-    is summed explicitly at every step.
+    The memory integral at step k is the trapezoid sum
+    hist_k = sum_j A^(k+1-j) w_j over the stored states w (the first one
+    halved), with the one-step kernel A = e^{-h} for the memory kernel and
+    A = e^{-h} expm(ghat h) for the dressed kernel.  Both kernels are powers
+    of A, so the sum obeys hist_k = A (hist_{k-1} + w_k) exactly: the same
+    discrete terms in O(steps).  A comes from expm of the given generator,
+    never from maps or the augmented-ODE code, so this route stays
+    independent of route 1.
     """
     kind = parse_kind(kind)
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
-    if not t_end > 0.0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
+    _check_t_end(t_end)
     ghat = np.asarray(g, dtype=float) / p.gamma
     h = t_end / steps
     grid = np.linspace(0.0, t_end, steps + 1)
@@ -227,41 +234,19 @@ def integrate_quadrature(
     aux = np.zeros((steps + 1, 4))
     rho[0] = _initial_vector(s0)
     m_inv = np.linalg.inv(np.eye(4) - 0.25 * h * h * ghat)
+    dressed = kind is EquationKind.POST_MARKOVIAN
+    step_kernel = np.exp(-h) * (expm(ghat * h) if dressed else np.eye(4))
 
-    if kind is EquationKind.MEMORY_KERNEL:
-        decay = np.exp(-h * np.arange(steps + 1))
-        gy = np.empty_like(rho)  # gy[j] = ghat rho_j, first row pre-halved
-        gy[0] = 0.5 * (ghat @ rho[0])
-        f_prev = np.zeros(4)
-        for k in range(steps):
-            hist = np.dot(decay[1 : k + 2][::-1], gy[: k + 1])
-            rho[k + 1] = m_inv @ (rho[k] + 0.5 * h * f_prev + 0.5 * h * h * hist)
-            gy[k + 1] = ghat @ rho[k + 1]
-            f_prev = h * hist + 0.5 * h * gy[k + 1]
-            aux[k + 1] = f_prev
-    else:
-        # kernel matrices A[m] = e^{-m h} exp(ghat m h), assembled in closed
-        # form from the diagonal-plus-pump structure of ghat
-        fast, slow, pumped = _semigroup_factors(p, grid)
-        env = np.exp(-grid)
-        kernel = np.zeros((steps + 1, 4, 4))
-        kernel[:, 0, 0] = env * fast
-        kernel[:, 0, 3] = env * pumped
-        kernel[:, 1, 1] = env * slow
-        kernel[:, 2, 2] = env * slow
-        kernel[:, 3, 3] = env
-        rho_w = np.empty_like(rho)  # history copy, first row pre-halved
-        rho_w[0] = 0.5 * rho[0]
-        m_prev = np.zeros(4)
-        for k in range(steps):
-            hist = np.einsum(
-                "mij,mj->i", kernel[1 : k + 2][::-1], rho_w[: k + 1], optimize=False
-            )
-            rhs = rho[k] + 0.5 * h * (ghat @ m_prev) + 0.5 * h * h * (ghat @ hist)
-            rho[k + 1] = m_inv @ rhs
-            rho_w[k + 1] = rho[k + 1]
-            m_prev = h * hist + 0.5 * h * rho[k + 1]
-            aux[k + 1] = m_prev
+    # ghat commutes with the step kernel, so one step serves both kinds:
+    # the memory kernel's integral is ghat m, the dressed kernel's is m.
+    acc = 0.5 * rho[0]  # hist_{k-1} + w_k
+    for k in range(steps):
+        hist = step_kernel @ acc
+        rho[k + 1] = m_inv @ (rho[k] + 0.5 * h * (ghat @ (aux[k] + h * hist)))
+        aux[k + 1] = h * hist + 0.5 * h * rho[k + 1]
+        acc = hist + rho[k + 1]
+    if not dressed:
+        aux = aux @ ghat.T
 
     residual = float(np.max(np.abs(rho[:, 3] - 1.0)))
     return AugmentedTrajectory(

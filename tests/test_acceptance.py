@@ -142,7 +142,7 @@ def test_criterion_04_zero_measure():
     points += [("post", r, n) for r in GRID_RS + (0.5, 1.0, 5.0) for n in GRID_NS]
     worst = 0.0
     for kind, r, n in points:
-        result = measure(kind, MapParams.from_ratio(r, n_occ=n), budget=1000)
+        result = measure(kind, MapParams.from_ratio(r, n_occ=n))
         worst = max(worst, result.value)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 120.0
@@ -191,7 +191,7 @@ def test_criterion_05_rate_signs():
 def test_criterion_06_nondivisible_yet_zero_measure():
     p = MapParams.from_ratio(0.2, n_occ=1.0)
     report = divisibility_scan("mem", p, tau_end=20.0, grid=200)
-    value = measure("mem", p, budget=1000).value
+    value = measure("mem", p).value
     ok = report.min_eigenvalue <= -1e-6 and value <= 1e-8
     _report(
         "criterion 06",

@@ -405,7 +405,7 @@ def test_cp_temperature_threshold_frozen_values():
 
 
 def _quick(kind, p, **overrides):
-    settings = dict(grid_points=201, divisibility_grid=80, measure_budget=150)
+    settings = dict(grid_points=201, divisibility_grid=80)
     settings.update(overrides)
     return classify(kind, p, **settings)
 
@@ -417,6 +417,30 @@ def test_classify_oscillatory_flagged_unphysical_with_diagnostics():
     assert report.params_physical is False
     assert report.measure.value > 1e-3
     assert len(report.sigma_positive_intervals) > 0
+
+
+@pytest.mark.parametrize("r", [1.0, 200.0, 2000.0])
+def test_classify_inflow_intervals_sum_to_the_measure(r):
+    # at R = 2000 the half-period pi / W of xi is shorter than the default
+    # grid step, so only a grid grown with W finds every rise
+    report = _quick("mem", MapParams.from_ratio(r, n_occ=0.0))
+    gains = sum(gain for _, _, gain in report.sigma_positive_intervals)
+    assert gains == pytest.approx(report.measure.value, rel=1e-12)
+
+
+def test_classify_flow_grid_stays_bounded_at_huge_r(monkeypatch):
+    points = []
+    flow_report = analysis.measure_mod.flow_report
+
+    def spy(*args, grid_points):
+        points.append(grid_points)
+        return flow_report(*args, grid_points=grid_points)
+
+    monkeypatch.setattr(analysis.measure_mod, "flow_report", spy)
+    _quick("mem", MapParams.from_ratio(1e150, n_occ=0.0))
+    _quick("mem", MapParams.from_ratio(2000.0, n_occ=0.0))
+    assert points[0] == 400
+    assert 400 < points[1] < analysis.FLOW_GRID_CAP
 
 
 def test_classify_memory_kernel_nondivisible():

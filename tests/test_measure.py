@@ -126,7 +126,7 @@ TIME_TAKERS = {
     "tcl_rate_arrays": lambda t: tcl_rate_arrays("mem", PHYSICAL, np.array([0.0, 1.0, t])),
     "sigma_analytic": lambda t: sigma_analytic("mem", PHYSICAL, POLE_PAIR, t),
     "flow_report": lambda t: flow_report("mem", PHYSICAL, POLE_PAIR, t_end=t),
-    "measure": lambda t: measure("mem", PHYSICAL, t_end=t, budget=100),
+    "measure": lambda t: measure("mem", PHYSICAL, t_end=t),
 }
 
 
@@ -140,7 +140,7 @@ def test_public_time_arguments_validated(name):
 def test_frozen_map_has_zero_measure():
     frozen = MapParams(gamma0=0.0, gamma=1.0, n_occ=1.0)
     assert certified_horizon("mem", frozen) == 20.0
-    result = measure("mem", frozen, budget=100)
+    result = measure("mem", frozen)
     assert result.value == 0.0
 
 
@@ -150,33 +150,27 @@ def test_certified_horizon_doubles_until_tail_decays():
 
 
 def test_measure_zero_in_physical_regime():
-    assert measure("mem", PHYSICAL, budget=150).value == 0.0
-    assert measure("post", MapParams.from_ratio(0.6, n_occ=1.0), budget=150).value == 0.0
+    assert measure("mem", PHYSICAL).value == 0.0
+    assert measure("post", MapParams.from_ratio(0.6, n_occ=1.0)).value == 0.0
 
 
 def test_measure_positive_in_oscillatory_regime():
-    result = measure("mem", OSCILLATORY, budget=400)
+    result = measure("mem", OSCILLATORY)
     assert result.value > 0.04
     # the optimum cannot fall below the antipodal pole pair it must dominate
     pole = flow_report("mem", OSCILLATORY, POLE_PAIR, result.tau_end, grid_points=2001)
     assert result.value >= pole.total_gain - 1e-12
-    assert result.evaluations <= 400
     assert result.method == "analytic-sigma"
     assert result.argmax_pair.first.is_valid(tol=1e-9)
     assert result.argmax_pair.second.is_valid(tol=1e-9)
 
 
 def test_measure_is_deterministic():
-    a = measure("mem", OSCILLATORY, budget=200)
-    b = measure("mem", OSCILLATORY, budget=200)
+    a = measure("mem", OSCILLATORY)
+    b = measure("mem", OSCILLATORY)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
     assert a.argmax_pair == b.argmax_pair
-
-
-def test_measure_budget_floor():
-    with pytest.raises(ValueError, match="budget"):
-        measure("mem", PHYSICAL, budget=50)
 
 
 def _inside_ball(v):
@@ -193,7 +187,7 @@ PAIRS = st.one_of(st.tuples(BLOCH, BLOCH), BLOCH.map(lambda v: (v, -v)))
 
 @pytest.fixture(scope="module")
 def backflow_measure():
-    return measure("mem", BACKFLOW, budget=100)
+    return measure("mem", BACKFLOW)
 
 
 @settings(max_examples=25, deadline=None)

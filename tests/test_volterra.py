@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -70,21 +72,46 @@ def test_quadrature_is_second_order(kind):
     assert 3.5 < ratio < 4.5
 
 
-def test_quadrature_post_kernel_matches_matrix_exponential():
-    # the closed-form kernel rows used by the quadrature must equal
-    # e^{-tau} expm(ghat tau) for the actual generator
-    p = MapParams.from_ratio(0.35, n_occ=2.0)
-    ghat = generator_matrix(p) / p.gamma
-    traj = integrate_quadrature("post", generator_matrix(p), p, EXCITED, 2.0, steps=100)
-    h = traj.meta["h"]
-    for m in (1, 7, 50, 100):
-        expected = np.exp(-m * h) * expm(ghat * m * h)
-        fast = np.exp(-p.R * m * h)
-        slow = np.exp(-0.5 * p.R * m * h)
-        pumped = p.n_occ / (2.0 * p.n_occ + 1.0) * (1.0 - fast)
-        built = np.exp(-m * h) * np.diag([fast, slow, slow, 1.0])
-        built[0, 3] = np.exp(-m * h) * pumped
-        np.testing.assert_allclose(built, expected, atol=1e-13)
+def _summed_quadrature(kind, ghat, y0, t_end, steps):
+    """The O(steps**2) trapezoid sums that the quadrature's recursion replaces.
+
+    The memory term of rho' is outer int_0^t K(s) inner rho(t - s) ds, with
+    K(s) = e^{-s} and inner = ghat for the memory kernel, and
+    K(s) = e^{-s} expm(ghat s) and outer = ghat for the dressed kernel; the
+    integral itself is the auxiliary variable.
+    """
+    h = t_end / steps
+    eye = np.eye(4)
+    dressed = kind == "post"
+    outer, inner = (ghat, eye) if dressed else (eye, ghat)
+    kernels = np.array(
+        [np.exp(-m * h) * (expm(ghat * m * h) if dressed else eye) for m in range(steps + 1)]
+    )
+    lhs = eye - 0.25 * h * h * outer @ inner
+    rho = np.zeros((steps + 1, 4))
+    aux = np.zeros((steps + 1, 4))
+    rho[0] = y0
+    for k in range(steps):
+        weighted = rho[: k + 1] @ inner.T
+        weighted[0] *= 0.5
+        hist = np.einsum("mij,mj->i", kernels[k + 1 : 0 : -1], weighted)
+        rhs = rho[k] + 0.5 * h * outer @ aux[k] + 0.5 * h * h * outer @ hist
+        rho[k + 1] = np.linalg.solve(lhs, rhs)
+        aux[k + 1] = h * hist + 0.5 * h * inner @ rho[k + 1]
+    return rho, aux
+
+
+@pytest.mark.parametrize("kind", ["mem", "post"])
+@pytest.mark.parametrize("r,n", [(0.2, 1.0), (2.0, 0.0), (0.35, 10.0)])
+def test_quadrature_recursion_equals_summed_history(kind, r, n):
+    p = MapParams.from_ratio(r, n_occ=n)
+    g = generator_matrix(p)
+    s0 = QubitState(0.3, 0.2 - 0.35j)
+    traj = integrate_quadrature(kind, g, p, s0, 10.0, steps=300)
+    rho, aux = _summed_quadrature(kind, g / p.gamma, [0.3, 0.2, -0.35, 1.0], 10.0, 300)
+    states = np.array([[s.population_e, s.coherence.real, s.coherence.imag] for s in traj.states])
+    np.testing.assert_allclose(states, rho[:, :3], rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(traj.auxiliary, aux, rtol=0.0, atol=1e-13)
 
 
 def test_memory_kernel_auxiliary_is_state_derivative():
@@ -136,8 +163,15 @@ def test_time_local_route_refuses_singular_horizon():
 def test_argument_validation():
     p = MapParams.from_ratio(0.2, n_occ=1.0)
     g = generator_matrix(p)
-    with pytest.raises(ValueError, match="t_end"):
-        integrate_memory_kernel(g, p, EXCITED, 0.0)
+    for bad in (0.0, math.inf, math.nan):
+        for integrate in (
+            lambda t: integrate_memory_kernel(g, p, EXCITED, t),
+            lambda t: integrate_post_markovian(g, p, EXCITED, t),
+            lambda t: integrate_quadrature("mem", g, p, EXCITED, t),
+            lambda t: integrate_tcl("mem", p, EXCITED, t),
+        ):
+            with pytest.raises(ValueError, match="t_end must be finite and > 0"):
+                integrate(bad)
     with pytest.raises(ValueError, match="tol"):
         integrate_post_markovian(g, p, EXCITED, 1.0, tol=1e-2)
     with pytest.raises(ValueError, match="steps"):
