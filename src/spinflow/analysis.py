@@ -31,7 +31,7 @@ from .maps import (
     xi,
 )
 from .sphere import pattern_search, sphere_grid
-from .states import EXCITED, GROUND, QubitState, StatePair, state_from_bloch
+from .states import QubitState, state_from_bloch
 
 __all__ = [
     "MapInversionError",
@@ -376,14 +376,15 @@ _VERDICT_DIVISIBLE = "TimeDependentMarkovian-Divisible"
 
 #: information backflow below this total gain counts as zero
 MEASURE_TOL = 1e-8
-#: most points classify's flow grid grows to; at the horizon 40 that finds
-#: every inflow interval of the memory kernel up to R of about 1e5
-FLOW_GRID_CAP = 16384
+#: times in classify's positivity and CP scans, up to the certified horizon
+CLASSIFY_POINTS = 201
+#: side of classify's divisibility grid
+CLASSIFY_DIVISIBILITY_GRID = 100
 
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Combined verdict of the positivity, CP, divisibility and flow scans."""
+    """Combined verdict of the positivity, CP and divisibility scans and the measure."""
 
     kind: EquationKind
     params: MapParams
@@ -393,20 +394,10 @@ class RegimeReport:
     cp: ScanResult
     divisibility: DivisibilityReport
     measure: "measure_mod.MeasureResult"
-    sigma_positive_intervals: tuple[tuple[float, float, float], ...]
     tau_end: float
 
 
-def classify(
-    kind,
-    p: MapParams,
-    *,
-    tau_end: float | None = None,
-    grid_points: int = 401,
-    samples: int = 1000,
-    divisibility_grid: int = 150,
-    measure_result=None,
-) -> RegimeReport:
+def classify(kind, p: MapParams) -> RegimeReport:
     """Classify the dynamics generated by (kind, p).
 
     Order of precedence: a positivity defect (or an inherently unsafe
@@ -415,33 +406,18 @@ def classify(
     two time-dependent Markovian classes.  A CP defect alone (low
     temperature) is reported but does not change the verdict.
 
-    sigma_positive_intervals are the inflow intervals of the pole pair.  For
-    the memory kernel with 4R > 1 they are all found, and their gains sum to
-    the measure, as long as that takes fewer than FLOW_GRID_CAP grid points.
+    Every scan and the measure run up to the certified horizon, the scans on
+    CLASSIFY_POINTS times and a CLASSIFY_DIVISIBILITY_GRID-sided pair grid.
     """
     kind = parse_kind(kind)
-    if tau_end is None:
-        tau_end = measure_mod.certified_horizon(kind, p)
-    taus = np.linspace(0.0, tau_end, grid_points)
+    tau_end = measure_mod.certified_horizon(kind, p)
+    taus = np.linspace(0.0, tau_end, CLASSIFY_POINTS)
 
     physical = p.physical_for(kind)
-    pos = positivity_scan(kind, p, taus, samples=samples)
+    pos = positivity_scan(kind, p, taus)
     cp = cp_scan(kind, p, taus)
-    if measure_result is None:
-        measure_result = measure_mod.measure(kind, p, t_end=tau_end)
-    div = divisibility_scan(kind, p, tau_end=tau_end, grid=divisibility_grid)
-
-    flow_points = max(grid_points, 400)
-    if kind is EquationKind.MEMORY_KERNEL and 4.0 * p.R > 1.0:
-        # four samples per half-period pi / W of xi find every rise; past the
-        # cap the grid stays coarse, so time and memory stay bounded at huge R
-        omega = 0.5 * math.sqrt(4.0 * p.R - 1.0)
-        wanted = 4.0 * tau_end * omega / math.pi
-        if wanted < FLOW_GRID_CAP:
-            flow_points = max(flow_points, math.ceil(wanted) + 1)
-    pair = StatePair(EXCITED, GROUND)
-    flow = measure_mod.flow_report(kind, p, pair, tau_end, grid_points=flow_points)
-    intervals = flow.positive_intervals
+    measure_result = measure_mod.measure(kind, p, t_end=tau_end)
+    div = divisibility_scan(kind, p, tau_end=tau_end, grid=CLASSIFY_DIVISIBILITY_GRID)
 
     if not physical or not pos.ok:
         verdict = _VERDICT_UNPHYSICAL
@@ -461,6 +437,5 @@ def classify(
         cp=cp,
         divisibility=div,
         measure=measure_result,
-        sigma_positive_intervals=intervals,
         tau_end=tau_end,
     )

@@ -14,6 +14,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     MapInversionError,
+    _snapshot_min_eigs,
     choi_eigenvalues,
     choi_of,
     classify,
@@ -36,6 +37,7 @@ from .maps import (
     xi_derivative,
 )
 from .measure import DegeneratePairError, measure, sigma_analytic
+from .sphere import MAX_VERTICES
 from .states import QubitState, StatePair, state_from_bloch, trace_distance
 from .volterra import (
     IntegrationDivergenceError,
@@ -301,16 +303,10 @@ def cmd_sigma(args, parser) -> int:
     return 0
 
 
-def _quick_classify(kind, p, measure_result=None):
-    return classify(
-        kind, p, grid_points=201, divisibility_grid=100, measure_result=measure_result
-    )
-
-
 def cmd_measure(args, parser) -> int:
     kind, p = _params(args, parser)
     result = measure(kind, p, t_end=args.tau_end)
-    report = _quick_classify(kind, p, measure_result=result)
+    report = classify(kind, p)
     first = result.argmax_pair.first.bloch()
     second = result.argmax_pair.second.bloch()
     headers = (
@@ -402,8 +398,8 @@ def cmd_divisibility(args, parser) -> int:
 def cmd_positivity(args, parser) -> int:
     kind, p = _params(args, parser)
     taus = _grid(args, parser)
-    if args.samples < 1000:
-        parser.error(f"--samples must be >= 1000, got {args.samples}")
+    if not 1000 <= args.samples <= MAX_VERTICES:
+        parser.error(f"--samples must lie in [1000, {MAX_VERTICES}], got {args.samples}")
     result = positivity_scan(kind, p, taus, samples=args.samples)
     wx, wy, wz = result.witness.bloch()
     headers = ("ok", "worst_tau", "max_norm", "witness_x", "witness_y", "witness_z")
@@ -473,7 +469,7 @@ def cmd_oracle(args, parser) -> int:
 
 def cmd_classify(args, parser) -> int:
     kind, p = _params(args, parser)
-    report = _quick_classify(kind, p)
+    report = classify(kind, p)
     headers = (
         "verdict",
         "params_physical",
@@ -605,17 +601,13 @@ def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
     out: dict = {"index": index, "kind": kind.value, "r": p.R, "n": p.n_occ}
     analyses = cfg["analyses"]
 
-    measure_result = None
+    report = classify(kind, p)
+    out["classification"] = report.verdict
+    out["measure_value"] = report.measure.value
     if "measure" in analyses:
-        measure_result = measure(kind, p)
+        m = report.measure
         out["measure"] = [
-            (
-                index, kind.value, p.R, p.n_occ,
-                measure_result.value,
-                measure_result.evaluations,
-                measure_result.method,
-                measure_result.tau_end,
-            )
+            (index, kind.value, p.R, p.n_occ, m.value, m.evaluations, m.method, m.tau_end)
         ]
     if "rates" in analyses:
         horizon = rate_divergence_time(kind, p)
@@ -626,11 +618,10 @@ def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
             for t, a, b, c in zip(kept, g1, g2, g3)
         ]
     if "choi" in analyses:
-        rows = []
-        for tau in taus:
-            eig = choi_eigenvalues(snapshot(kind, p, float(tau)))[0]
-            rows.append((index, kind.value, p.R, p.n_occ, float(tau), float(eig)))
-        out["choi"] = rows
+        eigs = _snapshot_min_eigs(*snapshot_arrays(kind, p, taus))
+        out["choi"] = [
+            (index, kind.value, p.R, p.n_occ, tau, eig) for tau, eig in zip(taus, eigs)
+        ]
     if "divisibility" in analyses:
         rep = divisibility_scan(kind, p, tau_end=cfg["tau_end"])
         out["divisibility"] = [
@@ -645,11 +636,6 @@ def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
         out["positivity"] = [
             (index, kind.value, p.R, p.n_occ, res.ok, res.worst_tau, res.worst_value)
         ]
-    report = _quick_classify(kind, p, measure_result=measure_result)
-    out["classification"] = report.verdict
-    out["measure_value"] = (
-        measure_result.value if measure_result is not None else report.measure.value
-    )
     return out
 
 

@@ -143,6 +143,9 @@ class MapParams:
         """Build parameters from (R, N), taking gamma as the time unit."""
         if r < 0.0:
             raise ValueError(f"R must be >= 0, got {r}")
+        # checked before 2N + 1 divides R, which it cannot for N = -1/2
+        if not (math.isfinite(n_occ) and n_occ >= 0.0):
+            raise ValueError(f"n_occ must be finite and >= 0, got {n_occ!r}")
         return cls(gamma0=r * gamma / (2.0 * n_occ + 1.0), gamma=gamma, n_occ=n_occ)
 
     def physical_for(self, kind: EquationKind) -> bool:

@@ -6,7 +6,10 @@ import functools
 
 import numpy as np
 
-__all__ = ["icosphere", "sphere_grid", "pattern_search"]
+__all__ = ["icosphere", "sphere_grid", "pattern_search", "MAX_VERTICES"]
+
+#: vertices of the densest grid sphere_grid builds (7 subdivisions)
+MAX_VERTICES = 10 * 4**7 + 2
 
 _PHI = (1.0 + 5.0**0.5) / 2.0
 
@@ -55,16 +58,16 @@ def icosphere(subdivisions: int) -> np.ndarray:
 
 
 def sphere_grid(min_vertices: int) -> np.ndarray:
-    """Smallest icosphere with at least min_vertices points.
+    """Smallest icosphere with at least min_vertices points, at most MAX_VERTICES.
 
     The grid is built once per subdivision level and shared: the returned
     array is read-only.
     """
+    if min_vertices > MAX_VERTICES:
+        raise ValueError(f"min_vertices must be <= {MAX_VERTICES}, got {min_vertices}")
     level = 0
     while 10 * 4**level + 2 < min_vertices:
         level += 1
-        if level > 7:  # 163 842 vertices; denser grids are never useful here
-            raise ValueError(f"min_vertices = {min_vertices} is unreasonably large")
     return _shared_icosphere(level)
 
 

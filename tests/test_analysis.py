@@ -404,47 +404,16 @@ def test_cp_temperature_threshold_frozen_values():
     )
 
 
-def _quick(kind, p, **overrides):
-    settings = dict(grid_points=201, divisibility_grid=80)
-    settings.update(overrides)
-    return classify(kind, p, **settings)
-
-
 def test_classify_oscillatory_flagged_unphysical_with_diagnostics():
     # 4 R > 1: flagged unphysical, but the backflow diagnostics still run
-    report = _quick("mem", MapParams.from_ratio(0.5, n_occ=10.0))
+    report = classify("mem", MapParams.from_ratio(0.5, n_occ=10.0))
     assert report.verdict == "Unphysical(positivity broken)"
     assert report.params_physical is False
     assert report.measure.value > 1e-3
-    assert len(report.sigma_positive_intervals) > 0
-
-
-@pytest.mark.parametrize("r", [1.0, 200.0, 2000.0])
-def test_classify_inflow_intervals_sum_to_the_measure(r):
-    # at R = 2000 the half-period pi / W of xi is shorter than the default
-    # grid step, so only a grid grown with W finds every rise
-    report = _quick("mem", MapParams.from_ratio(r, n_occ=0.0))
-    gains = sum(gain for _, _, gain in report.sigma_positive_intervals)
-    assert gains == pytest.approx(report.measure.value, rel=1e-12)
-
-
-def test_classify_flow_grid_stays_bounded_at_huge_r(monkeypatch):
-    points = []
-    flow_report = analysis.measure_mod.flow_report
-
-    def spy(*args, grid_points):
-        points.append(grid_points)
-        return flow_report(*args, grid_points=grid_points)
-
-    monkeypatch.setattr(analysis.measure_mod, "flow_report", spy)
-    _quick("mem", MapParams.from_ratio(1e150, n_occ=0.0))
-    _quick("mem", MapParams.from_ratio(2000.0, n_occ=0.0))
-    assert points[0] == 400
-    assert 400 < points[1] < analysis.FLOW_GRID_CAP
 
 
 def test_classify_memory_kernel_nondivisible():
-    report = _quick("mem", MapParams.from_ratio(0.2, n_occ=1.0))
+    report = classify("mem", MapParams.from_ratio(0.2, n_occ=1.0))
     assert report.verdict == "TimeDependentMarkovian-Nondivisible"
     assert report.measure.value <= 1e-8
     assert report.params_physical is True
@@ -452,21 +421,24 @@ def test_classify_memory_kernel_nondivisible():
 
 
 def test_classify_post_markovian_divisible():
-    report = _quick("post", MapParams.from_ratio(0.6, n_occ=1.0))
+    report = classify("post", MapParams.from_ratio(0.6, n_occ=1.0))
     assert report.verdict == "TimeDependentMarkovian-Divisible"
     assert report.divisibility.divisible
     assert report.positivity.ok
 
 
 def test_classify_unphysical_zero_occupation():
-    report = _quick("mem", MapParams.from_ratio(5.0, n_occ=0.0))
+    report = classify("mem", MapParams.from_ratio(5.0, n_occ=0.0))
     assert report.verdict == "Unphysical(positivity broken)"
     assert not report.positivity.ok
 
 
 def test_classify_report_is_coherent():
-    report = _quick("post", MapParams.from_ratio(0.6, n_occ=1.0))
-    assert report.tau_end > 0.0
+    p = MapParams.from_ratio(0.6, n_occ=1.0)
+    report = classify("post", p)
+    assert report.tau_end == certified_horizon("post", p) > 0.0
+    assert report.measure.tau_end == report.tau_end
+    assert report.divisibility.tau_end == report.tau_end
+    assert report.divisibility.grid == analysis.CLASSIFY_DIVISIBILITY_GRID
     assert report.measure.method == "analytic-sigma"
-    assert isinstance(report.sigma_positive_intervals, tuple)
     assert report.cp.ok

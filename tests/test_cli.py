@@ -6,8 +6,9 @@ import jsonschema
 import numpy as np
 import pytest
 
+from spinflow.analysis import choi_eigenvalues
 from spinflow.cli import TRIG_WARNING, main
-from spinflow.maps import xi
+from spinflow.maps import MapParams, snapshot, xi
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schemas" / "run_record.schema.json").read_text())
@@ -101,6 +102,8 @@ def test_physical_parameter_entry(capsys):
         ["choi", "--kind", "mem", "--r", "1e200", "--tau", "1"],
         ["measure", "--kind", "mem", "--r", "1e200"],
         ["measure", "--kind", "post", "--r", "1e200"],
+        ["xi", "--kind", "mem", "--r", "0.2", "--n", "-0.5", "--tau-end", "1"],
+        ["positivity", "--kind", "mem", "--r", "0.2", "--n", "1", "--samples", "200000"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -373,6 +376,10 @@ def test_sweep_smoke_flat_config(tmp_path, capsys):
     header, rows = rows_of((out_dir / "choi.csv").read_text())
     assert header == ["index", "kind", "r", "n", "tau", "min_eigenvalue"]
     assert len(rows) == 202
+    # the vectorized sweep column matches the scalar snapshot path bit for bit
+    for _, kind, r, n, tau, eig in rows:
+        p = MapParams.from_ratio(float(r), float(n))
+        assert eig == "%.17g" % choi_eigenvalues(snapshot(kind, p, float(tau)))[0]
 
     record = json.loads((out_dir / "run_record.json").read_text())
     jsonschema.validate(record, SCHEMA)

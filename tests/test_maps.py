@@ -55,6 +55,10 @@ def test_params_ratio_and_validation():
         MapParams(gamma0=1.0, n_occ=-1.0)
     with pytest.raises(ValueError):
         MapParams.from_ratio(-0.1)
+    # rejected as an occupation before 2N + 1 divides R (zero at N = -1/2)
+    for n in (-0.5, -1.0):
+        with pytest.raises(ValueError, match="n_occ"):
+            MapParams.from_ratio(0.2, n)
     with pytest.raises(ValueError, match="overflows"):
         MapParams(gamma0=1e308, gamma=1e-10)
     # R itself is finite, but 4R (mem) or (R + 1)**2 (post) is not
