@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -25,9 +26,7 @@ from .analysis import (
 from .maps import (
     EquationKind,
     MapParams,
-    MapSnapshot,
     SingularRateError,
-    apply_map,
     parse_kind,
     rate_divergence_time,
     snapshot,
@@ -38,7 +37,7 @@ from .maps import (
 )
 from .measure import DegeneratePairError, measure, sigma_analytic
 from .sphere import MAX_VERTICES
-from .states import QubitState, StatePair, state_from_bloch, trace_distance
+from .states import QubitState, StatePair
 from .volterra import (
     IntegrationDivergenceError,
     generator_matrix,
@@ -69,18 +68,34 @@ def _py(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        value = float(value)
+        return value if math.isfinite(value) else None
     return value
 
 
 def _emit(headers, rows, fmt: str, out: str | None) -> None:
+    """Write rows as CSV, or as a JSON list of records with sorted keys.
+
+    rows is either a 2-D float array, formatted in bulk with one ``%`` per
+    CSV row, or a list of rows that mix int, bool, str and float, typed value
+    by value.  Floats print as ``%.17g``; JSON writes non-finite ones as null.
+    """
+    table = isinstance(rows, np.ndarray)
     if fmt == "csv":
-        lines = [",".join(headers)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        if table:
+            template = ",".join(["%.17g"] * len(headers))
+            body = [template % tuple(row) for row in rows.tolist()]
+        else:
+            body = [",".join(_fmt(v) for v in row) for row in rows]
+        text = "\n".join([",".join(headers), *body]) + "\n"
     else:
-        records = [{h: _py(v) for h, v in zip(headers, row)} for row in rows]
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        if table:
+            finite = np.isfinite(rows)
+            values = (rows if finite.all() else np.where(finite, rows, None)).tolist()
+        else:
+            values = [[_py(v) for v in row] for row in rows]
+        records = [dict(zip(headers, row)) for row in values]
+        text = json.dumps(records, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -185,7 +200,7 @@ def cmd_xi(args, parser) -> int:
     _warn_trig(kind, p.R)
     x = xi(kind, p.R, taus)
     d = xi_derivative(kind, p.R, taus)
-    _emit(("tau", "xi", "dxi"), list(zip(taus, x, d)), args.format, args.out)
+    _emit(("tau", "xi", "dxi"), np.column_stack((taus, x, d)), args.format, args.out)
     return 0
 
 
@@ -196,7 +211,7 @@ def cmd_solve(args, parser) -> int:
     headers = ("tau", "pe", "re_b", "im_b")
     if args.method == "closed":
         pe, b = _closed_form(kind, p, s0, taus)
-        rows = list(zip(taus, pe, b.real, b.imag))
+        rows = np.column_stack((taus, pe, b.real, b.imag))
     else:
         try:
             traj = _integrate(kind, p, s0, args, parser)
@@ -272,18 +287,14 @@ def cmd_trace_distance(args, parser) -> int:
     s1 = _state_triple(args.state1, parser, "--state1")
     s2 = _state_triple(args.state2, parser, "--state2")
     lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
-    rows = []
-    for k, tau in enumerate(taus):
-        snap = MapSnapshot(float(lam1[k]), float(lam3[k]), float(t3[k]))
-        rows.append(
-            (
-                tau,
-                trace_distance(
-                    apply_map(snap, s1), apply_map(snap, s2), validate=False
-                ),
-            )
-        )
-    _emit(("tau", "distance"), rows, args.format, args.out)
+    # the arithmetic of trace_distance(apply_map(snap, s1), apply_map(snap, s2))
+    # at every point, bit for bit: np.hypot equals abs(complex) where np.abs
+    # does not, and math.hypot, which np.hypot does not reproduce, runs per point
+    v = 0.5 * (1.0 + t3 - lam3)
+    a = (v + lam3 * s1.population_e) - (v + lam3 * s2.population_e)
+    db = lam1 * complex(s1.coherence) - lam1 * complex(s2.coherence)
+    distance = list(map(math.hypot, a.tolist(), np.hypot(db.real, db.imag).tolist()))
+    _emit(("tau", "distance"), np.column_stack((taus, distance)), args.format, args.out)
     return 0
 
 
@@ -299,7 +310,7 @@ def cmd_sigma(args, parser) -> int:
         values = sigma_analytic(kind, p, pair, taus)
     except DegeneratePairError as exc:
         parser.error(str(exc))
-    _emit(("tau", "sigma"), list(zip(taus, values)), args.format, args.out)
+    _emit(("tau", "sigma"), np.column_stack((taus, values)), args.format, args.out)
     return 0
 
 
@@ -349,7 +360,7 @@ def cmd_tcl_rates(args, parser) -> int:
     g1, g2, g3 = tcl_rate_arrays(kind, p, taus)
     _emit(
         ("tau", "gamma1", "gamma2", "gamma3"),
-        list(zip(taus, g1, g2, g3)),
+        np.column_stack((taus, g1, g2, g3)),
         args.format,
         args.out,
     )

@@ -77,13 +77,15 @@ def sigma_analytic(kind, p: MapParams, pair: StatePair, tau) -> float:
     Raises DegeneratePairError for an identical pair.  At an isolated zero
     of the trace distance (oscillatory regime) the value is +-inf or nan;
     interval bookkeeping in flow_report avoids the division entirely.
+    Where the trace distance underflows to 0 elsewhere the value is 0.
     """
     kind = parse_kind(kind)
     a2, b2 = _require_distinct(pair)
     t = _check_times(tau)
     full, half = _channels(kind, p.R)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = p.gamma * _numerator(full, half, a2, b2, t) / _distance(full, half, a2, b2, t)
+    out = _sigma(
+        kind, p, _numerator(full, half, a2, b2, t), _distance(full, half, a2, b2, t)
+    )
     return float(out) if np.ndim(tau) == 0 else out
 
 
@@ -114,6 +116,21 @@ def _distance(full, half, a2: float, b2: float, t):
 def _numerator(full, half, a2: float, b2: float, t):
     """D dD/dtau, the numerator of sigma / gamma: it has sigma's sign."""
     return a2 * full.value(t) * full.derivative(t) + b2 * half.value(t) * half.derivative(t)
+
+
+def _sigma(kind: EquationKind, p: MapParams, num, distance):
+    """sigma = gamma * num / D from its numerator and the trace distance D.
+
+    For every post and for mem with 4R <= 1, D has no zero, so D == 0 means
+    its squares underflowed while xi is still representable; sigma is 0
+    there, the limit of dD/dtau, instead of 0/0.  For mem with 4R > 1 an
+    isolated zero of D gives +-inf or nan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = p.gamma * num / distance
+    if kind is EquationKind.MEMORY_KERNEL and 4.0 * p.R > 1.0:
+        return sigma
+    return np.where(distance == 0.0, 0.0, sigma)
 
 
 def _positive_intervals(
@@ -169,7 +186,8 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
     taus = np.linspace(0.0, t_end, grid_points)
     a2, b2 = _pair_weights(pair)
-    full, half = _channels(parse_kind(kind), p.R)
+    kind = parse_kind(kind)
+    full, half = _channels(kind, p.R)
     distance = _distance(full, half, a2, b2, taus)
     num = _numerator(full, half, a2, b2, taus)
 
@@ -177,8 +195,7 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
         zeros = np.zeros_like(taus)
         return FlowReport(pair, taus, zeros, zeros.copy(), zeros.copy(), (), 0.0)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = p.gamma * num / distance
+    sigma = _sigma(kind, p, num, distance)
     sigma_discrete = p.gamma * np.gradient(distance, taus)
 
     intervals = _positive_intervals(full, half, a2, b2, taus, num)

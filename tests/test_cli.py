@@ -6,9 +6,21 @@ import jsonschema
 import numpy as np
 import pytest
 
+from spinflow import cli
 from spinflow.analysis import choi_eigenvalues
 from spinflow.cli import TRIG_WARNING, main
-from spinflow.maps import MapParams, snapshot, xi
+from spinflow.maps import (
+    MapParams,
+    MapSnapshot,
+    apply_map,
+    snapshot,
+    snapshot_arrays,
+    tcl_rate_arrays,
+    xi,
+    xi_derivative,
+)
+from spinflow.measure import sigma_analytic
+from spinflow.states import QubitState, StatePair, trace_distance
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schemas" / "run_record.schema.json").read_text())
@@ -333,6 +345,140 @@ def test_output_file_flag(tmp_path, capsys):
     header, rows = rows_of(target.read_text())
     assert header == ["tau", "xi", "dxi"]
     assert len(rows) == 3
+
+
+def _fmt_per_value(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return "%.17g" % float(value)
+
+
+def _py_per_value(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
+
+
+def _emit_per_value(headers, rows, fmt):
+    """The reference emitter: every value typed and formatted on its own."""
+    if fmt == "csv":
+        lines = [",".join(headers)]
+        lines.extend(",".join(_fmt_per_value(v) for v in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    records = [{h: _py_per_value(v) for h, v in zip(headers, row)} for row in rows]
+    return json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
+def _emitted(tmp_path, headers, rows, fmt):
+    target = tmp_path / f"emitted.{fmt}"
+    cli._emit(headers, rows, fmt, str(target))
+    return target.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_float_table_matches_per_value_emitter(fmt, tmp_path):
+    values = np.array([-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e17, 123456789012345678.0])
+    table = np.column_stack((values, values[::-1], -values))
+    headers = ("a", "b", "c")
+    assert _emitted(tmp_path, headers, table, fmt) == _emit_per_value(
+        headers, list(zip(*table.T)), fmt
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_mixed_rows_match_per_value_emitter(fmt, tmp_path):
+    rows = [
+        (np.int64(3), np.bool_(True), False, "mem", np.float64(0.1)),
+        (np.int64(-7), np.bool_(False), True, "Unphysical(positivity broken)", np.float64(-0.0)),
+        (0, True, np.bool_(True), "post", np.float64(5e-324)),
+    ]
+    headers = ("index", "ok", "divisible", "kind", "value")
+    assert _emitted(tmp_path, headers, rows, fmt) == _emit_per_value(headers, rows, fmt)
+
+
+S1, S2 = "0.7,0.12,-0.21", "0.3,-0.05,0.17"
+PAIR = StatePair(QubitState(0.7, 0.12 - 0.21j), QubitState(0.3, -0.05 + 0.17j))
+GRID = ["--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "20", "--points", "1001"]
+
+
+def _per_row_reference(command):
+    """Rows of a float-table command as the CLI built them, one tuple per tau."""
+    p, taus = MapParams.from_ratio(0.2, 1.0), np.linspace(0.0, 20.0, 1001)
+    if command == "xi":
+        return list(zip(taus, xi("mem", 0.2, taus), xi_derivative("mem", 0.2, taus)))
+    if command == "tcl-rates":
+        return list(zip(taus, *tcl_rate_arrays("mem", p, taus)))
+    if command == "solve":
+        pe, b = cli._closed_form("mem", p, PAIR.first, taus)
+        return list(zip(taus, pe, b.real, b.imag))
+    if command == "sigma":
+        return list(zip(taus, sigma_analytic("mem", p, PAIR, taus)))
+    # trace-distance: apply_map and trace_distance at every grid point
+    lam1, lam3, t3 = snapshot_arrays("mem", p, taus)
+    rows = []
+    for k, tau in enumerate(taus):
+        snap = MapSnapshot(float(lam1[k]), float(lam3[k]), float(t3[k]))
+        evolved = (apply_map(snap, s) for s in (PAIR.first, PAIR.second))
+        rows.append((tau, trace_distance(*evolved, validate=False)))
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, headers",
+    [
+        (["xi"], ("tau", "xi", "dxi")),
+        (["tcl-rates"], ("tau", "gamma1", "gamma2", "gamma3")),
+        (["solve", "--method", "closed", "--state", S1], ("tau", "pe", "re_b", "im_b")),
+        (["sigma", "--state1", S1, "--state2", S2], ("tau", "sigma")),
+        (["trace-distance", "--state1", S1, "--state2", S2], ("tau", "distance")),
+    ],
+    ids=["xi", "tcl-rates", "solve", "sigma", "trace-distance"],
+)
+def test_float_tables_match_per_row_output(argv, headers, fmt, capsys):
+    code, out, _ = run_cli([argv[0], *GRID, *argv[1:], "--format", fmt], capsys)
+    assert code == 0
+    assert out == _emit_per_value(headers, _per_row_reference(argv[0]), fmt)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_json_writes_non_finite_floats_as_null(capsys, tmp_path):
+    code, out, _ = run_cli(
+        ["sigma", "--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "2000",
+         "--points", "5", "--state1", "1,0,0", "--state2", "0,0,0", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert [rec["sigma"] for rec in json.loads(out, parse_constant=_reject_constant)][-1] == 0.0
+    # past the underflow of xi and xi' the rates are 0/0
+    argv = ["tcl-rates", "--kind", "post", "--r", "0.2", "--n", "1",
+            "--tau-end", "10000", "--points", "5"]
+    with np.errstate(invalid="ignore"):
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        records = json.loads(out, parse_constant=_reject_constant)
+        assert records[-1]["gamma1"] is None
+        code, out, _ = run_cli(argv, capsys)
+        assert rows_of(out)[1][-1][1:] == ["nan", "nan", "nan"]
+    table = np.array([[np.inf, -np.inf, np.nan, 1.5]])
+    assert json.loads(
+        _emitted(tmp_path, ("a", "b", "c", "d"), table, "json"), parse_constant=_reject_constant
+    ) == [{"a": None, "b": None, "c": None, "d": 1.5}]
+    assert _emitted(tmp_path, ("a", "b", "c", "d"), table, "csv") == "a,b,c,d\ninf,-inf,nan,1.5\n"
+    rows = [(np.float64(np.nan), float("inf"), 2)]
+    assert json.loads(
+        _emitted(tmp_path, ("a", "b", "c"), rows, "json"), parse_constant=_reject_constant
+    ) == [{"a": None, "b": None, "c": 2}]
 
 
 def test_version_banner(capsys):

@@ -51,6 +51,30 @@ def test_sigma_starts_flat():
     assert sigma_analytic("mem", PHYSICAL, POLE_PAIR, 0.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "kind, r", [("mem", 0.2), ("post", 0.2), ("mem", 0.25)]
+)
+def test_sigma_is_zero_where_the_distance_underflows(kind, r):
+    # D's squares underflow near tau = 1350 for mem R = 0.2 while xi itself
+    # is still about 1e-162; outside the oscillatory regime D has no zero,
+    # so sigma there is its limit 0, not 0/0
+    p = MapParams.from_ratio(r, n_occ=1.0)
+    taus = np.linspace(0.0, 4000.0, 8001)
+    sigma = sigma_analytic(kind, p, POLE_PAIR, taus)
+    assert np.all(np.isfinite(sigma))
+    assert np.all(sigma <= 0.0)
+    assert sigma_analytic(kind, p, POLE_PAIR, 4000.0) == 0.0
+    report = flow_report(kind, p, POLE_PAIR, 4000.0, grid_points=len(taus))
+    np.testing.assert_array_equal(report.sigma_path, sigma)
+    # the points with D > 0 keep the plain quotient
+    x = xi(kind, r, taus)
+    distance = np.sqrt(x * x)
+    kept = distance > 0.0
+    assert 0 < kept.sum() < len(taus)
+    num = x * xi_derivative(kind, r, taus)
+    np.testing.assert_array_equal(sigma[kept], p.gamma * num[kept] / distance[kept])
+
+
 def test_sigma_rejects_identical_pair():
     with pytest.raises(DegeneratePairError):
         sigma_analytic("mem", PHYSICAL, StatePair(PLUS, PLUS), 1.0)
