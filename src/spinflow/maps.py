@@ -70,6 +70,8 @@ __all__ = [
 BRANCH_EXACT_TOL = 1e-12
 #: branch-point distance below which the guarded Taylor evaluation is used
 BRANCH_TAYLOR_TOL = 1e-6
+#: below this |xi| the rates use the closed-form log-derivative, not xi' / xi
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 class EquationKind(enum.Enum):
@@ -252,6 +254,30 @@ class _Channel:
             val = one_minus_w2 / (2.0 * w) * np.exp(-m1 * theta) * np.expm1(-2.0 * w * theta)
         return _shaped(t, np.where(t == 0.0, 0.0, self.tscale * val))
 
+    def log_derivative(self, t):
+        """xi' / xi at t with the common exponential cancelled.
+
+        Finite where value and derivative have both underflowed to 0.
+        """
+        w2, one_minus_w2, dist = self.w2, self.one_minus_w2, self.dist
+        theta = self.tscale * t
+        if dist <= BRANCH_EXACT_TOL:
+            val = -theta / (1.0 + theta)
+        elif dist <= BRANCH_TAYLOR_TOL:
+            x2 = w2 * theta * theta
+            sinhc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
+            coshv = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
+            val = -one_minus_w2 * theta * sinhc / (theta * sinhc + coshv)
+        elif w2 < 0.0:
+            q = math.sqrt(-w2)
+            sinc = np.sin(q * theta) / q
+            val = -one_minus_w2 * sinc / (sinc + np.cos(q * theta))
+        else:
+            w = math.sqrt(w2)
+            fast = np.expm1(-2.0 * w * theta)
+            val = one_minus_w2 / (2.0 * w) * fast / (1.0 - (1.0 - w) / (2.0 * w) * fast)
+        return _shaped(t, self.tscale * val)
+
     def envelope(self, t):
         """Decaying upper bound for |xi(t')| at t' >= t."""
         w2, dist = self.w2, self.dist
@@ -398,10 +424,27 @@ def rate_divergence_time(kind, p: MapParams) -> float:
     return 2.0 * (math.pi - math.atan(q)) / q
 
 
+def _slope_terms(channel: _Channel, t):
+    """(xi', xi) of one channel, or (xi'/xi, 1) where xi is below the normal floats.
+
+    Their quotient is the log-derivative everywhere.  Where xi has underflowed
+    to 0 (or to a subnormal with few significant bits) the closed-form
+    log-derivative replaces the quotient; every other point keeps it.
+    """
+    x, d = channel.value(t), channel.derivative(t)
+    if np.ndim(t) == 0:
+        return (d, x) if abs(x) >= _NORMAL_MIN else (channel.log_derivative(t), 1.0)
+    under = np.abs(x) < _NORMAL_MIN
+    if under.any():  # value and derivative return fresh arrays
+        d[under] = channel.log_derivative(t[under])
+        x[under] = 1.0
+    return d, x
+
+
 def _rate_pieces(kind: EquationKind, p: MapParams, t):
     full, half = _channels(kind, p.R)
-    x_full, x_half = full.value(t), half.value(t)
-    d_full, d_half = full.derivative(t), half.derivative(t)
+    d_full, x_full = _slope_terms(full, t)
+    d_half, x_half = _slope_terms(half, t)
     g = p.gamma
     # + 0.0 clears the negative zero the sign flip leaves at tau = 0
     shared = -g * (d_full / x_full) / (2.0 * p.n_occ + 1.0) + 0.0

@@ -21,7 +21,10 @@ Two independent routes are provided.
     trapezoid, giving a scheme of global order two with a constant 4x4
     implicit matrix.  Both kernels are powers of a one-step kernel, so the
     discrete history is carried by a one-step recursion that sums exactly
-    the same trapezoid terms as the explicit sum.  The recursion never calls
+    the same trapezoid terms as the explicit sum.  That recursion is linear
+    with constant coefficients, so the grid states are powers of one 12x12
+    propagator applied to the initial vector, evaluated in a few batched
+    products instead of a loop over time steps.  The propagator never uses
     maps or the augmented-ODE code, and its kernel comes from expm of the
     generator, so route 2 stays independent of route 1 and a bug in route 1
     cannot self-confirm.
@@ -218,33 +221,59 @@ def integrate_quadrature(
     hist_k = sum_j A^(k+1-j) w_j over the stored states w (the first one
     halved), with the one-step kernel A = e^{-h} for the memory kernel and
     A = e^{-h} expm(ghat h) for the dressed kernel.  Both kernels are powers
-    of A, so the sum obeys hist_k = A (hist_{k-1} + w_k) exactly: the same
-    discrete terms in O(steps).  A comes from expm of the given generator,
-    never from maps or the augmented-ODE code, so this route stays
-    independent of route 1.
+    of A, so the sum obeys hist_k = A (hist_{k-1} + w_k) exactly.  With the
+    implicit step M = 1 - h^2 ghat / 4, one step is then linear with
+    constant coefficients,
+
+        hist = A acc,  rho' = M^-1 (rho + h ghat (aux + h hist) / 2),
+        aux' = h hist + h rho' / 2,  acc' = hist + rho',
+
+    so x_k = (rho_k, aux_k, acc_k) obeys x_{k+1} = S x_k with one 12x12
+    propagator S, and x_k = S^j S^(iB) x_0 for k = iB + j.  The states are
+    evaluated from the powers S^0 .. S^(B-1) and the heads S^(iB) x_0,
+    B = ceil(sqrt(steps + 1)), in one batched product.  The trace row of S
+    is exactly the unit row, so the trace stays exactly 1.  A comes from
+    expm of the given generator, never from maps or the augmented-ODE code,
+    so this route stays independent of route 1.  A step too long for S to be
+    finite (from h of about 1e154, earlier for the dressed kernel's expm) is
+    a ValueError.
     """
     kind = parse_kind(kind)
     if steps < 100:
         raise ValueError(f"steps must be >= 100, got {steps}")
     _check_t_end(t_end)
+    y0 = _initial_vector(s0)
     ghat = np.asarray(g, dtype=float) / p.gamma
     h = t_end / steps
     grid = np.linspace(0.0, t_end, steps + 1)
-    rho = np.empty((steps + 1, 4))
-    aux = np.zeros((steps + 1, 4))
-    rho[0] = _initial_vector(s0)
-    m_inv = np.linalg.inv(np.eye(4) - 0.25 * h * h * ghat)
     dressed = kind is EquationKind.POST_MARKOVIAN
-    step_kernel = np.exp(-h) * (expm(ghat * h) if dressed else np.eye(4))
-
     # ghat commutes with the step kernel, so one step serves both kinds:
     # the memory kernel's integral is ghat m, the dressed kernel's is m.
-    acc = 0.5 * rho[0]  # hist_{k-1} + w_k
-    for k in range(steps):
-        hist = step_kernel @ acc
-        rho[k + 1] = m_inv @ (rho[k] + 0.5 * h * (ghat @ (aux[k] + h * hist)))
-        aux[k + 1] = h * hist + 0.5 * h * rho[k + 1]
-        acc = hist + rho[k + 1]
+    with np.errstate(all="ignore"):  # a step too long shows as a non-finite S
+        m_inv = np.linalg.inv(np.eye(4) - 0.25 * h * h * ghat)
+        kernel = np.exp(-h) * (expm(ghat * h) if dressed else np.eye(4))
+        rho_rows = np.hstack((m_inv, 0.5 * h * m_inv @ ghat, 0.5 * h * h * m_inv @ ghat @ kernel))
+        to_acc = np.hstack((np.zeros((4, 8)), kernel))
+        step = np.vstack((rho_rows, 0.5 * h * rho_rows + h * to_acc, rho_rows + to_acc))
+    if not np.all(np.isfinite(step)):
+        raise ValueError(
+            f"step h = t_end / steps = {h:.6g} is too long: the one-step propagator is not finite"
+        )
+
+    block = math.isqrt(steps) + 1  # ceil(sqrt(steps + 1))
+    powers = np.empty((block, 12, 12))
+    powers[0] = np.eye(12)
+    for j in range(1, block):
+        powers[j] = powers[j - 1] @ step
+    leap = powers[-1] @ step
+    heads = np.empty((-(-(steps + 1) // block), 12))
+    heads[0] = np.concatenate((y0, np.zeros(4), 0.5 * y0))
+    for i in range(1, len(heads)):
+        heads[i] = leap @ heads[i - 1]
+    # x_{iB+j} = S^j heads_i, on the rows of rho and aux only
+    states = np.einsum("jab,ib->ija", powers[:, :8], heads, optimize=True)
+    states = states.reshape(-1, 8)[: steps + 1]
+    rho, aux = states[:, :4], states[:, 4:]
     if not dressed:
         aux = aux @ ghat.T
 

@@ -116,6 +116,11 @@ def test_physical_parameter_entry(capsys):
         ["measure", "--kind", "post", "--r", "1e200"],
         ["xi", "--kind", "mem", "--r", "0.2", "--n", "-0.5", "--tau-end", "1"],
         ["positivity", "--kind", "mem", "--r", "0.2", "--n", "1", "--samples", "200000"],
+        # a quadrature step too long for a finite one-step propagator
+        ["solve", "--kind", "post", "--r", "0.2", "--n", "0", "--method", "quadrature",
+         "--tau-end", "1e160", "--points", "3"],
+        ["solve", "--kind", "mem", "--r", "0.2", "--n", "0", "--method", "quadrature",
+         "--tau-end", "1e300", "--points", "3"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -453,6 +458,7 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+@pytest.mark.filterwarnings("error")
 def test_json_writes_non_finite_floats_as_null(capsys, tmp_path):
     code, out, _ = run_cli(
         ["sigma", "--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "2000",
@@ -461,15 +467,16 @@ def test_json_writes_non_finite_floats_as_null(capsys, tmp_path):
     )
     assert code == 0
     assert [rec["sigma"] for rec in json.loads(out, parse_constant=_reject_constant)][-1] == 0.0
-    # past the underflow of xi and xi' the rates are 0/0
+    # past the underflow of xi and xi' the rates are the asymptotic ones, not 0/0
     argv = ["tcl-rates", "--kind", "post", "--r", "0.2", "--n", "1",
             "--tau-end", "10000", "--points", "5"]
-    with np.errstate(invalid="ignore"):
-        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
-        records = json.loads(out, parse_constant=_reject_constant)
-        assert records[-1]["gamma1"] is None
-        code, out, _ = run_cli(argv, capsys)
-        assert rows_of(out)[1][-1][1:] == ["nan", "nan", "nan"]
+    code, out, err = run_cli([*argv, "--format", "json"], capsys)
+    records = json.loads(out, parse_constant=_reject_constant)
+    assert (code, err) == (0, "")
+    assert records[-1]["gamma1"] == pytest.approx(2.0 / 15.0, rel=1e-15)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert "nan" not in out
     table = np.array([[np.inf, -np.inf, np.nan, 1.5]])
     assert json.loads(
         _emitted(tmp_path, ("a", "b", "c", "d"), table, "json"), parse_constant=_reject_constant

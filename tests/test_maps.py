@@ -13,6 +13,7 @@ from spinflow.maps import (
     MapParams,
     MapSnapshot,
     SingularRateError,
+    TclRates,
     apply_map,
     parse_kind,
     rate_divergence_time,
@@ -378,6 +379,57 @@ def test_singular_rate_error():
     # below the horizon everything is finite
     rates = tcl_rates("mem", p, 4.0)
     assert math.isfinite(rates.gamma1)
+
+
+def _asymptotic_log_slope(kind, r):
+    """lim xi'/xi: minus the slower decay rate of the profile."""
+    if kind == "mem":
+        return -0.5 * (1.0 - math.sqrt(1.0 - 4.0 * r))
+    return -min(r, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rates_finite_past_underflow_of_xi():
+    # xi(0.2) underflows to 0 near tau = 2700 (mem) and 3700 (post), xi(0.1) near 6600 and 7500
+    taus = np.linspace(0.0, 1e4, 2001)
+    late = taus >= 100.0
+    for kind in KINDS:
+        p = MapParams.from_ratio(0.2, 1.0)
+        assert xi(kind, 0.2, 1e4) == 0.0
+        g1, g2, g3 = tcl_rate_arrays(kind, p, taus)
+        assert np.all(np.isfinite(g1) & np.isfinite(g2) & np.isfinite(g3))
+        full, half = _asymptotic_log_slope(kind, 0.2), _asymptotic_log_slope(kind, 0.1)
+        np.testing.assert_allclose(g1[late], -2.0 / 3.0 * full, rtol=1e-12)
+        np.testing.assert_allclose(g2[late], -1.0 / 3.0 * full, rtol=1e-12)
+        np.testing.assert_allclose(g3[late], 0.5 * (0.5 * full - half), rtol=0.0, atol=1e-15)
+        assert tcl_rates(kind, p, 1e4) == TclRates(g1[-1], g2[-1], g3[-1])
+    # near the branch point the oscillatory profile underflows before its first zero
+    p = MapParams.from_ratio(0.250001, 0.0)
+    assert xi("mem", 0.250001, 3000.0) == 0.0
+    rates = tcl_rate_arrays("mem", p, np.linspace(0.0, 3000.0, 301))
+    assert all(np.all(np.isfinite(g)) for g in rates)
+
+
+@pytest.mark.parametrize(
+    "kind,r,tau_end",
+    [
+        ("mem", 0.25, 50.0),  # exact branch point
+        ("mem", 0.25 + 1e-8, 50.0),  # Taylor, oscillatory side
+        ("post", 1.0 + 1e-7, 50.0),  # Taylor, hyperbolic side
+        ("mem", 0.5, 4.0),  # oscillatory, before the first zero at 3 pi / 2
+        ("mem", 0.2, 50.0),
+        ("post", 0.2, 50.0),
+    ],
+)
+def test_log_derivative_equals_quotient(kind, r, tau_end):
+    channel = _Channel(parse_kind(kind), r)
+    taus = np.linspace(0.0, tau_end, 101)
+    np.testing.assert_allclose(
+        channel.log_derivative(taus),
+        channel.derivative(taus) / channel.value(taus),
+        rtol=1e-12,
+        atol=1e-15,
+    )
 
 
 def test_snapshot_matches_rate_resummation():

@@ -114,6 +114,46 @@ def test_quadrature_recursion_equals_summed_history(kind, r, n):
     np.testing.assert_allclose(traj.auxiliary, aux, rtol=0.0, atol=1e-13)
 
 
+def _stepped_quadrature(kind, ghat, y0, t_end, steps):
+    """The quadrature as a loop over time steps: one step of the linear recursion each."""
+    h = t_end / steps
+    dressed = kind == "post"
+    rho = np.empty((steps + 1, 4))
+    aux = np.zeros((steps + 1, 4))
+    rho[0] = y0
+    m_inv = np.linalg.inv(np.eye(4) - 0.25 * h * h * ghat)
+    step_kernel = np.exp(-h) * (expm(ghat * h) if dressed else np.eye(4))
+    acc = 0.5 * rho[0]
+    for k in range(steps):
+        hist = step_kernel @ acc
+        rho[k + 1] = m_inv @ (rho[k] + 0.5 * h * (ghat @ (aux[k] + h * hist)))
+        aux[k + 1] = h * hist + 0.5 * h * rho[k + 1]
+        acc = hist + rho[k + 1]
+    return rho, aux if dressed else aux @ ghat.T
+
+
+@pytest.mark.parametrize("kind", ["mem", "post"])
+@pytest.mark.parametrize("r,n", [(0.05, 10.0), (0.2, 1.0), (2.0, 0.0)])
+def test_quadrature_propagator_equals_stepped_loop(kind, r, n):
+    # steps + 1 = 11**2 and 89**2, one below and one above: every split of the
+    # states into blocks of the propagator's powers
+    p = MapParams.from_ratio(r, n_occ=n)
+    g = generator_matrix(p)
+    s0 = QubitState(0.3, 0.2 - 0.35j)
+    for steps in (119, 120, 121, 7919, 7920, 7921):
+        traj = integrate_quadrature(kind, g, p, s0, 20.0, steps=steps)
+        rho, aux = _stepped_quadrature(kind, g / p.gamma, [0.3, 0.2, -0.35, 1.0], 20.0, steps)
+        states = np.array(
+            [[s.population_e, s.coherence.real, s.coherence.imag] for s in traj.states]
+        )
+        assert states.shape == (steps + 1, 3)
+        np.testing.assert_allclose(states, rho[:, :3], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(traj.auxiliary, aux, rtol=0.0, atol=1e-12)
+        # the worst |trace - 1| over every state: each trace row is exactly 1
+        assert traj.max_residual == 0.0
+        assert traj.steps == steps
+
+
 def test_memory_kernel_auxiliary_is_state_derivative():
     p = MapParams.from_ratio(0.2, n_occ=1.0)
     traj = integrate_memory_kernel(generator_matrix(p), p, EXCITED, 6.0, points=601)
@@ -176,6 +216,10 @@ def test_argument_validation():
         integrate_post_markovian(g, p, EXCITED, 1.0, tol=1e-2)
     with pytest.raises(ValueError, match="steps"):
         integrate_quadrature("mem", g, p, EXCITED, 1.0, steps=50)
+    # 1 - h**2 ghat / 4 overflows: the one-step propagator is NaN
+    for kind, t_end in (("post", 1e160), ("mem", 1e300)):
+        with pytest.raises(ValueError, match="propagator is not finite"):
+            integrate_quadrature(kind, g, p, EXCITED, t_end)
     with pytest.raises(ValueError, match="valid qubit state"):
         integrate_memory_kernel(g, p, QubitState(1.4, 0.0), 1.0)
 
