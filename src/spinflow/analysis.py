@@ -270,13 +270,19 @@ class DivisibilityReport:
     grid: int
 
 
-def _pair_min_eigs(kind, p: MapParams, t1s, t2s) -> np.ndarray:
+#: pair cells per block of rows in the divisibility screen, which bounds its
+#: memory: 2**16 cells keep grids up to 256 in one block
+_SCREEN_CELLS = 2**16
+
+
+def _pair_min_eigs(early, late) -> np.ndarray:
     """Closed-form smallest Choi eigenvalue of each t1 -> t2 intermediate map.
 
-    Broadcasts over t1s and t2s; inf where the earlier map is not invertible.
+    early and late are the snapshot arrays at t1 and t2; broadcasts over
+    them; inf where the earlier map is not invertible.
     """
-    e1, e3, et = snapshot_arrays(kind, p, t1s)
-    l1, l3, lt = snapshot_arrays(kind, p, t2s)
+    e1, e3, et = early
+    l1, l3, lt = late
     invertible = (np.abs(e1) >= INVERSION_FLOOR) & (np.abs(e3) >= INVERSION_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam3 = l3 / e3
@@ -298,7 +304,8 @@ def divisibility_scan(
     two-time map:
 
     1. a uniform `grid` x `grid` screen of the pairs t1 < t2, skipping times
-       where the one-time map is not invertible;
+       where the one-time map is not invertible, in blocks of rows so that
+       its memory stays bounded at any grid;
     2. with `refine`, a stencil search from the grid winner: each step
        evaluates a 9 x 9 stencil of half-width `step` around the current
        pair (clipped to [0, tau_end] and ordered) in one vectorized call,
@@ -314,13 +321,21 @@ def divisibility_scan(
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     taus = np.linspace(0.0, tau_end, grid)
-    mins = _pair_min_eigs(kind, p, taus[:, None], taus[None, :])
-    mins = np.where(taus[None, :] > taus[:, None], mins, np.inf)
-    i, j = np.unravel_index(int(np.argmin(mins)), mins.shape)
+    late = snapshot_arrays(kind, p, taus)
+    rows = max(1, _SCREEN_CELLS // grid)
+    # the first minimum in row-major order, as one argmin over the full grid
+    screened, i, j = np.inf, 0, 0
+    for start in range(0, grid, rows):
+        t1s = taus[start : start + rows, None]
+        mins = _pair_min_eigs(snapshot_arrays(kind, p, t1s), late)
+        mins = np.where(taus[None, :] > t1s, mins, np.inf)
+        k = int(np.argmin(mins))
+        if mins.flat[k] < screened:
+            screened, i, j = mins.flat[k], start + k // grid, k % grid
     t1, t2 = float(taus[i]), float(taus[j])
 
-    if refine and np.isfinite(mins[i, j]):
-        best = mins[i, j]
+    if refine and np.isfinite(screened):
+        best = screened
         step = taus[1] - taus[0]
         min_step = 1e-7 * max(tau_end, 1.0)
         stencil = np.linspace(-1.0, 1.0, 9)
@@ -328,7 +343,9 @@ def divisibility_scan(
             a = np.clip(t1 + step * stencil[:, None], 0.0, tau_end)
             b = np.clip(t2 + step * stencil[None, :], 0.0, tau_end)
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            values = _pair_min_eigs(kind, p, lo, hi)
+            values = _pair_min_eigs(
+                snapshot_arrays(kind, p, lo), snapshot_arrays(kind, p, hi)
+            )
             k = np.unravel_index(int(np.argmin(values)), values.shape)
             if values[k] < best:
                 best, t1, t2 = values[k], float(lo[k]), float(hi[k])
@@ -340,7 +357,7 @@ def divisibility_scan(
         verdict = is_completely_positive(choi_of(worst.as_snapshot()), tol=tol)
         min_eig = verdict.min_eigenvalue
     except MapInversionError:
-        min_eig = float(mins[i, j]) if np.isfinite(mins[i, j]) else 0.0
+        min_eig = float(screened) if np.isfinite(screened) else 0.0
     return DivisibilityReport(
         divisible=min_eig >= -tol,
         min_eigenvalue=min_eig,

@@ -222,10 +222,7 @@ def cmd_solve(args, parser) -> int:
             _diag(f"time-local rates unusable: {exc}")
             return 1
         _diag(f"max trace residual = {_fmt(traj.max_residual)}")
-        rows = [
-            (t, s.population_e, complex(s.coherence).real, complex(s.coherence).imag)
-            for t, s in zip(traj.times, traj.states)
-        ]
+        rows = np.column_stack((traj.times, traj.states))
     _emit(headers, rows, args.format, args.out)
     return 0
 
@@ -265,7 +262,7 @@ def _quadrature_on_grid(kind, p, s0, args, parser):
     return replace(
         traj,
         times=traj.times[keep],
-        states=tuple(traj.states[k] for k in keep),
+        states=traj.states[keep],
         auxiliary=traj.auxiliary[keep],
     )
 
@@ -441,28 +438,9 @@ def cmd_oracle(args, parser) -> int:
         _diag(f"integrator diverged: {exc}")
         return 1
 
-    rows = []
-    worst = 0.0
-    for k, tau in enumerate(taus):
-        so, sq = ode.states[k], quad.states[k]
-        row = (
-            tau,
-            pe_closed[k],
-            b_closed[k].real,
-            b_closed[k].imag,
-            so.population_e,
-            complex(so.coherence).real,
-            complex(so.coherence).imag,
-            sq.population_e,
-            complex(sq.coherence).real,
-            complex(sq.coherence).imag,
-        )
-        rows.append(row)
-        worst = max(
-            worst,
-            abs(row[4] - row[1]), abs(row[5] - row[2]), abs(row[6] - row[3]),
-            abs(row[7] - row[1]), abs(row[8] - row[2]), abs(row[9] - row[3]),
-        )
+    closed = np.column_stack((pe_closed, b_closed.real, b_closed.imag))
+    rows = np.column_stack((taus, closed, ode.states, quad.states))
+    worst = float(np.max(np.abs(np.stack((ode.states, quad.states)) - closed)))
     headers = (
         "tau",
         "pe_closed", "re_b_closed", "im_b_closed",

@@ -32,7 +32,11 @@ exponentials,
     m1 = (1 - w**2) / (1 + w),  m2 = 1 + w,
 
 which never overflows (sinh would once w theta exceeds ~710) and keeps the
-slow rate m1 cancellation-free for small r.  The time-local (TCL) rewriting
+slow rate m1 cancellation-free for small r.  With the slow exponential
+factored out and the fast one taken through expm1, this form stays accurate
+as w -> 0, as does sin(q theta) / q, q = sqrt(-w**2), on the oscillatory
+side; the analytic limit is used only at w**2 == 0 exactly, so each side of
+the branch point has one formula.  The time-local (TCL) rewriting
 of either equation has rates proportional to the logarithmic derivative of
 xi; they are finite exactly as long as xi stays away from zero, which fails
 only in the oscillatory regime.
@@ -66,9 +70,8 @@ __all__ = [
     "rate_divergence_time",
 ]
 
-#: |distance to branch point| at or below which the analytic w -> 0 limit is used
-BRANCH_EXACT_TOL = 1e-12
-#: branch-point distance below which the guarded Taylor evaluation is used
+#: branch-point distance within which xi_envelope uses its (1 + theta) form;
+#: value, derivative and log-derivative need no such window
 BRANCH_TAYLOR_TOL = 1e-6
 #: below this |xi| the rates use the closed-form log-derivative, not xi' / xi
 _NORMAL_MIN = float(np.finfo(float).tiny)
@@ -187,12 +190,19 @@ def _shaped(t, val):
 class _Channel:
     """The decay profile xi(r, .) of one family and rate, without argument checks.
 
-    Holds the branch data (w**2, 1 - w**2, dtheta/dtau, branch distance).
-    value, derivative and envelope take a float or an array of times that
-    the caller has checked (finite, >= 0) and return a float or an array.
+    Holds the branch data: w**2, its root w = sqrt(|w**2|) (the frequency q
+    on the oscillatory side), 1 - w**2, dtheta/dtau and the branch distance.
+    value, derivative and log_derivative use one form on each side of the
+    branch point, accurate for any |w| > 0: the expm1 form where w**2 > 0
+    and the sin(q theta) / q form where w**2 < 0.  The analytic limit
+    exp(-theta) (1 + theta) serves only w**2 == 0 exactly.  envelope is a
+    bound, not a value, and keeps its (1 + theta) form within
+    BRANCH_TAYLOR_TOL of the branch point.  Every method takes a float or an
+    array of times that the caller has checked (finite, >= 0) and returns a
+    float or an array.
     """
 
-    __slots__ = ("w2", "one_minus_w2", "tscale", "dist")
+    __slots__ = ("w2", "w", "one_minus_w2", "tscale", "dist")
 
     def __init__(self, kind: EquationKind, r: float):
         if kind is EquationKind.MEMORY_KERNEL:
@@ -206,52 +216,39 @@ class _Channel:
             self.one_minus_w2 = 4.0 * r / ((r + 1.0) * (r + 1.0))
             self.tscale = 0.5 * (r + 1.0)
             self.dist = abs(r - 1.0)
+        self.w = math.sqrt(abs(self.w2))
 
     def value(self, t):
         """xi at t; exactly 1.0 at t = 0."""
-        w2, one_minus_w2, dist = self.w2, self.one_minus_w2, self.dist
+        w2, w = self.w2, self.w
         theta = self.tscale * t
-        if dist <= BRANCH_EXACT_TOL:
-            val = np.exp(-theta) * (1.0 + theta)
-        elif dist <= BRANCH_TAYLOR_TOL:
-            # signed x2 = (w theta)^2 keeps one expression valid on both sides
-            x2 = w2 * theta * theta
-            sinhc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-            coshv = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
-            val = np.exp(-theta) * (theta * sinhc + coshv)
-        elif w2 < 0.0:
-            q = math.sqrt(-w2)
-            val = np.exp(-theta) * (np.sin(q * theta) / q + np.cos(q * theta))
-        else:
-            w = math.sqrt(w2)
-            m1 = one_minus_w2 / (1.0 + w)
+        if w2 > 0.0:
+            m1 = self.one_minus_w2 / (1.0 + w)
             # factor the slow exponential out and route the fast one through
             # expm1: the near-branch cancellation between the two w-scaled
             # terms disappears
             val = np.exp(-m1 * theta) * (
                 1.0 - (1.0 - w) / (2.0 * w) * np.expm1(-2.0 * w * theta)
             )
+        elif w2 < 0.0:
+            val = np.exp(-theta) * (np.sin(w * theta) / w + np.cos(w * theta))
+        else:
+            val = np.exp(-theta) * (1.0 + theta)
         return _shaped(t, np.where(t == 0.0, 1.0, val))
 
     def derivative(self, t):
         """d xi / d tau at t; exactly 0.0 at t = 0."""
-        w2, one_minus_w2, dist = self.w2, self.one_minus_w2, self.dist
+        w2, w, one_minus_w2 = self.w2, self.w, self.one_minus_w2
         theta = self.tscale * t
-        if dist <= BRANCH_EXACT_TOL:
-            val = -theta * np.exp(-theta)
-        elif dist <= BRANCH_TAYLOR_TOL:
-            x2 = w2 * theta * theta
-            sinhc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-            val = -one_minus_w2 * theta * np.exp(-theta) * sinhc
-        elif w2 < 0.0:
-            q = math.sqrt(-w2)
-            val = -one_minus_w2 * np.exp(-theta) * np.sin(q * theta) / q
-        else:
-            w = math.sqrt(w2)
+        if w2 > 0.0:
             m1 = one_minus_w2 / (1.0 + w)
             # same expm1 factoring as the value: exact where the plain
             # difference of exponentials would lose digits to cancellation
             val = one_minus_w2 / (2.0 * w) * np.exp(-m1 * theta) * np.expm1(-2.0 * w * theta)
+        elif w2 < 0.0:
+            val = -one_minus_w2 * np.exp(-theta) * np.sin(w * theta) / w
+        else:
+            val = -theta * np.exp(-theta)
         return _shaped(t, np.where(t == 0.0, 0.0, self.tscale * val))
 
     def log_derivative(self, t):
@@ -259,36 +256,29 @@ class _Channel:
 
         Finite where value and derivative have both underflowed to 0.
         """
-        w2, one_minus_w2, dist = self.w2, self.one_minus_w2, self.dist
+        w2, w, one_minus_w2 = self.w2, self.w, self.one_minus_w2
         theta = self.tscale * t
-        if dist <= BRANCH_EXACT_TOL:
-            val = -theta / (1.0 + theta)
-        elif dist <= BRANCH_TAYLOR_TOL:
-            x2 = w2 * theta * theta
-            sinhc = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-            coshv = 1.0 + x2 / 2.0 + x2 * x2 / 24.0
-            val = -one_minus_w2 * theta * sinhc / (theta * sinhc + coshv)
-        elif w2 < 0.0:
-            q = math.sqrt(-w2)
-            sinc = np.sin(q * theta) / q
-            val = -one_minus_w2 * sinc / (sinc + np.cos(q * theta))
-        else:
-            w = math.sqrt(w2)
+        if w2 > 0.0:
             fast = np.expm1(-2.0 * w * theta)
             val = one_minus_w2 / (2.0 * w) * fast / (1.0 - (1.0 - w) / (2.0 * w) * fast)
+        elif w2 < 0.0:
+            sinc = np.sin(w * theta) / w
+            val = -one_minus_w2 * sinc / (sinc + np.cos(w * theta))
+        else:
+            val = -theta / (1.0 + theta)
         return _shaped(t, self.tscale * val)
 
     def envelope(self, t):
         """Decaying upper bound for |xi(t')| at t' >= t."""
-        w2, dist = self.w2, self.dist
+        w2, w = self.w2, self.w
         theta = self.tscale * t
-        if dist <= BRANCH_TAYLOR_TOL:
-            w = math.sqrt(max(w2, 0.0))
-            val = (1.0 + theta) * np.exp(-(1.0 - w) * theta)
+        if self.dist <= BRANCH_TAYLOR_TOL:
+            # (1 + theta) exp(w theta) bounds sinh(w theta) / w + cosh(w theta),
+            # and (1 + theta) its oscillatory counterpart, with no 1/w term
+            val = (1.0 + theta) * np.exp(-(1.0 - (w if w2 > 0.0 else 0.0)) * theta)
         elif w2 < 0.0:
             val = math.sqrt(1.0 - 1.0 / w2) * np.exp(-theta)
         else:
-            w = math.sqrt(w2)
             m1 = self.one_minus_w2 / (1.0 + w)
             m2 = 1.0 + w
             val = 0.5 * (1.0 + 1.0 / w) * np.exp(-m1 * theta) + 0.5 * abs(

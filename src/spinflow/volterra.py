@@ -87,27 +87,18 @@ def generator_matrix(p: MapParams) -> np.ndarray:
 class AugmentedTrajectory:
     """Solution samples of one integro-differential trajectory.
 
+    `states` holds one row (pe, Re b, Im b) per time of `times`;
     `auxiliary` carries the memory integral (zero for the time-local route);
     `steps` is the integrator work metric (accepted steps or rhs calls);
     `max_residual` is the worst trace defect max |Tr rho - 1| on the grid.
     """
 
     times: np.ndarray
-    states: tuple[QubitState, ...]
+    states: np.ndarray
     auxiliary: np.ndarray
     steps: int
     max_residual: float
     meta: dict = field(default_factory=dict)
-
-    def population_path(self) -> np.ndarray:
-        return np.array([s.population_e for s in self.states])
-
-    def coherence_path(self) -> np.ndarray:
-        return np.array([complex(s.coherence) for s in self.states])
-
-
-def _states_from_rows(rows: np.ndarray) -> tuple[QubitState, ...]:
-    return tuple(QubitState(row[0], complex(row[1], row[2])) for row in rows)
 
 
 def _initial_vector(s0: QubitState) -> np.ndarray:
@@ -162,7 +153,7 @@ def _integrate_augmented(rhs, g, p: MapParams, s0: QubitState, t_end, tol, point
     residual = float(np.max(np.abs(rows[:, 3] - 1.0)))
     return AugmentedTrajectory(
         times=grid,
-        states=_states_from_rows(rows[:, :4]),
+        states=rows[:, :3],
         auxiliary=rows[:, 4:],
         steps=nfev,
         max_residual=residual,
@@ -280,7 +271,7 @@ def integrate_quadrature(
     residual = float(np.max(np.abs(rho[:, 3] - 1.0)))
     return AugmentedTrajectory(
         times=grid,
-        states=_states_from_rows(rho),
+        states=rho[:, :3],
         auxiliary=aux,
         steps=steps,
         max_residual=residual,
@@ -323,7 +314,7 @@ def integrate_tcl(
     residual = float(np.max(np.abs(rows[:, 3] - 1.0)))
     return AugmentedTrajectory(
         times=grid,
-        states=_states_from_rows(rows),
+        states=rows[:, :3],
         auxiliary=np.zeros((grid.size, 4)),
         steps=nfev,
         max_residual=residual,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from spinflow.maps import (
     MapSnapshot,
     apply_map,
     snapshot,
+    snapshot_arrays,
     tcl_rate_arrays,
     tcl_rates,
     xi,
@@ -289,6 +291,47 @@ def test_divisibility_scan_rejects_degenerate_inputs(tau_end, grid):
     p = MapParams.from_ratio(0.2, n_occ=1.0)
     with pytest.raises(ValueError):
         divisibility_scan("mem", p, tau_end=tau_end, grid=grid)
+
+
+def _full_screen_pair(kind, p, tau_end, grid):
+    """Winner of the whole grid x grid screen: the first argmin over t1 < t2."""
+    taus = np.linspace(0.0, tau_end, grid)
+    mins = analysis._pair_min_eigs(
+        snapshot_arrays(kind, p, taus[:, None]), snapshot_arrays(kind, p, taus[None, :])
+    )
+    mins = np.where(taus[None, :] > taus[:, None], mins, np.inf)
+    i, j = np.unravel_index(int(np.argmin(mins)), mins.shape)
+    return float(taus[i]), float(taus[j])
+
+
+@pytest.mark.parametrize(
+    "cells,grids",
+    # 2**16 cells: one block up to grid 256, two at 257; 64 cells: blocks of
+    # 9, 8 and 7 rows at grids 7, 8 and 9, and of one row from grid 33 on
+    [(analysis._SCREEN_CELLS, (256, 257)), (64, (7, 8, 9, 33, 64, 65))],
+)
+def test_blocked_screen_equals_full_grid(monkeypatch, cells, grids):
+    monkeypatch.setattr(analysis, "_SCREEN_CELLS", cells)
+    # R = 0 freezes the map: every pair ties, and the first one must win
+    cases = [("mem", 0.2, 1.0), ("post", 0.3, 1.0), ("mem", 2.0, 0.0), ("mem", 0.0, 0.0)]
+    for kind, r, n in cases:
+        p = MapParams.from_ratio(r, n_occ=n)
+        for grid in grids:
+            report = divisibility_scan(kind, p, tau_end=20.0, grid=grid, refine=False)
+            assert report.worst_pair == _full_screen_pair(kind, p, 20.0, grid), (kind, r, grid)
+
+
+def test_divisibility_screen_memory_is_bounded():
+    p = MapParams.from_ratio(0.2, n_occ=1.0)
+    divisibility_scan("mem", p, tau_end=20.0, grid=10)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        divisibility_scan("mem", p, tau_end=20.0, grid=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2000 x 2000 float array alone is 32 MB
+    assert peak < 8 * 2**20
 
 
 def test_divisibility_agrees_with_rate_signs():

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinflow.maps import (
-    BRANCH_EXACT_TOL,
-    BRANCH_TAYLOR_TOL,
     EquationKind,
     IDENTITY_SNAPSHOT,
     MapParams,
@@ -122,17 +120,18 @@ def test_trigonometric_branch_direct():
     np.testing.assert_allclose(xi("mem", 0.5, taus), expect, rtol=0, atol=1e-14)
 
 
-def test_branch_continuity_at_taylor_threshold():
-    # sweep r across the series window seam at fixed tau; a branch mismatch
-    # would show up as a kink in the second differences
+def test_branch_continuity_across_branch_point():
+    # sweep r across w**2 = 0 at fixed tau, through the limit form at the
+    # pivot itself; a mismatch between the forms would show up as a kink in
+    # the second differences
     for kind, pivot in (("mem", 0.25), ("post", 1.0)):
-        offsets = np.linspace(-2e-5, 2e-5, 81)
+        offsets = np.arange(-40, 41) * 5e-7  # -2e-5 .. 2e-5, and 0 exactly
         for tau in (0.3, 2.0, 9.0):
             vals = np.array([xi(kind, pivot * (1.0 + d), tau) for d in offsets])
             assert np.max(np.abs(np.diff(vals, n=2))) < 1e-11
             exact = xi(kind, pivot, tau)
-            near = xi(kind, pivot * (1.0 + 1e-13), tau)
-            assert abs(exact - near) < 1e-10
+            for d in (-1e-13, 1e-13):
+                assert abs(exact - xi(kind, pivot * (1.0 + d), tau)) < 1e-10
 
 
 def test_derivative_against_central_differences(rng):
@@ -179,28 +178,33 @@ BRANCH_RATE = {"mem": (0.25, 4.0), "post": (1.0, 1.0)}
 
 
 def _regime(channel: _Channel) -> str:
-    if channel.dist <= BRANCH_EXACT_TOL:
-        return "exact"
-    if channel.dist <= BRANCH_TAYLOR_TOL:
-        return "taylor"
+    if channel.w2 == 0.0:
+        return "limit"
     return "oscillatory" if channel.w2 < 0.0 else "hyperbolic"
 
 
 @st.composite
 def kind_regime_rate(draw):
     kind = draw(st.sampled_from(KINDS))
-    regimes = ["hyperbolic", "taylor", "exact"] + (["oscillatory"] if kind == "mem" else [])
+    regimes = ["hyperbolic", "limit"] + (["oscillatory"] if kind == "mem" else [])
     regime = draw(st.sampled_from(regimes))
-    if regime == "hyperbolic":
+    branch, slope = BRANCH_RATE[kind]
+    if regime == "limit":
+        r = branch
+    elif draw(st.booleans()):
+        # within 1e-6 of the branch point (and at least 1e-15 from it, so
+        # that r is not the branch rate itself); for mem the side sets the regime
+        dist = draw(st.floats(-15.0, -6.0).map(lambda e: 10.0**e))
+        if kind == "mem":
+            sign = 1.0 if regime == "oscillatory" else -1.0
+        else:
+            sign = draw(st.sampled_from((-1.0, 1.0)))
+        r = branch + sign * dist / slope
+    elif regime == "hyperbolic":
         r = draw(st.floats(0.0, 0.24) if kind == "mem" else st.one_of(
             st.floats(0.0, 0.9), st.floats(1.1, 50.0)))
-    elif regime == "oscillatory":
-        r = draw(st.floats(0.26, 20.0))
     else:
-        lo, hi = (0.0, 0.9e-12) if regime == "exact" else (2e-12, 0.9e-6)
-        branch, slope = BRANCH_RATE[kind]
-        sign = draw(st.sampled_from((-1.0, 1.0)))
-        r = branch + sign * draw(st.floats(lo, hi)) / slope
+        r = draw(st.floats(0.26, 20.0))
     return kind, regime, r
 
 
@@ -413,9 +417,9 @@ def test_rates_finite_past_underflow_of_xi():
 @pytest.mark.parametrize(
     "kind,r,tau_end",
     [
-        ("mem", 0.25, 50.0),  # exact branch point
-        ("mem", 0.25 + 1e-8, 50.0),  # Taylor, oscillatory side
-        ("post", 1.0 + 1e-7, 50.0),  # Taylor, hyperbolic side
+        ("mem", 0.25, 50.0),  # w**2 = 0 limit
+        ("mem", 0.25 + 1e-8, 50.0),  # oscillatory, 4e-8 from the branch point
+        ("post", 1.0 + 1e-7, 50.0),  # hyperbolic, 1e-7 from the branch point
         ("mem", 0.5, 4.0),  # oscillatory, before the first zero at 3 pi / 2
         ("mem", 0.2, 50.0),
         ("post", 0.2, 50.0),

@@ -18,16 +18,19 @@ from spinflow.volterra import (
 PROBE_STATES = (EXCITED, MAXIMALLY_MIXED, QubitState(0.3, 0.2 - 0.35j))
 
 
+def _rows(states):
+    """(pe, Re b, Im b) rows of QubitStates, the layout of a trajectory's states."""
+    return np.array([(s.population_e, s.coherence.real, s.coherence.imag) for s in states])
+
+
 def _closed_path(kind, p, s0, times):
-    return [apply_map(snapshot(kind, p, t), s0) for t in times]
+    return _rows([apply_map(snapshot(kind, p, t), s0) for t in times])
 
 
-def _max_gap(states_a, states_b):
-    gaps = [
-        max(abs(a.population_e - b.population_e), abs(a.coherence - b.coherence))
-        for a, b in zip(states_a, states_b)
-    ]
-    return max(gaps)
+def _max_gap(rows_a, rows_b):
+    """Largest population gap or coherence-modulus gap between two state paths."""
+    gap = rows_a - rows_b
+    return max(np.max(np.abs(gap[:, 0])), np.max(np.hypot(gap[:, 1], gap[:, 2])))
 
 
 @pytest.mark.parametrize("r,n", [(0.1, 0.5), (0.24, 10.0), (0.5, 1.0)])
@@ -109,8 +112,7 @@ def test_quadrature_recursion_equals_summed_history(kind, r, n):
     s0 = QubitState(0.3, 0.2 - 0.35j)
     traj = integrate_quadrature(kind, g, p, s0, 10.0, steps=300)
     rho, aux = _summed_quadrature(kind, g / p.gamma, [0.3, 0.2, -0.35, 1.0], 10.0, 300)
-    states = np.array([[s.population_e, s.coherence.real, s.coherence.imag] for s in traj.states])
-    np.testing.assert_allclose(states, rho[:, :3], rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(traj.states, rho[:, :3], rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(traj.auxiliary, aux, rtol=0.0, atol=1e-13)
 
 
@@ -143,11 +145,8 @@ def test_quadrature_propagator_equals_stepped_loop(kind, r, n):
     for steps in (119, 120, 121, 7919, 7920, 7921):
         traj = integrate_quadrature(kind, g, p, s0, 20.0, steps=steps)
         rho, aux = _stepped_quadrature(kind, g / p.gamma, [0.3, 0.2, -0.35, 1.0], 20.0, steps)
-        states = np.array(
-            [[s.population_e, s.coherence.real, s.coherence.imag] for s in traj.states]
-        )
-        assert states.shape == (steps + 1, 3)
-        np.testing.assert_allclose(states, rho[:, :3], rtol=0.0, atol=1e-12)
+        assert traj.states.shape == (steps + 1, 3)
+        np.testing.assert_allclose(traj.states, rho[:, :3], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(traj.auxiliary, aux, rtol=0.0, atol=1e-12)
         # the worst |trace - 1| over every state: each trace row is exactly 1
         assert traj.max_residual == 0.0
@@ -157,7 +156,7 @@ def test_quadrature_propagator_equals_stepped_loop(kind, r, n):
 def test_memory_kernel_auxiliary_is_state_derivative():
     p = MapParams.from_ratio(0.2, n_occ=1.0)
     traj = integrate_memory_kernel(generator_matrix(p), p, EXCITED, 6.0, points=601)
-    pe = traj.population_path()
+    pe = traj.states[:, 0]
     dpe = np.gradient(pe, traj.times)
     np.testing.assert_allclose(traj.auxiliary[5:-5, 0], dpe[5:-5], atol=2e-4)
 
@@ -171,7 +170,7 @@ def test_zero_coupling_freezes_every_route():
         integrate_quadrature("mem", g, p, PLUS, 5.0, steps=100),
         integrate_tcl("post", p, PLUS, 5.0, points=21),
     ):
-        assert _max_gap(traj.states, [PLUS] * len(traj.states)) < 1e-9
+        assert _max_gap(traj.states, _rows([PLUS])) < 1e-9
 
 
 @pytest.mark.parametrize("kind,r", [("mem", 0.1), ("mem", 0.25), ("post", 0.7)])
@@ -180,7 +179,7 @@ def test_evolved_states_stay_valid(kind, r):
     g = generator_matrix(p)
     integrate = integrate_memory_kernel if kind == "mem" else integrate_post_markovian
     traj = integrate(g, p, QubitState(0.9, 0.2j), 15.0, points=101)
-    assert all(s.is_valid(tol=1e-8) for s in traj.states)
+    assert all(QubitState(pe, complex(re, im)).is_valid(tol=1e-8) for pe, re, im in traj.states)
 
 
 @pytest.mark.parametrize("kind,r", [("mem", 0.2), ("post", 0.6), ("post", 1.8)])
