@@ -273,6 +273,9 @@ class DivisibilityReport:
 #: pair cells per block of rows in the divisibility screen, which bounds its
 #: memory: 2**16 cells keep grids up to 256 in one block
 _SCREEN_CELLS = 2**16
+#: largest divisibility grid: a block holds at least one row of `grid` cells,
+#: so above this the screen's memory would grow with the grid
+MAX_GRID = _SCREEN_CELLS
 
 
 def _pair_min_eigs(early, late) -> np.ndarray:
@@ -304,8 +307,9 @@ def divisibility_scan(
     two-time map:
 
     1. a uniform `grid` x `grid` screen of the pairs t1 < t2, skipping times
-       where the one-time map is not invertible, in blocks of rows so that
-       its memory stays bounded at any grid;
+       where the one-time map is not invertible, in blocks of rows of at
+       most 2**16 cells, which bounds its memory for every grid up to
+       MAX_GRID;
     2. with `refine`, a stencil search from the grid winner: each step
        evaluates a 9 x 9 stencil of half-width `step` around the current
        pair (clipped to [0, tau_end] and ordered) in one vectorized call,
@@ -313,13 +317,13 @@ def divisibility_scan(
        otherwise, from the grid spacing down to 1e-7 * max(tau_end, 1);
     3. a numerical eigensolver verdict on the intermediate map at the winner.
 
-    Raises ValueError unless tau_end is finite and > 0 and grid >= 2.
+    Raises ValueError unless tau_end is finite and > 0 and 2 <= grid <= MAX_GRID.
     """
     kind = parse_kind(kind)
     if not (math.isfinite(tau_end) and tau_end > 0.0):
         raise ValueError(f"tau_end must be finite and > 0, got {tau_end}")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
+    if not 2 <= grid <= MAX_GRID:
+        raise ValueError(f"grid must lie in [2, {MAX_GRID}], got {grid}")
     taus = np.linspace(0.0, tau_end, grid)
     late = snapshot_arrays(kind, p, taus)
     rows = max(1, _SCREEN_CELLS // grid)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    MAX_GRID,
     MapInversionError,
     _snapshot_min_eigs,
     choi_eigenvalues,
@@ -50,6 +52,9 @@ from .volterra import (
 TRIG_WARNING = "regime: trigonometric (4R>1), positivity not guaranteed"
 ANALYSES = ("measure", "rates", "choi", "divisibility", "positivity")
 ORACLE_TOL_RANGE = (1e-12, 1e-4)
+#: rows of a float table formatted and written per step: the formatting
+#: memory is set by this, not by the size of the table
+TABLE_CHUNK = 4096
 
 
 def _fmt(value) -> str:
@@ -73,33 +78,67 @@ def _py(value):
     return value
 
 
+class OutputError(Exception):
+    """An --out file or --out-dir that cannot be opened: a flag error."""
+
+
+def _open_out(out: str | None):
+    if out is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise OutputError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _table_pieces(headers, rows: np.ndarray, fmt: str):
+    """The text of a 2-D float table, TABLE_CHUNK rows and one ``%`` at a time."""
+    if fmt == "csv":
+        yield ",".join(headers)
+        row = "\n" + ",".join(["%.17g"] * len(headers))
+        for start in range(0, len(rows), TABLE_CHUNK):
+            chunk = rows[start : start + TABLE_CHUNK]
+            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+        yield "\n"
+        return
+    if len(rows) == 0:
+        yield "[]\n"
+        return
+    # json.dumps(records, indent=2, sort_keys=True), with the floats of a
+    # chunk written by the C encoder, which json.dumps runs without indent
+    order = sorted(range(len(headers)), key=headers.__getitem__)
+    fields = ",\n".join(f"    {json.dumps(headers[c])}: %s" for c in order)
+    record = "  {\n" + fields + "\n  }"
+    for start in range(0, len(rows), TABLE_CHUNK):
+        chunk = rows[start : start + TABLE_CHUNK, order]
+        finite = np.isfinite(chunk)
+        values = (chunk if finite.all() else np.where(finite, chunk, None)).ravel().tolist()
+        tokens = json.dumps(values, allow_nan=False)[1:-1].split(", ")
+        lead = "[\n" if start == 0 else ",\n"
+        yield lead + ",\n".join([record] * len(chunk)) % tuple(tokens)
+    yield "\n]\n"
+
+
 def _emit(headers, rows, fmt: str, out: str | None) -> None:
     """Write rows as CSV, or as a JSON list of records with sorted keys.
 
-    rows is either a 2-D float array, formatted in bulk with one ``%`` per
-    CSV row, or a list of rows that mix int, bool, str and float, typed value
-    by value.  Floats print as ``%.17g``; JSON writes non-finite ones as null.
+    rows is either a 2-D float array, formatted and written in chunks of
+    TABLE_CHUNK rows so that the text in memory does not grow with the
+    table, or a list of rows that mix int, bool, str and float, typed value
+    by value.  CSV prints floats as ``%.17g``, JSON as their shortest
+    round-trip repr and non-finite ones as null.  out is opened before
+    anything is formatted; OutputError if it cannot be.
     """
-    table = isinstance(rows, np.ndarray)
-    if fmt == "csv":
-        if table:
-            template = ",".join(["%.17g"] * len(headers))
-            body = [template % tuple(row) for row in rows.tolist()]
-        else:
+    with _open_out(out) as stream:
+        if isinstance(rows, np.ndarray):
+            stream.writelines(_table_pieces(headers, rows, fmt))
+        elif fmt == "csv":
             body = [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join([",".join(headers), *body]) + "\n"
-    else:
-        if table:
-            finite = np.isfinite(rows)
-            values = (rows if finite.all() else np.where(finite, rows, None)).tolist()
+            stream.write("\n".join([",".join(headers), *body]) + "\n")
         else:
-            values = [[_py(v) for v in row] for row in rows]
-        records = [dict(zip(headers, row)) for row in values]
-        text = json.dumps(records, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+            records = [dict(zip(headers, map(_py, row))) for row in rows]
+            text = json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
+            stream.write(text + "\n")
 
 
 def _diag(message: str) -> None:
@@ -387,8 +426,8 @@ def cmd_choi(args, parser) -> int:
 
 def cmd_divisibility(args, parser) -> int:
     kind, p = _params(args, parser)
-    if args.grid < 2:
-        parser.error(f"--grid must be >= 2, got {args.grid}")
+    if not 2 <= args.grid <= MAX_GRID:
+        parser.error(f"--grid must lie in [2, {MAX_GRID}], got {args.grid}")
     report = divisibility_scan(kind, p, tau_end=args.tau_end, grid=args.grid)
     headers = ("divisible", "min_eigenvalue", "t1", "t2", "tau_end", "grid")
     row = (
@@ -651,7 +690,10 @@ def cmd_sweep(args, parser) -> int:
         _diag(f"config error: {exc}")
         return 2
     out_dir = Path(args.out_dir or cfg["out_dir"] or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create {out_dir}: {exc.strerror}") from None
 
     points = cfg["points"]
     results: list[dict | None] = [None] * len(points)
@@ -821,7 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except OutputError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

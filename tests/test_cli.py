@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from spinflow import cli
-from spinflow.analysis import choi_eigenvalues
+from spinflow import analysis, cli
+from spinflow.analysis import MAX_GRID, choi_eigenvalues, divisibility_scan
 from spinflow.cli import TRIG_WARNING, main
 from spinflow.maps import (
     MapParams,
@@ -121,6 +122,7 @@ def test_physical_parameter_entry(capsys):
          "--tau-end", "1e160", "--points", "3"],
         ["solve", "--kind", "mem", "--r", "0.2", "--n", "0", "--method", "quadrature",
          "--tau-end", "1e300", "--points", "3"],
+        ["divisibility", "--kind", "mem", "--r", "0.2", "--n", "1", "--grid", "65537"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -129,6 +131,39 @@ def test_usage_errors_exit_2(argv, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_divisibility_grid_above_the_cap_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the screen started")
+
+    monkeypatch.setattr(analysis, "snapshot_arrays", no_work)
+    with pytest.raises(ValueError, match="grid"):
+        divisibility_scan("mem", MapParams.from_ratio(0.2, 1.0), grid=MAX_GRID + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--out"],
+        ["divisibility", "--kind", "mem", "--r", "0.2", "--grid", "20", "--out"],
+        ["sweep", "--config", str(ROOT / "configs" / "smoke_sweep.txt"), "--out-dir"],
+    ],
+    ids=["xi", "divisibility", "sweep"],
+)
+def test_unopenable_output_paths_exit_2(argv, capsys, tmp_path):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    if argv[-1] == "--out":
+        targets = [tmp_path / "missing" / "x", tmp_path, a_file / "x"]
+    else:
+        targets = [a_file, a_file / "x"]
+    for target in targets:
+        code, out, err = run_cli([*argv, str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
 
 def test_solve_methods_agree(capsys):
@@ -368,7 +403,7 @@ def _py_per_value(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        return float(value) if math.isfinite(value) else None
     return value
 
 
@@ -391,11 +426,28 @@ def _emitted(tmp_path, headers, rows, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_float_table_matches_per_value_emitter(fmt, tmp_path):
     values = np.array([-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e17, 123456789012345678.0])
-    table = np.column_stack((values, values[::-1], -values))
-    headers = ("a", "b", "c")
-    assert _emitted(tmp_path, headers, table, fmt) == _emit_per_value(
-        headers, list(zip(*table.T)), fmt
-    )
+    chunk = cli.TABLE_CHUNK
+    headers = ("tau", "b", "a")  # not in sorted order
+    for n in (0, 1, len(values), chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        column = np.resize(values, n)
+        table = np.column_stack((column, column[::-1], -column))
+        if n > chunk:  # non-finite values only in a later chunk
+            table[-2:] = [np.inf, np.nan, -np.inf]
+        assert _emitted(tmp_path, headers, table, fmt) == _emit_per_value(
+            headers, list(zip(*table.T)), fmt
+        ), n
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_float_table_memory_does_not_grow_with_the_table(fmt, tmp_path):
+    table = np.random.default_rng(0).random((200_001, 4))
+    tracemalloc.start()
+    try:
+        cli._emit(("tau", "a", "b", "c"), table, fmt, str(tmp_path / "table"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
