@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -82,13 +83,26 @@ class OutputError(Exception):
     """An --out file or --out-dir that cannot be opened: a flag error."""
 
 
-def _open_out(out: str | None):
+def _open_out(out: str | None, mode: str = "w"):
     if out is None:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(out, "w")
+        return open(out, mode)
     except OSError as exc:
         raise OutputError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _probe_out(out: str) -> None:
+    """OutputError now if out cannot be opened for writing, changing no file.
+
+    An existing file is opened for appending, so it keeps its contents until
+    the command writes it; a file the probe creates is removed again.
+    """
+    existed = os.path.lexists(out)
+    with _open_out(out, "a"):
+        pass
+    if not existed:
+        os.remove(out)
 
 
 def _table_pieces(headers, rows: np.ndarray, fmt: str):
@@ -864,6 +878,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _probe_out(args.out)
         return args.func(args, parser)
     except OutputError as exc:
         parser.error(str(exc))

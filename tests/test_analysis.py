@@ -10,6 +10,7 @@ from spinflow import analysis
 from spinflow.analysis import (
     DivisibilityReport,
     MapInversionError,
+    ScanResult,
     choi_eigenvalues,
     choi_of,
     classify,
@@ -33,6 +34,7 @@ from spinflow.maps import (
     xi,
 )
 from spinflow.measure import certified_horizon
+from spinflow.sphere import MAX_VERTICES, sphere_grid
 from spinflow.states import QubitState, state_from_bloch
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -153,6 +155,102 @@ def test_positivity_scan_flags_oscillatory_zero_occupation():
     assert result.worst_value > 1.0 + 1e-6
     oracle = _bloch_image_max(snapshot("mem", p, result.worst_tau))
     assert result.worst_value == pytest.approx(oracle, abs=1e-9)
+
+
+def _full_vertex_scan(kind, p, taus, samples):
+    """positivity_scan with its screen over every vertex of sphere_grid(samples)."""
+    verts = sphere_grid(samples)
+    lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
+    planar = verts[:, 0] ** 2 + verts[:, 1] ** 2
+    zz = lam3[:, None] * verts[None, :, 2] + t3[:, None]
+    norms2 = lam1[:, None] ** 2 * planar[None, :] + zz * zz
+    worst = int(np.argmax(np.max(norms2, axis=1)))
+    snap = MapSnapshot(float(lam1[worst]), float(lam3[worst]), float(t3[worst]))
+    verdict = is_positive(snap, samples=samples)
+    return ScanResult(verdict.ok, float(taus[worst]), verdict.max_norm, verdict.witness)
+
+
+@pytest.mark.parametrize(
+    "samples,points",
+    # the two largest grids on few times keep the full reference screen small
+    [(1000, (1, 2, 7, 100, 101, 201)), (2563, (100, 201)), (10243, (1, 26)),
+     (MAX_VERTICES, (1, 9))],
+)
+# 2**16 cells: blocks of 100 rows at samples = 1000; 64 cells: one row a block;
+# 3 * 655 cells: blocks of 3 rows at samples = 1000, with a short last block
+@pytest.mark.parametrize("cells", [2**16, 64, 3 * 655])
+def test_positivity_scan_equals_full_vertex_screen(monkeypatch, samples, points, cells):
+    monkeypatch.setattr(analysis, "_SCREEN_CELLS", cells)
+    cases = [
+        ("mem", 0.2, 1.0, 20.0),
+        ("mem", 5.0, 0.0, 10.0),  # 4R > 1: positivity breaks
+        ("mem", 2.0, 0.5, 40.0),
+        ("post", 0.3, 1.0, 20.0),
+        ("post", 5.0, 0.0, 20.0),
+        ("mem", 0.0, 0.0, 20.0),  # R = 0 freezes the map: every time ties
+    ]
+    for kind, r, n, tau_end in cases:
+        p = MapParams.from_ratio(r, n_occ=n)
+        for count in points:
+            taus = np.linspace(0.0, tau_end, count)
+            got = positivity_scan(kind, p, taus, samples=samples)
+            assert repr(got) == repr(_full_vertex_scan(kind, p, taus, samples)), (
+                kind, r, n, count
+            )
+    # a contracting map whose only worst time is the identity map at tau = 0
+    p = MapParams.from_ratio(0.2, n_occ=1.0)
+    taus = np.linspace(0.0, 20.0, 101)
+    got = positivity_scan("mem", p, taus, samples=samples)
+    assert got.worst_tau == 0.0
+    assert repr(got) == repr(_full_vertex_scan("mem", p, taus, samples))
+
+
+@pytest.mark.parametrize("samples,count", [(1000, 655), (10243, 10303), (MAX_VERTICES, 41087)])
+def test_screen_columns_keep_every_row_maximum(rng, samples, count):
+    planar, heights = analysis._screen_columns(samples)
+    assert planar.size == heights.size == count
+    verts = sphere_grid(samples)
+    # lambda1 >> lambda3 puts the maxima at the equator, where up to 512
+    # vertices share z = 0 and differ in x² + y² by rounding alone
+    lam1 = np.r_[rng.uniform(-1.0, 1.0, 20), rng.uniform(0.9, 1.0, 20)]
+    lam3 = np.r_[rng.uniform(-1.0, 1.0, 20), rng.uniform(-1e-3, 1e-3, 20)]
+    t3 = np.r_[rng.uniform(-0.6, 0.6, 20), rng.uniform(-1e-4, 1e-4, 20)]
+    zz = lam3[:, None] * verts[:, 2] + t3[:, None]
+    full = lam1[:, None] ** 2 * (verts[:, 0] ** 2 + verts[:, 1] ** 2) + zz * zz
+    zz = lam3[:, None] * heights + t3[:, None]
+    reduced = lam1[:, None] ** 2 * planar + zz * zz
+    np.testing.assert_array_equal(reduced.max(axis=1), full.max(axis=1))
+
+
+def test_positivity_screen_memory_is_bounded():
+    p = MapParams.from_ratio(0.2, n_occ=1.0)
+    taus = np.linspace(0.0, 20.0, 2001)
+    positivity_scan("mem", p, taus[:10])  # imports and caches warm
+    tracemalloc.start()
+    try:
+        positivity_scan("mem", p, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2001 x 2562 float array over every vertex alone is 41 MB
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("scan", [positivity_scan, cp_scan])
+@pytest.mark.parametrize(
+    "taus", [[], 1.0, np.zeros((3, 2)), [[0.0, 1.0]]], ids=["empty", "scalar", "2-D", "row"]
+)
+def test_scans_reject_degenerate_time_grids(scan, taus):
+    with pytest.raises(ValueError, match="taus"):
+        scan("mem", MapParams.from_ratio(0.2, n_occ=1.0), taus)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lambda1", "lambda3", "t3"])
+def test_is_positive_rejects_non_finite_snapshot(field, bad):
+    entries = {"lambda1": 0.5, "lambda3": 0.5, "t3": 0.1, field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        is_positive(MapSnapshot(**entries))
 
 
 def test_cp_scan_matches_direct_eigensolve(rng):

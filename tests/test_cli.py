@@ -147,9 +147,11 @@ def test_divisibility_grid_above_the_cap_is_rejected_before_any_work(monkeypatch
     [
         ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--out"],
         ["divisibility", "--kind", "mem", "--r", "0.2", "--grid", "20", "--out"],
+        # choi prints its eigenvalue diagnostic before it writes
+        ["choi", "--kind", "mem", "--r", "0.2", "--n", "1", "--tau", "1", "--out"],
         ["sweep", "--config", str(ROOT / "configs" / "smoke_sweep.txt"), "--out-dir"],
     ],
-    ids=["xi", "divisibility", "sweep"],
+    ids=["xi", "divisibility", "choi", "sweep"],
 )
 def test_unopenable_output_paths_exit_2(argv, capsys, tmp_path):
     a_file = tmp_path / "file"
@@ -164,6 +166,28 @@ def test_unopenable_output_paths_exit_2(argv, capsys, tmp_path):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+def test_out_is_checked_before_any_work(monkeypatch, capsys, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the integration started")
+
+    monkeypatch.setattr(cli, "_augmented_ode", no_work)
+    monkeypatch.setattr(cli, "integrate_quadrature", no_work)
+    argv = ["oracle", "--kind", "post", "--r", "0.3", "--tau-end", "1", "--out"]
+    code, out, err = run_cli([*argv, str(tmp_path / "missing" / "x.csv")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("spinflow: error: cannot write")
+    # a command that fails after the check neither truncates nor creates --out
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("keep\n")
+    late = ["choi", "--kind", "mem", "--r", "0.2", "--tau", "1", "--tau-start", "2", "--out"]
+    for target in (kept, fresh):
+        code, _, err = run_cli([*late, str(target)], capsys)
+        assert code == 2
+        assert "--tau-start" in err
+    assert kept.read_text() == "keep\n"
+    assert not fresh.exists()
 
 
 def test_solve_methods_agree(capsys):
