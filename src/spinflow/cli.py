@@ -484,9 +484,10 @@ def cmd_oracle(args, parser) -> int:
     s0 = _state_triple(args.state, parser, "--state")
 
     pe_closed, b_closed = _closed_form(kind, p, s0, taus)
+    # the quadrature runs first: a --steps too coarse for it is a usage error
+    quad = _quadrature_on_grid(kind, p, s0, args, parser)
     try:
         ode = _augmented_ode(kind, p, s0, args.tau_end, min(args.tol, 1e-8), args.points)
-        quad = _quadrature_on_grid(kind, p, s0, args, parser)
     except IntegrationDivergenceError as exc:
         _diag(f"integrator diverged: {exc}")
         return 1

@@ -431,8 +431,8 @@ def _slope_terms(channel: _Channel, t):
     return d, x
 
 
-def _rate_pieces(kind: EquationKind, p: MapParams, t):
-    full, half = _channels(kind, p.R)
+def _rate_pieces(full: _Channel, half: _Channel, p: MapParams, t):
+    """(gamma1, gamma2, gamma3) from the channels of _channels, unchecked."""
     d_full, x_full = _slope_terms(full, t)
     d_half, x_half = _slope_terms(half, t)
     g = p.gamma
@@ -468,4 +468,4 @@ def tcl_rate_arrays(kind, p: MapParams, taus) -> tuple[np.ndarray, np.ndarray, n
             f"population decay profile first crosses zero; got tau = "
             f"{float(np.max(taus)):.9g}"
         )
-    return _rate_pieces(kind, p, taus)
+    return _rate_pieces(*_channels(kind, p.R), p, taus)

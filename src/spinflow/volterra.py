@@ -10,7 +10,8 @@ the Markovian superoperator acts as a constant matrix G:
 
 Two independent routes are provided.
 
-1.  Exponential-kernel reduction to a local system (adaptive Runge-Kutta):
+1.  Exponential-kernel reduction to a local system, integrated by LSODA
+    (the variable-order Adams/BDF code; its work stays bounded at any horizon):
     the memory-kernel equation  rho' = int_0^t gamma e^{-gamma s} L rho(t-s) ds
     becomes  rho' = n,  n' = gamma L rho - gamma n  with n(0) = 0 (differentiate
     the convolution; the boundary term gives gamma L rho).  The variant with
@@ -45,9 +46,10 @@ from .maps import (
     EquationKind,
     MapParams,
     SingularRateError,
+    _channels,
+    _rate_pieces,
     parse_kind,
     rate_divergence_time,
-    tcl_rate_arrays,
 )
 from .states import QubitState
 
@@ -62,6 +64,10 @@ __all__ = [
 ]
 
 TOL_RANGE = (1e-12, 1e-4)
+#: LSODA's opening step in tau, on the equations' own time scale of 1.
+#: LSODA's own guess is about 1e-5 t_end, which fails its error test at
+#: tau = 0 from t_end of about 1e10 on (the time-local rates start from 0).
+FIRST_STEP = 1e-3
 
 
 class IntegrationDivergenceError(RuntimeError):
@@ -119,37 +125,59 @@ def _check_grid_args(t_end: float, tol: float) -> None:
         raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
 
 
-def _run_ivp(rhs, y0: np.ndarray, t_end: float, tol: float, points: int):
+def _run_ivp(matrix, y0: np.ndarray, t_end: float, tol: float, points: int):
+    """Integrate the linear system y' = matrix(t) y from y0 with LSODA.
+
+    Samples on linspace(0, t_end, points) and returns the grid, one state
+    row per grid time and the count of right-hand-side calls.  LSODA
+    switches between Adams and BDF as the problem stiffens, and it gets the
+    exact Jacobian matrix(t), so its step count stays bounded as the states
+    settle, at any t_end.  (With a finite-difference Jacobian it returned
+    NaN states once they had decayed to subnormal values, for example for
+    the memory kernel at N = 0 and t_end = 1e50.)  A failed step control or
+    a non-finite state is an IntegrationDivergenceError that carries the
+    last grid time with a finite state.
+    """
     grid = np.linspace(0.0, t_end, points)
     sol = solve_ivp(
-        rhs,
+        lambda t, y: matrix(t) @ y,
         (0.0, t_end),
         y0,
-        method="RK45",
+        method="LSODA",
         t_eval=grid,
         rtol=tol,
         atol=0.01 * tol,
+        jac=lambda t, _y: matrix(t),
+        first_step=min(t_end, FIRST_STEP),
     )
-    if not sol.success:
-        last = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationDivergenceError(
-            f"adaptive step control failed: {sol.message} (last good tau = {last:.6g})",
-            last_good_time=last,
+    # sol.t is a list, and sol.y empty, when no grid time was reached
+    reached = np.asarray(sol.t, dtype=float)
+    rows = np.asarray(sol.y, dtype=float).T.reshape(reached.size, len(y0))
+    finite = np.all(np.isfinite(rows), axis=1)
+    if not (sol.success and finite.all()):
+        good = int(np.cumprod(finite).sum())  # rows before the first non-finite one
+        last = float(reached[good - 1]) if good else 0.0
+        reason = (
+            "the state is not finite"
+            if sol.success
+            else f"adaptive step control failed: {sol.message}"
         )
-    return grid, sol.y.T, int(sol.nfev)
+        raise IntegrationDivergenceError(
+            f"{reason} (last good tau = {last:.6g})", last_good_time=last
+        )
+    return grid, rows, int(sol.nfev)
 
 
-def _integrate_augmented(rhs, g, p: MapParams, s0: QubitState, t_end, tol, points):
-    """Solve y' = rhs(ghat, rho, aux) for y = (rho, aux) from (s0, 0).
+def _integrate_augmented(system, g, p: MapParams, s0: QubitState, t_end, tol, points):
+    """Solve y' = system(ghat) y for y = (rho, aux) from (s0, 0).
 
     ghat is the generator in units of gamma; aux is the memory variable.
     """
     _check_grid_args(t_end, tol)
     ghat = np.asarray(g, dtype=float) / p.gamma
+    a = system(ghat)
     y0 = np.concatenate((_initial_vector(s0), np.zeros(4)))
-    grid, rows, nfev = _run_ivp(
-        lambda _t, y: rhs(ghat, y[:4], y[4:]), y0, t_end, tol, points
-    )
+    grid, rows, nfev = _run_ivp(lambda _t: a, y0, t_end, tol, points)
     residual = float(np.max(np.abs(rows[:, 3] - 1.0)))
     return AugmentedTrajectory(
         times=grid,
@@ -161,14 +189,14 @@ def _integrate_augmented(rhs, g, p: MapParams, s0: QubitState, t_end, tol, point
     )
 
 
-def _memory_kernel_rhs(ghat, rho, aux):
+def _memory_kernel_system(ghat):
     """rho' = n, n' = ghat rho - n (route 1 of the module docstring)."""
-    return np.concatenate((aux, ghat @ rho - aux))
+    return np.block([[np.zeros((4, 4)), np.eye(4)], [ghat, -np.eye(4)]])
 
 
-def _post_markovian_rhs(ghat, rho, aux):
+def _post_markovian_system(ghat):
     """rho' = ghat m, m' = rho + (ghat - 1) m."""
-    return np.concatenate((ghat @ aux, rho + (ghat - np.eye(4)) @ aux))
+    return np.block([[np.zeros((4, 4)), ghat], [np.eye(4), ghat - np.eye(4)]])
 
 
 def integrate_memory_kernel(
@@ -181,7 +209,7 @@ def integrate_memory_kernel(
     points: int = 201,
 ) -> AugmentedTrajectory:
     """Augmented-system solution of the convolution equation up to tau = t_end."""
-    return _integrate_augmented(_memory_kernel_rhs, g, p, s0, t_end, tol, points)
+    return _integrate_augmented(_memory_kernel_system, g, p, s0, t_end, tol, points)
 
 
 def integrate_post_markovian(
@@ -194,7 +222,7 @@ def integrate_post_markovian(
     points: int = 201,
 ) -> AugmentedTrajectory:
     """Augmented-system solution of the dressed-kernel equation."""
-    return _integrate_augmented(_post_markovian_rhs, g, p, s0, t_end, tol, points)
+    return _integrate_augmented(_post_markovian_system, g, p, s0, t_end, tol, points)
 
 
 def integrate_quadrature(
@@ -288,11 +316,13 @@ def integrate_tcl(
     *,
     points: int = 201,
 ) -> AugmentedTrajectory:
-    """Integrate the exactly equivalent time-local equation.
+    """Integrate the exactly equivalent time-local equation with LSODA.
 
     Uses the closed-form rates, so agreement with the snapshot evolution
     checks the rate formulas rather than the profile itself.  Fails with
-    SingularRateError if the horizon contains a rate divergence.
+    SingularRateError if the horizon contains a rate divergence; that one
+    check covers every time, so the system matrix takes its rates from
+    channels built once, without the per-call checks of tcl_rate_arrays.
     """
     kind = parse_kind(kind)
     _check_grid_args(t_end, tol)
@@ -303,14 +333,17 @@ def integrate_tcl(
             f"requested horizon t_end = {t_end:.9g} reaches past it"
         )
     gamma = p.gamma
+    full, half = _channels(kind, p.R)
 
-    def rhs(t, y):
-        g1, g2, g3 = (x / gamma for x in tcl_rate_arrays(kind, p, t))
+    def matrix(t):
+        g1, g2, g3 = (x / gamma for x in _rate_pieces(full, half, p, t))
         total = g1 + g2
         coh = 0.5 * total + 2.0 * g3
-        return np.array([-total * y[0] + g2 * y[3], -coh * y[1], -coh * y[2], 0.0])
+        return np.array(
+            [[-total, 0.0, 0.0, g2], [0.0, -coh, 0.0, 0.0], [0.0, 0.0, -coh, 0.0], [0.0] * 4]
+        )
 
-    grid, rows, nfev = _run_ivp(rhs, _initial_vector(s0), t_end, tol, points)
+    grid, rows, nfev = _run_ivp(matrix, _initial_vector(s0), t_end, tol, points)
     residual = float(np.max(np.abs(rows[:, 3] - 1.0)))
     return AugmentedTrajectory(
         times=grid,

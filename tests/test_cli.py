@@ -208,6 +208,41 @@ def test_solve_methods_agree(capsys):
         )
 
 
+def test_oracle_steps_too_coarse_is_rejected_before_the_ode(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the augmented ODE started")
+
+    monkeypatch.setattr(cli, "_augmented_ode", no_work)
+    code, out, err = run_cli(
+        ["oracle", "--kind", "mem", "--r", "0.2", "--n", "1",
+         "--tau-end", "1e300", "--points", "3"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert "is too long" in err
+
+
+@pytest.mark.parametrize("tau_end", ["1e5", "1e12", "1e100", "1e300"])
+@pytest.mark.parametrize("method", ["ode", "tcl"])
+@pytest.mark.parametrize("kind", ["mem", "post"])
+def test_solve_at_large_horizons_stays_finite(kind, method, tau_end, capsys):
+    code, out, err = run_cli(
+        ["solve", "--kind", kind, "--r", "0.2", "--n", "1", "--method", method,
+         "--tau-end", tau_end, "--points", "3"],
+        capsys,
+    )
+    assert "Traceback" not in err
+    if code == 1 and tau_end == "1e300":
+        assert "integrator diverged" in err
+        return
+    assert code == 0
+    _, rows = rows_of(out)
+    values = np.array([[float(v) for v in row] for row in rows])
+    assert values.shape == (3, 4)
+    assert np.all(np.isfinite(values))
+
+
 def test_solve_tcl_refuses_singular_horizon(capsys):
     code, _, err = run_cli(
         ["solve", "--kind", "mem", "--r", "0.5", "--tau-end", "10", "--method", "tcl"],

@@ -1,10 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinflow.maps import MapParams, SingularRateError, apply_map, snapshot
+from spinflow import volterra
+from spinflow.maps import (
+    MapParams,
+    SingularRateError,
+    apply_map,
+    rate_divergence_time,
+    snapshot,
+)
 from spinflow.states import EXCITED, MAXIMALLY_MIXED, PLUS, QubitState
 from spinflow.volterra import (
     IntegrationDivergenceError,
@@ -221,6 +229,57 @@ def test_argument_validation():
             integrate_quadrature(kind, g, p, EXCITED, t_end)
     with pytest.raises(ValueError, match="valid qubit state"):
         integrate_memory_kernel(g, p, QubitState(1.4, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("t_end", [1e5, 1e12, 1e100])
+@pytest.mark.parametrize("n", [0.0, 1.0])
+@pytest.mark.parametrize("kind,r", [("mem", 0.2), ("mem", 3.0), ("post", 0.2), ("post", 3.0)])
+def test_integrator_work_is_bounded_at_any_horizon(kind, r, n, t_end):
+    p = MapParams.from_ratio(r, n_occ=n)
+    g = generator_matrix(p)
+    s0 = QubitState(0.7, 0.2 - 0.1j)
+    integrate = integrate_memory_kernel if kind == "mem" else integrate_post_markovian
+    trajectories = [integrate(g, p, s0, t_end, points=3)]
+    if t_end < rate_divergence_time(kind, p):
+        trajectories.append(integrate_tcl(kind, p, s0, t_end, points=3))
+    for traj in trajectories:
+        assert traj.steps < 10_000
+        assert np.all(np.isfinite(traj.states))
+        # the last sample sits at the fixed point
+        np.testing.assert_allclose(traj.states[-1], _closed_path(kind, p, s0, [t_end])[0], atol=1e-8)
+
+
+def _stub_ivp(t, y, success):
+    """A solve_ivp stand-in that returns the given samples and outcome."""
+
+    def solve_ivp(*args, **kwargs):
+        message = "Required step size is less than spacing between numbers."
+        return SimpleNamespace(t=t, y=y, nfev=7, success=success, message=message)
+
+    return solve_ivp
+
+
+def test_integrator_failure_before_the_first_sample_is_a_divergence(monkeypatch):
+    p = MapParams.from_ratio(0.2, n_occ=1.0)
+    # solve_ivp returns lists when it reaches no t_eval point
+    monkeypatch.setattr(volterra, "solve_ivp", _stub_ivp([], [], success=False))
+    for integrate in (
+        lambda: integrate_memory_kernel(generator_matrix(p), p, EXCITED, 1e10),
+        lambda: integrate_tcl("post", p, EXCITED, 1e10),
+    ):
+        with pytest.raises(IntegrationDivergenceError, match="step size") as err:
+            integrate()
+        assert err.value.last_good_time == 0.0
+
+
+def test_non_finite_state_is_a_divergence(monkeypatch):
+    p = MapParams.from_ratio(0.2, n_occ=1.0)
+    rho = np.array([[1.0, 0.5, 0.2, 1.0], [0.5, np.nan, 0.1, 1.0], [0.4, 0.1, 0.1, 1.0]])
+    rows = np.hstack((rho, np.zeros((3, 4))))
+    monkeypatch.setattr(volterra, "solve_ivp", _stub_ivp([0.0, 0.5, 1.0], rows.T, success=True))
+    with pytest.raises(IntegrationDivergenceError, match="not finite") as err:
+        integrate_memory_kernel(generator_matrix(p), p, EXCITED, 1.0, points=3)
+    assert err.value.last_good_time == 0.0
 
 
 def test_divergence_error_carries_last_good_time():
