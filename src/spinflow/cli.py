@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -59,6 +60,8 @@ TABLE_CHUNK = 4096
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most values of a mixed table; np.float64 falls through
+        return "%.17g" % value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -179,6 +182,14 @@ def _time(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _steps(text: str) -> int:
+    """argparse type of --steps: a quadrature step count >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
@@ -658,12 +669,13 @@ def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
         g1, g2, g3 = tcl_rate_arrays(kind, p, kept)
         out["rates"] = [
             (index, kind.value, p.R, p.n_occ, t, a, b, c)
-            for t, a, b, c in zip(kept, g1, g2, g3)
+            for t, a, b, c in zip(kept.tolist(), g1.tolist(), g2.tolist(), g3.tolist())
         ]
     if "choi" in analyses:
         eigs = _snapshot_min_eigs(*snapshot_arrays(kind, p, taus))
         out["choi"] = [
-            (index, kind.value, p.R, p.n_occ, tau, eig) for tau, eig in zip(taus, eigs)
+            (index, kind.value, p.R, p.n_occ, tau, eig)
+            for tau, eig in zip(taus.tolist(), eigs.tolist())
         ]
     if "divisibility" in analyses:
         rep = divisibility_scan(kind, p, tau_end=cfg["tau_end"])
@@ -766,7 +778,13 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The spinflow argument parser, built once per process and shared.
+
+    Every call returns the same parser, so in-process main() calls pay for
+    it once.  Parsing keeps no state on it; callers must not mutate it.
+    """
     parser = _Parser(
         prog="spinflow",
         description="Damping-map evaluations, information-flow analysis, sweeps.",
@@ -794,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("closed", "ode", "quadrature", "tcl"), default="closed"
     )
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--steps", type=int, default=2000, help="quadrature steps")
+    sp.add_argument("--steps", type=_steps, default=2000, help="quadrature steps")
     _add_output_flags(sp)
 
     sp = add("trace-distance", cmd_trace_distance, help="distance of an evolving pair")
@@ -853,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=101)
     sp.add_argument("--state", default="1,0,0")
     sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--steps", type=int, default=2000)
+    sp.add_argument("--steps", type=_steps, default=2000)
     _add_output_flags(sp)
 
     sp = add("sweep", cmd_sweep, help="parameter sweep driven by a config file")

@@ -27,34 +27,43 @@ _ICO_FACES = [
 ]
 
 
+def _normalized(m: np.ndarray) -> np.ndarray:
+    """Rows of m divided by their norms, bit for bit as np.linalg.norm row by row.
+
+    np.linalg.norm of a vector is sqrt(v.dot(v)); the batched product below
+    rounds the same way, where einsum or norm(axis=1) differ in the last bit.
+    """
+    return m / np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+
+
 def icosphere(subdivisions: int) -> np.ndarray:
     """Unit vectors of a subdivided icosahedron: 10 * 4**s + 2 vertices.
 
-    Construction order is fixed, so the grid is identical across runs.
+    Construction order is fixed, so the grid is identical across runs.  Each
+    level splits every face (a, b, c) at the midpoints of ab, bc and ca, taken
+    face by face; a midpoint is numbered where its edge first occurs, and the
+    children are (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca).
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
-    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in _ICO_VERTS]
-    faces = list(_ICO_FACES)
+    verts = _normalized(np.array(_ICO_VERTS, dtype=float))
+    faces = np.array(_ICO_FACES, dtype=np.intp)
     for _ in range(subdivisions):
-        midpoint_cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            idx = midpoint_cache.get(key)
-            if idx is None:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                idx = len(verts) - 1
-                midpoint_cache[key] = idx
-            return idx
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    return np.array(verts)
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        lo, hi = np.sort(edges, axis=1).T
+        _, first, inverse = np.unique(
+            lo * len(verts) + hi, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first, kind="stable")
+        rank = np.argsort(order)  # of each distinct edge, in first-occurrence order
+        ends = edges[first[order]]
+        mids = len(verts) + rank[inverse].reshape(-1, 3)
+        verts = np.concatenate((verts, _normalized(verts[ends[:, 0]] + verts[ends[:, 1]])))
+        (a, b, c), (ab, bc, ca) = faces.T, mids.T
+        faces = np.stack(
+            (a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca), axis=1
+        ).reshape(-1, 3)
+    return verts
 
 
 def sphere_grid(min_vertices: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from spinflow.maps import (
     xi,
 )
 from spinflow.measure import certified_horizon
+from spinflow import sphere
 from spinflow.sphere import MAX_VERTICES, sphere_grid
 from spinflow.states import QubitState, state_from_bloch
 
@@ -155,6 +156,39 @@ def test_positivity_scan_flags_oscillatory_zero_occupation():
     assert result.worst_value > 1.0 + 1e-6
     oracle = _bloch_image_max(snapshot("mem", p, result.worst_tau))
     assert result.worst_value == pytest.approx(oracle, abs=1e-9)
+
+
+def _icosphere_per_midpoint(subdivisions):
+    """The icosphere as first built: one midpoint and one np.linalg.norm at a time."""
+    verts = [np.array(v, dtype=float) / np.linalg.norm(v) for v in sphere._ICO_VERTS]
+    faces = list(sphere._ICO_FACES)
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(verts)
+
+
+def test_icosphere_equals_per_midpoint_construction():
+    # the positivity witness, and so the CLI's bytes, are icosphere vertices
+    for level in range(7):
+        assert np.array_equal(sphere.icosphere(level), _icosphere_per_midpoint(level)), level
+    # level 7 keeps the vertices of level 6 in front; its reference takes seconds
+    densest = sphere.icosphere(7)
+    assert densest.shape == (MAX_VERTICES, 3)
+    assert np.array_equal(densest[: 10 * 4**6 + 2], sphere.icosphere(6))
 
 
 def _full_vertex_scan(kind, p, taus, samples):

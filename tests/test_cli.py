@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -123,6 +126,13 @@ def test_physical_parameter_entry(capsys):
         ["solve", "--kind", "mem", "--r", "0.2", "--n", "0", "--method", "quadrature",
          "--tau-end", "1e300", "--points", "3"],
         ["divisibility", "--kind", "mem", "--r", "0.2", "--n", "1", "--grid", "65537"],
+        # --steps < 1 is rejected as given, not rounded up to one step per cell
+        *(
+            [command, "--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "5",
+             "--points", "101", "--steps", steps, *method]
+            for command, method in (("solve", ["--method", "quadrature"]), ("oracle", []))
+            for steps in ("0", "-5", "-1000000")
+        ),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -509,12 +519,36 @@ def test_emit_float_table_memory_does_not_grow_with_the_table(fmt, tmp_path):
     assert peak < 16e6
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "true"),
+        (np.bool_(False), "false"),
+        (7, "7"),
+        (np.int64(-7), "-7"),
+        ("mem", "mem"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (-0.0, "-0"),
+        (math.nan, "nan"),
+        (np.float64(np.nan), "nan"),
+        (math.inf, "inf"),
+        (-np.float64(np.inf), "-inf"),
+    ],
+)
+def test_fmt_renders_each_value_type(value, text):
+    assert cli._fmt(value) == text == _fmt_per_value(value)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_mixed_rows_match_per_value_emitter(fmt, tmp_path):
     rows = [
         (np.int64(3), np.bool_(True), False, "mem", np.float64(0.1)),
         (np.int64(-7), np.bool_(False), True, "Unphysical(positivity broken)", np.float64(-0.0)),
         (0, True, np.bool_(True), "post", np.float64(5e-324)),
+        (1, False, True, "mem", 0.1),
+        (2, True, False, "post", math.nan),
+        (3, True, False, "post", -math.inf),
     ]
     headers = ("index", "ok", "divisible", "kind", "value")
     assert _emitted(tmp_path, headers, rows, fmt) == _emit_per_value(headers, rows, fmt)
@@ -597,6 +631,64 @@ def test_json_writes_non_finite_floats_as_null(capsys, tmp_path):
     assert json.loads(
         _emitted(tmp_path, ("a", "b", "c"), rows, "json"), parse_constant=_reject_constant
     ) == [{"a": None, "b": None, "c": 2}]
+
+
+def test_build_parser_is_built_once_per_process(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    run_cli(["--version"], capsys)  # the shared parser exists from here on
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    argv = ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--points", "3"]
+    for args in (argv, argv, ["xi", "--kind", "mem"], ["--version"]):
+        run_cli(args, capsys)
+    assert built == []
+    cli.build_parser.__wrapped__()  # a fresh build is what the count would see
+    assert "spinflow" in built
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    """A sequence of main() calls on the shared parser leaves no state behind.
+
+    Each call's stdout, stderr and output file equal those of the same call
+    run alone as ``python -m spinflow.cli``.
+    """
+    params = ["--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "5", "--points", "11"]
+    calls = [
+        ["solve", *params, "--method", "tcl", "--tol", "1e-8"],
+        ["solve", *params],
+        ["solve", *params, "--method", "quadrature", "--steps", "0"],
+        ["xi", *params, "--format", "json", "--out", "{out}"],
+        ["xi", *params],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    codes = []
+    for k, call in enumerate(calls):
+        outputs = []
+        for where in ("main", "fresh"):
+            target = tmp_path / f"{where}{k}.json"
+            argv = [arg.format(out=target) for arg in call]
+            if where == "main":
+                code, out, err = run_cli(argv, capsys)
+            else:
+                done = subprocess.run(
+                    [sys.executable, "-m", "spinflow.cli", *argv],
+                    capture_output=True, text=True, env=env, cwd=tmp_path,
+                )
+                code, out, err = done.returncode, done.stdout, done.stderr
+            written = target.read_bytes() if target.exists() else None
+            outputs.append((code, out, err, written))
+        assert outputs[0] == outputs[1], call
+        codes.append(outputs[0][0])
+    assert codes == [0, 0, 2, 0, 0]
 
 
 def test_version_banner(capsys):
