@@ -43,6 +43,7 @@ from .measure import DegeneratePairError, measure, sigma_analytic
 from .sphere import MAX_VERTICES
 from .states import QubitState, StatePair
 from .volterra import (
+    TOL_RANGE,
     IntegrationDivergenceError,
     generator_matrix,
     integrate_memory_kernel,
@@ -53,7 +54,9 @@ from .volterra import (
 
 TRIG_WARNING = "regime: trigonometric (4R>1), positivity not guaranteed"
 ANALYSES = ("measure", "rates", "choi", "divisibility", "positivity")
-ORACLE_TOL_RANGE = (1e-12, 1e-4)
+#: the most grid rows --points or a sweep's tau_points may ask for, checked
+#: before the grid is allocated
+_MAX_POINTS = 2**22
 #: rows of a float table formatted and written per step: the formatting
 #: memory is set by this, not by the size of the table
 TABLE_CHUNK = 4096
@@ -158,6 +161,11 @@ def _emit(headers, rows, fmt: str, out: str | None) -> None:
             stream.write(text + "\n")
 
 
+def _emit_record(record: dict, fmt: str, out: str | None) -> None:
+    """Write one row whose column names are the record's keys, in order."""
+    _emit(tuple(record), [tuple(record.values())], fmt, out)
+
+
 def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -169,36 +177,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _positive_time(text: str) -> float:
-    """argparse type of --tau-end: a finite time > 0."""
-    value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _flag_type(name: str, convert, ok, rule: str):
+    """An argparse type: convert the text, then reject a value that fails ok."""
+
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    check.__name__ = name  # argparse prints it in "invalid <name> value"
+    return check
 
 
-def _time(text: str) -> float:
-    """argparse type of choi --tau and --tau-start: a finite time >= 0."""
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
-
-
-def _steps(text: str) -> int:
-    """argparse type of --steps: a quadrature step count >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _budget(text: str) -> int:
-    """argparse type of --budget: >= 100; accepted, but changes no output."""
-    value = int(text)
-    if value < 100:
-        raise argparse.ArgumentTypeError(f"must be >= 100, got {text}")
-    return value
+# --tau-end; choi --tau and --tau-start; --steps, a quadrature step count;
+# --budget, accepted but changing no output
+_positive_time = _flag_type(
+    "_positive_time", float, lambda v: np.isfinite(v) and v > 0.0, "finite and > 0"
+)
+_time = _flag_type("_time", float, lambda v: np.isfinite(v) and v >= 0.0, "finite and >= 0")
+_steps = _flag_type("_steps", int, lambda v: v >= 1, ">= 1")
+_budget = _flag_type("_budget", int, lambda v: v >= 100, ">= 100")
 
 
 def _add_output_flags(sp) -> None:
@@ -236,6 +235,8 @@ def _params(args, parser) -> tuple[EquationKind, MapParams]:
 def _grid(args, parser) -> np.ndarray:
     if args.points < 2:
         parser.error(f"--points must be >= 2, got {args.points}")
+    if args.points > _MAX_POINTS:
+        parser.error(f"--points must be <= {_MAX_POINTS}, got {args.points}")
     return np.linspace(0.0, args.tau_end, args.points)
 
 
@@ -293,7 +294,12 @@ def cmd_solve(args, parser) -> int:
 
 def _closed_form(kind, p, s0, taus):
     """Closed-form population pe and coherence b of s0 evolved over taus."""
-    lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
+    return _evolve(snapshot_arrays(kind, p, taus), s0)
+
+
+def _evolve(snap, s0):
+    """pe and b of s0 under the affine maps snap = (lambda1, lambda3, t3), pointwise."""
+    lam1, lam3, t3 = snap
     return 0.5 * (1.0 + t3 - lam3) + lam3 * s0.population_e, lam1 * complex(s0.coherence)
 
 
@@ -347,13 +353,15 @@ def cmd_trace_distance(args, parser) -> int:
     taus = _grid(args, parser)
     s1 = _state_triple(args.state1, parser, "--state1")
     s2 = _state_triple(args.state2, parser, "--state2")
-    lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
+    snap = snapshot_arrays(kind, p, taus)
     # the arithmetic of trace_distance(apply_map(snap, s1), apply_map(snap, s2))
     # at every point, bit for bit: np.hypot equals abs(complex) where np.abs
-    # does not, and math.hypot, which np.hypot does not reproduce, runs per point
-    v = 0.5 * (1.0 + t3 - lam3)
-    a = (v + lam3 * s1.population_e) - (v + lam3 * s2.population_e)
-    db = lam1 * complex(s1.coherence) - lam1 * complex(s2.coherence)
+    # does not, and math.hypot, which np.hypot does not reproduce, runs per point;
+    # the differences are taken in place, so the lists below are all that grows
+    (a, db), (pe2, b2) = _evolve(snap, s1), _evolve(snap, s2)
+    a -= pe2
+    db -= b2
+    del pe2, b2
     distance = list(map(math.hypot, a.tolist(), np.hypot(db.real, db.imag).tolist()))
     _emit(("tau", "distance"), np.column_stack((taus, distance)), args.format, args.out)
     return 0
@@ -375,56 +383,57 @@ def cmd_sigma(args, parser) -> int:
     return 0
 
 
+def _measure_fields(m) -> dict:
+    return {
+        "value": m.value, "evaluations": m.evaluations, "method": m.method, "tau_end": m.tau_end,
+    }
+
+
+def _divisibility_fields(report) -> dict:
+    t1, t2 = report.worst_pair
+    return {
+        "divisible": report.divisible, "min_eigenvalue": report.min_eigenvalue, "t1": t1, "t2": t2,
+    }
+
+
+def _positivity_fields(result) -> dict:
+    return {"ok": result.ok, "worst_tau": result.worst_tau, "max_norm": result.worst_value}
+
+
+def _bloch_fields(prefix: str, state: QubitState) -> dict:
+    return dict(zip((f"{prefix}_x", f"{prefix}_y", f"{prefix}_z"), state.bloch()))
+
+
+_RATE_COLUMNS = ("tau", "gamma1", "gamma2", "gamma3")
+
+
+def _rate_rows(kind, p, taus):
+    """_RATE_COLUMNS on the taus before the rates diverge, and that time (inf if never)."""
+    horizon = rate_divergence_time(kind, p)
+    kept = taus[taus < horizon] if np.isfinite(horizon) else taus
+    return np.column_stack((kept, *tcl_rate_arrays(kind, p, kept))), horizon
+
+
 def cmd_measure(args, parser) -> int:
     kind, p = _params(args, parser)
     result = measure(kind, p, t_end=args.tau_end)
-    report = classify(kind, p)
-    first = result.argmax_pair.first.bloch()
-    second = result.argmax_pair.second.bloch()
-    headers = (
-        "value",
-        "evaluations",
-        "method",
-        "tau_end",
-        "classification",
-        "first_x",
-        "first_y",
-        "first_z",
-        "second_x",
-        "second_y",
-        "second_z",
-    )
-    row = (
-        result.value,
-        result.evaluations,
-        result.method,
-        result.tau_end,
-        report.verdict,
-        *first,
-        *second,
-    )
-    _emit(headers, [row], args.format, args.out)
+    record = {**_measure_fields(result), "classification": classify(kind, p).verdict}
+    pair = result.argmax_pair
+    record |= _bloch_fields("first", pair.first) | _bloch_fields("second", pair.second)
+    _emit_record(record, args.format, args.out)
     return 0
 
 
 def cmd_tcl_rates(args, parser) -> int:
     kind, p = _params(args, parser)
     taus = _grid(args, parser)
-    horizon = rate_divergence_time(kind, p)
+    rows, horizon = _rate_rows(kind, p, taus)
     if np.isfinite(horizon):
-        kept = taus[taus < horizon]
         _diag(
             f"rates diverge at tau = {_fmt(horizon)}; "
-            f"emitting {len(kept)} of {len(taus)} grid rows"
+            f"emitting {len(rows)} of {len(taus)} grid rows"
         )
-        taus = kept
-    g1, g2, g3 = tcl_rate_arrays(kind, p, taus)
-    _emit(
-        ("tau", "gamma1", "gamma2", "gamma3"),
-        np.column_stack((taus, g1, g2, g3)),
-        args.format,
-        args.out,
-    )
+    _emit(_RATE_COLUMNS, rows, args.format, args.out)
     return 0
 
 
@@ -454,16 +463,8 @@ def cmd_divisibility(args, parser) -> int:
     if not 2 <= args.grid <= MAX_GRID:
         parser.error(f"--grid must lie in [2, {MAX_GRID}], got {args.grid}")
     report = divisibility_scan(kind, p, tau_end=args.tau_end, grid=args.grid)
-    headers = ("divisible", "min_eigenvalue", "t1", "t2", "tau_end", "grid")
-    row = (
-        report.divisible,
-        report.min_eigenvalue,
-        report.worst_pair[0],
-        report.worst_pair[1],
-        report.tau_end,
-        report.grid,
-    )
-    _emit(headers, [row], args.format, args.out)
+    record = {**_divisibility_fields(report), "tau_end": report.tau_end, "grid": report.grid}
+    _emit_record(record, args.format, args.out)
     return 0
 
 
@@ -473,24 +474,17 @@ def cmd_positivity(args, parser) -> int:
     if not 1000 <= args.samples <= MAX_VERTICES:
         parser.error(f"--samples must lie in [1000, {MAX_VERTICES}], got {args.samples}")
     result = positivity_scan(kind, p, taus, samples=args.samples)
-    wx, wy, wz = result.witness.bloch()
-    headers = ("ok", "worst_tau", "max_norm", "witness_x", "witness_y", "witness_z")
-    _emit(
-        headers,
-        [(result.ok, result.worst_tau, result.worst_value, wx, wy, wz)],
-        args.format,
-        args.out,
-    )
+    record = _positivity_fields(result) | _bloch_fields("witness", result.witness)
+    _emit_record(record, args.format, args.out)
     return 0
 
 
 def cmd_oracle(args, parser) -> int:
     kind, p = _params(args, parser)
     taus = _grid(args, parser)
-    if not (ORACLE_TOL_RANGE[0] <= args.tol <= ORACLE_TOL_RANGE[1]):
+    if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
         parser.error(
-            f"--tol must lie in [{ORACLE_TOL_RANGE[0]:g}, {ORACLE_TOL_RANGE[1]:g}], "
-            f"got {args.tol}"
+            f"--tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {args.tol}"
         )
     s0 = _state_triple(args.state, parser, "--state")
 
@@ -524,31 +518,19 @@ def cmd_oracle(args, parser) -> int:
 def cmd_classify(args, parser) -> int:
     kind, p = _params(args, parser)
     report = classify(kind, p)
-    headers = (
-        "verdict",
-        "params_physical",
-        "positivity_ok",
-        "positivity_max_norm",
-        "cp_ok",
-        "cp_min_eigenvalue",
-        "divisible",
-        "divisibility_min_eigenvalue",
-        "measure_value",
-        "tau_end",
-    )
-    row = (
-        report.verdict,
-        report.params_physical,
-        report.positivity.ok,
-        report.positivity.worst_value,
-        report.cp.ok,
-        report.cp.worst_value,
-        report.divisibility.divisible,
-        report.divisibility.min_eigenvalue,
-        report.measure.value,
-        report.tau_end,
-    )
-    _emit(headers, [row], args.format, args.out)
+    record = {
+        "verdict": report.verdict,
+        "params_physical": report.params_physical,
+        "positivity_ok": report.positivity.ok,
+        "positivity_max_norm": report.positivity.worst_value,
+        "cp_ok": report.cp.ok,
+        "cp_min_eigenvalue": report.cp.worst_value,
+        "divisible": report.divisibility.divisible,
+        "divisibility_min_eigenvalue": report.divisibility.min_eigenvalue,
+        "measure_value": report.measure.value,
+        "tau_end": report.tau_end,
+    }
+    _emit_record(record, args.format, args.out)
     return 0
 
 
@@ -624,9 +606,11 @@ def _load_sweep_config(path: str) -> dict:
     tau_end = float(raw.get("tau_end", 20.0))
     if not (np.isfinite(tau_end) and tau_end > 0.0):
         raise ConfigError("tau_end must be finite and > 0")
-    tau_points = int(raw.get("tau_points", 201))
-    if tau_points < 2:
-        raise ConfigError("tau_points must be >= 2")
+    tau_points = raw.get("tau_points", 201)
+    if type(tau_points) is not int or not 2 <= tau_points <= _MAX_POINTS:
+        raise ConfigError(
+            f"tau_points must be an integer in [2, {_MAX_POINTS}], got {tau_points!r}"
+        )
     analyses = [str(a) for a in _as_list(raw.get("analyses", [])) if str(a).strip()]
     if not analyses:
         raise ConfigError("analyses must name at least one analysis")
@@ -651,59 +635,35 @@ def _load_sweep_config(path: str) -> dict:
 
 
 def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
+    """The run-record fields of one point, and its rows of each analysis table."""
     taus = np.linspace(0.0, cfg["tau_end"], cfg["tau_points"])
-    out: dict = {"index": index, "kind": kind.value, "r": p.R, "n": p.n_occ}
     analyses = cfg["analyses"]
-
     report = classify(kind, p)
-    out["classification"] = report.verdict
-    out["measure_value"] = report.measure.value
+    tables = {}
     if "measure" in analyses:
-        m = report.measure
-        out["measure"] = [
-            (index, kind.value, p.R, p.n_occ, m.value, m.evaluations, m.method, m.tau_end)
-        ]
+        tables["measure"] = [_measure_fields(report.measure).values()]
     if "rates" in analyses:
-        horizon = rate_divergence_time(kind, p)
-        kept = taus[taus < horizon] if np.isfinite(horizon) else taus
-        g1, g2, g3 = tcl_rate_arrays(kind, p, kept)
-        out["rates"] = [
-            (index, kind.value, p.R, p.n_occ, t, a, b, c)
-            for t, a, b, c in zip(kept.tolist(), g1.tolist(), g2.tolist(), g3.tolist())
-        ]
+        tables["rates"] = _rate_rows(kind, p, taus)[0].tolist()
     if "choi" in analyses:
         eigs = _snapshot_min_eigs(*snapshot_arrays(kind, p, taus))
-        out["choi"] = [
-            (index, kind.value, p.R, p.n_occ, tau, eig)
-            for tau, eig in zip(taus.tolist(), eigs.tolist())
-        ]
+        tables["choi"] = zip(taus.tolist(), eigs.tolist())
     if "divisibility" in analyses:
         rep = divisibility_scan(kind, p, tau_end=cfg["tau_end"])
-        out["divisibility"] = [
-            (
-                index, kind.value, p.R, p.n_occ,
-                rep.divisible, rep.min_eigenvalue,
-                rep.worst_pair[0], rep.worst_pair[1],
-            )
-        ]
+        tables["divisibility"] = [_divisibility_fields(rep).values()]
     if "positivity" in analyses:
-        res = positivity_scan(kind, p, taus)
-        out["positivity"] = [
-            (index, kind.value, p.R, p.n_occ, res.ok, res.worst_tau, res.worst_value)
-        ]
-    return out
+        tables["positivity"] = [_positivity_fields(positivity_scan(kind, p, taus)).values()]
+    prefix = (index, kind.value, p.R, p.n_occ)
+    out = {name: [(*prefix, *row) for row in rows] for name, rows in tables.items()}
+    return out | {"classification": report.verdict, "measure_value": report.measure.value}
 
 
+#: the columns of each sweep table after its (index, kind, r, n) prefix
 _SWEEP_HEADERS = {
-    "measure": (
-        "index", "kind", "r", "n", "value", "evaluations", "method", "tau_end",
-    ),
-    "rates": ("index", "kind", "r", "n", "tau", "gamma1", "gamma2", "gamma3"),
-    "choi": ("index", "kind", "r", "n", "tau", "min_eigenvalue"),
-    "divisibility": (
-        "index", "kind", "r", "n", "divisible", "min_eigenvalue", "t1", "t2",
-    ),
-    "positivity": ("index", "kind", "r", "n", "ok", "worst_tau", "max_norm"),
+    "measure": ("value", "evaluations", "method", "tau_end"),
+    "rates": _RATE_COLUMNS,
+    "choi": ("tau", "min_eigenvalue"),
+    "divisibility": ("divisible", "min_eigenvalue", "t1", "t2"),
+    "positivity": ("ok", "worst_tau", "max_norm"),
 }
 
 
@@ -723,7 +683,7 @@ def cmd_sweep(args, parser) -> int:
         raise OutputError(f"cannot create {out_dir}: {exc.strerror}") from None
 
     points = cfg["points"]
-    results: list[dict | None] = [None] * len(points)
+    results: list[dict] = [{}] * len(points)  # a failed point keeps its empty dict
     failures = []
     for idx, (kind, p) in enumerate(points):
         try:
@@ -732,16 +692,12 @@ def cmd_sweep(args, parser) -> int:
             failures.append({"index": idx, "error": f"{type(exc).__name__}: {exc}"})
 
     for analysis in cfg["analyses"]:
-        rows = []
-        for res in results:
-            if res is not None and analysis in res:
-                rows.extend(res[analysis])
-        suffix = "csv" if cfg["format"] == "csv" else "json"
+        rows = [row for res in results for row in res.get(analysis, ())]
         _emit(
-            _SWEEP_HEADERS[analysis],
+            ("index", "kind", "r", "n", *_SWEEP_HEADERS[analysis]),
             rows,
             cfg["format"],
-            str(out_dir / f"{analysis}.{suffix}"),
+            str(out_dir / f"{analysis}.{cfg['format']}"),
         )
 
     record = {
@@ -754,12 +710,8 @@ def cmd_sweep(args, parser) -> int:
                 "kind": kind.value,
                 "r": p.R,
                 "n": p.n_occ,
-                "classification": results[idx]["classification"]
-                if results[idx] is not None
-                else None,
-                "measure_value": results[idx]["measure_value"]
-                if results[idx] is not None
-                else None,
+                "classification": results[idx].get("classification"),
+                "measure_value": results[idx].get("measure_value"),
             }
             for idx, (kind, p) in enumerate(points)
         ],
@@ -792,21 +744,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spinflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, params=True, points=None, **kwargs):
+        """A subcommand; a points default adds a required --tau-end and a --points grid."""
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(func=func)
+        if params:
+            _add_param_flags(sp)
+        if points is not None:
+            sp.add_argument("--tau-end", type=_positive_time, required=True)
+            sp.add_argument("--points", type=int, default=points)
         return sp
 
-    sp = add("xi", cmd_xi, help="decay profile xi and its tau-derivative on a grid")
-    _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=_positive_time, required=True)
-    sp.add_argument("--points", type=int, default=201)
+    sp = add("xi", cmd_xi, points=201, help="decay profile xi and its tau-derivative on a grid")
     _add_output_flags(sp)
 
-    sp = add("solve", cmd_solve, help="evolve one state (closed form or integrator)")
-    _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=_positive_time, required=True)
-    sp.add_argument("--points", type=int, default=201)
+    sp = add("solve", cmd_solve, points=201, help="evolve one state (closed form or integrator)")
     sp.add_argument("--state", default="1,0,0", help="initial state as 'pe,re,im'")
     sp.add_argument(
         "--method", choices=("closed", "ode", "quadrature", "tcl"), default="closed"
@@ -815,24 +767,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=_steps, default=2000, help="quadrature steps")
     _add_output_flags(sp)
 
-    sp = add("trace-distance", cmd_trace_distance, help="distance of an evolving pair")
-    _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=_positive_time, required=True)
-    sp.add_argument("--points", type=int, default=201)
+    sp = add("trace-distance", cmd_trace_distance, points=201, help="distance of an evolving pair")
     sp.add_argument("--state1", default="1,0,0")
     sp.add_argument("--state2", default="0,0,0")
     _add_output_flags(sp)
 
-    sp = add("sigma", cmd_sigma, help="trace-distance rate of change for a pair")
-    _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=_positive_time, required=True)
-    sp.add_argument("--points", type=int, default=201)
+    sp = add("sigma", cmd_sigma, points=201, help="trace-distance rate of change for a pair")
     sp.add_argument("--state1", default="1,0,0")
     sp.add_argument("--state2", default="0,0,0")
     _add_output_flags(sp)
 
     sp = add("measure", cmd_measure, help="non-Markovianity measure of the best state pair")
-    _add_param_flags(sp)
     sp.add_argument("--tau-end", type=_positive_time, default=None)
     sp.add_argument(
         "--budget", type=_budget, default=1000, help="accepted (>= 100); changes no output"
@@ -840,41 +785,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, help="accepted; changes no output")
     _add_output_flags(sp)
 
-    sp = add("tcl-rates", cmd_tcl_rates, help="time-local decay rates on a grid")
-    _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=_positive_time, required=True)
-    sp.add_argument("--points", type=int, default=201)
+    sp = add("tcl-rates", cmd_tcl_rates, points=201, help="time-local decay rates on a grid")
     _add_output_flags(sp)
 
     sp = add("choi", cmd_choi, help="Choi matrix of the map at tau (or tau-start->tau)")
-    _add_param_flags(sp)
     sp.add_argument("--tau", type=_time, required=True)
     sp.add_argument("--tau-start", type=_time, default=0.0)
     _add_output_flags(sp)
 
     sp = add("divisibility", cmd_divisibility, help="two-time intermediate-map CP scan")
-    _add_param_flags(sp)
     sp.add_argument("--tau-end", type=_positive_time, default=20.0)
     sp.add_argument("--grid", type=int, default=200)
     _add_output_flags(sp)
 
     sp = add("positivity", cmd_positivity, help="Bloch-ball contraction check on a grid")
-    _add_param_flags(sp)
     sp.add_argument("--tau-end", type=_positive_time, default=20.0)
     sp.add_argument("--points", type=int, default=201)
     sp.add_argument("--samples", type=int, default=1000)
     _add_output_flags(sp)
 
-    sp = add("oracle", cmd_oracle, help="closed form vs both integration routes")
-    _add_param_flags(sp)
-    sp.add_argument("--tau-end", type=_positive_time, required=True)
-    sp.add_argument("--points", type=int, default=101)
+    sp = add("oracle", cmd_oracle, points=101, help="closed form vs both integration routes")
     sp.add_argument("--state", default="1,0,0")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--steps", type=_steps, default=2000)
     _add_output_flags(sp)
 
-    sp = add("sweep", cmd_sweep, help="parameter sweep driven by a config file")
+    sp = add("sweep", cmd_sweep, params=False, help="parameter sweep driven by a config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out-dir", default=None)
     sp.add_argument(
@@ -883,7 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sp = add("classify", cmd_classify, help="regime verdict for one parameter point")
-    _add_param_flags(sp)
     sp.add_argument(
         "--budget", type=_budget, default=400, help="accepted (>= 100); changes no output"
     )

@@ -133,6 +133,9 @@ def test_physical_parameter_entry(capsys):
             for command, method in (("solve", ["--method", "quadrature"]), ("oracle", []))
             for steps in ("0", "-5", "-1000000")
         ),
+        # grids past the cap: a flag error before the grid is allocated
+        ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--points", "1000000000000"],
+        ["positivity", "--kind", "mem", "--r", "0.2", "--points", str(cli._MAX_POINTS + 1)],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -811,6 +814,10 @@ def test_sweep_json_config_and_json_outputs(tmp_path, capsys):
         "kind = mem\nr = 0.1\nanalyses = spectroscopy\n",
         "kind = mem\nr = 0.1\nanalyses = rates\ntau_end = NaN\n",
         "kind = mem\nr = 0.1\nanalyses = rates\ntau_end = inf\n",
+        # tau_points is an integer up to the grid cap, never truncated
+        "kind = mem\nr = 0.1\nanalyses = rates\ntau_points = 2.7\n",
+        f"kind = mem\nr = 0.1\nanalyses = rates\ntau_points = {cli._MAX_POINTS + 1}\n",
+        'kind = mem\nr = 0.1\nanalyses = rates\ntau_points = "201"\n',
     ],
 )
 def test_sweep_config_errors_exit_2(text, tmp_path, capsys):
@@ -820,3 +827,146 @@ def test_sweep_config_errors_exit_2(text, tmp_path, capsys):
     )
     assert code == 2
     assert "config error" in err
+
+
+def test_grid_at_the_cap_is_accepted():
+    args = cli.build_parser().parse_args(
+        ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1",
+         "--points", str(cli._MAX_POINTS)]
+    )
+    assert len(cli._grid(args, cli.build_parser())) == cli._MAX_POINTS
+    # above the largest grid a workload, test or example uses
+    assert cli._MAX_POINTS > 200_001
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["xi", "--kind", "mem", "--r", "0.2", "--tau-end"], "_positive_time"),
+        (["choi", "--kind", "mem", "--r", "0.2", "--tau"], "_time"),
+        (["solve", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--steps"], "_steps"),
+        (["measure", "--kind", "mem", "--r", "0.2", "--budget"], "_budget"),
+    ],
+    ids=["tau-end", "tau", "steps", "budget"],
+)
+def test_flag_type_errors_name_the_type(argv, name, capsys):
+    code, out, err = run_cli([*argv, "1.5x"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"invalid {name} value: '1.5x'\n")
+
+
+SINGLE_ROW_HEADERS = {
+    "measure": ["value", "evaluations", "method", "tau_end", "classification",
+                "first_x", "first_y", "first_z", "second_x", "second_y", "second_z"],
+    "classify": ["verdict", "params_physical", "positivity_ok", "positivity_max_norm",
+                 "cp_ok", "cp_min_eigenvalue", "divisible", "divisibility_min_eigenvalue",
+                 "measure_value", "tau_end"],
+    "divisibility": ["divisible", "min_eigenvalue", "t1", "t2", "tau_end", "grid"],
+    "positivity": ["ok", "worst_tau", "max_norm", "witness_x", "witness_y", "witness_z"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(SINGLE_ROW_HEADERS))
+def test_single_row_headers(command, fmt, capsys):
+    extra = {"divisibility": ["--grid", "20"], "positivity": ["--tau-end", "5"]}
+    code, out, _ = run_cli(
+        [command, "--kind", "mem", "--r", "0.2", "--n", "1", *extra.get(command, []),
+         "--format", fmt],
+        capsys,
+    )
+    assert code == 0
+    expected = SINGLE_ROW_HEADERS[command]
+    if fmt == "csv":
+        header, rows = rows_of(out)
+        assert (header, len(rows)) == (expected, 1)
+    else:
+        (record,) = json.loads(out)
+        assert list(record) == sorted(expected)
+
+
+SWEEP_TABLE_HEADERS = {
+    "measure": ["index", "kind", "r", "n", "value", "evaluations", "method", "tau_end"],
+    "rates": ["index", "kind", "r", "n", "tau", "gamma1", "gamma2", "gamma3"],
+    "choi": ["index", "kind", "r", "n", "tau", "min_eigenvalue"],
+    "divisibility": ["index", "kind", "r", "n", "divisible", "min_eigenvalue", "t1", "t2"],
+    "positivity": ["index", "kind", "r", "n", "ok", "worst_tau", "max_norm"],
+}
+
+ALL_ANALYSES_CONFIG = """\
+kind = mem, post
+r = 0.1, 0.2
+n = 1
+tau_end = 8
+tau_points = 11
+analyses = measure, rates, choi, divisibility, positivity
+format = {fmt}
+"""
+
+
+def _sweep_tables(out_dir, fmt):
+    """{analysis: (header, rows)} of a sweep's files; JSON keys come sorted."""
+    tables = {}
+    for analysis in SWEEP_TABLE_HEADERS:
+        text = (out_dir / f"{analysis}.{fmt}").read_text()
+        if fmt == "csv":
+            tables[analysis] = rows_of(text)
+        else:
+            records = json.loads(text)
+            assert len({tuple(rec) for rec in records}) == 1
+            tables[analysis] = list(records[0]), [list(rec.values()) for rec in records]
+    return tables
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_records_a_failed_point_and_goes_on(fmt, monkeypatch, tmp_path, capsys):
+    """The failed point is in the record, with nulls; every table keeps its header."""
+    real = cli.divisibility_scan
+
+    def fails_at_one_point(kind, p, **kwargs):
+        if kind.value == "post" and p.R == 0.1:
+            raise RuntimeError("injected")
+        return real(kind, p, **kwargs)
+
+    monkeypatch.setattr(cli, "divisibility_scan", fails_at_one_point)
+    cfg = _write_config(tmp_path, ALL_ANALYSES_CONFIG.format(fmt=fmt))
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(["sweep", "--config", cfg, "--out-dir", str(out_dir)], capsys)
+    assert (code, out) == (0, "")
+    assert "4 points, 1 failures" in err
+    assert "point 2 failed: RuntimeError: injected" in err
+
+    record = json.loads((out_dir / "run_record.json").read_text())
+    jsonschema.validate(record, SCHEMA)
+    assert record["failures"] == [{"index": 2, "error": "RuntimeError: injected"}]
+    failed = record["points"][2]
+    assert (failed["kind"], failed["r"]) == ("post", 0.1)
+    assert failed["classification"] is None and failed["measure_value"] is None
+    others = [pt for pt in record["points"] if pt["index"] != 2]
+    assert all(pt["classification"] is not None for pt in others)
+    assert all(pt["measure_value"] == 0.0 for pt in others)
+
+    for analysis, (header, rows) in _sweep_tables(out_dir, fmt).items():
+        expected = SWEEP_TABLE_HEADERS[analysis]
+        assert header == (expected if fmt == "csv" else sorted(expected)), analysis
+        index = header.index("index")
+        per_point = 11 if analysis in ("rates", "choi") else 1
+        assert [int(row[index]) for row in rows] == [
+            i for i in (0, 1, 3) for _ in range(per_point)
+        ], analysis
+
+
+def test_sweep_with_every_point_failed_keeps_every_header(monkeypatch, tmp_path, capsys):
+    def fails(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "classify", fails)
+    cfg = _write_config(tmp_path, ALL_ANALYSES_CONFIG.format(fmt="csv"))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(["sweep", "--config", cfg, "--out-dir", str(out_dir)], capsys)
+    assert code == 0 and "4 points, 4 failures" in err
+    for analysis, header in SWEEP_TABLE_HEADERS.items():
+        assert (out_dir / f"{analysis}.csv").read_text() == ",".join(header) + "\n"
+    record = json.loads((out_dir / "run_record.json").read_text())
+    jsonschema.validate(record, SCHEMA)
+    assert [pt["classification"] for pt in record["points"]] == [None] * 4
