@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .maps import EquationKind, MapParams, _channels, _check_times, parse_kind, xi_envelope
 from .states import StatePair, state_from_bloch
@@ -49,6 +48,17 @@ __all__ = [
 
 #: |xi| must decay below this at the horizon for truncation to be certified
 TAIL_TOL = 1e-6
+
+
+def brentq(f, a: float, b: float, **kwargs) -> float:
+    """scipy.optimize.brentq, imported at the first call.
+
+    Only flow_report polishes roots, and no CLI path calls it, so the CLI
+    runs without scipy.
+    """
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
 
 
 class DegeneratePairError(ValueError):

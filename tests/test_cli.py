@@ -221,6 +221,77 @@ def test_solve_methods_agree(capsys):
         )
 
 
+def _solve_rows(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    return np.array([[float(v) for v in row] for row in rows_of(out)[1]])
+
+
+@pytest.mark.parametrize("r", ["1e5", "1e8"])
+def test_solve_ode_at_strong_memory_coupling(r, capsys):
+    base = ["solve", "--kind", "mem", "--r", r, "--n", "1", "--tau-end", "20", "--points", "3"]
+    ode = _solve_rows(base + ["--method", "ode"], capsys)
+    closed = _solve_rows(base + ["--method", "closed"], capsys)
+    np.testing.assert_allclose(ode, closed, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("r", ["1e20", "1e150"])
+@pytest.mark.parametrize("kind", ["mem", "post"])
+def test_solve_ode_past_the_system_bound_is_a_tool_failure(kind, r, capsys):
+    code, out, err = run_cli(
+        ["solve", "--kind", kind, "--r", r, "--n", "1", "--tau-end", "20", "--points", "3",
+         "--method", "ode"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert len(err.strip().splitlines()) == 1
+    assert "integrator diverged" in err and "2**50" in err
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """No subcommand imports scipy; flow_report still polishes with brentq."""
+    script = f"""
+import sys
+import spinflow.cli
+assert "scipy" not in sys.modules
+from spinflow.cli import main
+params = ["--kind", "mem", "--r", "0.5", "--n", "1", "--tau-end", "4", "--points", "11"]
+out = ["--out", {str(tmp_path / "out.csv")!r}]
+calls = [
+    ["xi", *params, *out],
+    ["measure", "--kind", "mem", "--r", "2", "--n", "1", *out],
+    ["classify", "--kind", "mem", "--r", "2", "--n", "1", *out],
+    ["oracle", *params, *out],
+    *(["solve", *params, "--method", m, *out] for m in ("ode", "tcl", "quadrature")),
+    ["sweep", "--config", {str(ROOT / "configs" / "smoke_sweep.txt")!r},
+     "--out-dir", {str(tmp_path / "sweep")!r}],
+]
+for argv in calls:
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+measure = sys.modules["spinflow.measure"]  # the package exports a function of that name
+from spinflow.maps import MapParams
+from spinflow.states import EXCITED, GROUND, StatePair
+calls = []
+real = measure.brentq
+def counting(*args, **kwargs):
+    calls.append(args)
+    return real(*args, **kwargs)
+measure.brentq = counting
+pair = StatePair(EXCITED, GROUND)
+measure.flow_report("mem", MapParams.from_ratio(2.0, n_occ=1.0), pair, 40.0, 2001)
+assert calls and "scipy.optimize" in sys.modules
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_oracle_steps_too_coarse_is_rejected_before_the_ode(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("the augmented ODE started")

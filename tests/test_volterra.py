@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -249,40 +248,191 @@ def test_integrator_work_is_bounded_at_any_horizon(kind, r, n, t_end):
         np.testing.assert_allclose(traj.states[-1], _closed_path(kind, p, s0, [t_end])[0], atol=1e-8)
 
 
-def _stub_ivp(t, y, success):
-    """A solve_ivp stand-in that returns the given samples and outcome."""
+def _nan_expm(a, t=1.0):
+    """An _expm stand-in whose propagator is not finite."""
+    return np.full_like(np.asarray(a, dtype=float), np.nan), 0
 
-    def solve_ivp(*args, **kwargs):
-        message = "Required step size is less than spacing between numbers."
-        return SimpleNamespace(t=t, y=y, nfev=7, success=success, message=message)
 
-    return solve_ivp
+def _nan_rates_after(tau):
+    """A _rate_pieces stand-in whose rates are NaN at times past tau."""
+    real = volterra._rate_pieces
+
+    def rate_pieces(full, half, p, t):
+        return tuple(np.where(t > tau, np.nan, x) for x in real(full, half, p, t))
+
+    return rate_pieces
 
 
 def test_integrator_failure_before_the_first_sample_is_a_divergence(monkeypatch):
     p = MapParams.from_ratio(0.2, n_occ=1.0)
-    # solve_ivp returns lists when it reaches no t_eval point
-    monkeypatch.setattr(volterra, "solve_ivp", _stub_ivp([], [], success=False))
+    monkeypatch.setattr(volterra, "_expm", _nan_expm)
+    monkeypatch.setattr(volterra, "_rate_pieces", _nan_rates_after(0.0))
     for integrate in (
         lambda: integrate_memory_kernel(generator_matrix(p), p, EXCITED, 1e10),
+        lambda: integrate_post_markovian(generator_matrix(p), p, EXCITED, 1e10),
         lambda: integrate_tcl("post", p, EXCITED, 1e10),
     ):
-        with pytest.raises(IntegrationDivergenceError, match="step size") as err:
+        with pytest.raises(IntegrationDivergenceError, match="not finite") as err:
             integrate()
         assert err.value.last_good_time == 0.0
 
 
 def test_non_finite_state_is_a_divergence(monkeypatch):
     p = MapParams.from_ratio(0.2, n_occ=1.0)
+    # the time-local route keeps the grid times whose integrals end before the NaN
+    monkeypatch.setattr(volterra, "_rate_pieces", _nan_rates_after(0.5))
+    with pytest.raises(IntegrationDivergenceError, match="rates are not finite") as err:
+        integrate_tcl("mem", p, EXCITED, 1.0, points=3)
+    assert err.value.last_good_time == 0.5
+    # the augmented route stops at the row before the first non-finite one
     rho = np.array([[1.0, 0.5, 0.2, 1.0], [0.5, np.nan, 0.1, 1.0], [0.4, 0.1, 0.1, 1.0]])
     rows = np.hstack((rho, np.zeros((3, 4))))
-    monkeypatch.setattr(volterra, "solve_ivp", _stub_ivp([0.0, 0.5, 1.0], rows.T, success=True))
-    with pytest.raises(IntegrationDivergenceError, match="not finite") as err:
+    monkeypatch.setattr(volterra, "_orbit", lambda *args: (rows, 0))
+    with pytest.raises(IntegrationDivergenceError, match="state is not finite") as err:
         integrate_memory_kernel(generator_matrix(p), p, EXCITED, 1.0, points=3)
     assert err.value.last_good_time == 0.0
+
+
+def _augmented(kind):
+    return integrate_memory_kernel if kind == "mem" else integrate_post_markovian
+
+
+def _system(kind, ghat):
+    system = volterra._memory_kernel_system if kind == "mem" else volterra._post_markovian_system
+    return system(ghat)
+
+
+@pytest.mark.parametrize("r", [1e5, 1e8])
+@pytest.mark.parametrize("points", [3, 101])
+def test_augmented_ode_is_exact_at_strong_coupling(r, points):
+    # the work grows with log R only: the doublings of one exponential
+    p = MapParams.from_ratio(r, n_occ=1.0)
+    s0 = QubitState(0.7, 0.2 - 0.1j)
+    traj = integrate_memory_kernel(generator_matrix(p), p, s0, 20.0, points=points)
+    assert traj.steps < 300
+    assert _max_gap(traj.states, _closed_path("mem", p, s0, traj.times)) < 1e-9
+    assert traj.max_residual == 0.0
+
+
+@pytest.mark.parametrize("t_end", [1e20, 1e100])
+@pytest.mark.parametrize("kind", ["mem", "post"])
+def test_augmented_ode_resolves_a_slow_mode_at_huge_horizons(kind, t_end):
+    # the slow rate 1e-20 of e^{A d} would round away in a plain squaring
+    p = MapParams.from_ratio(1e-20, n_occ=1.0)
+    s0 = QubitState(0.7, 0.2 - 0.1j)
+    for points in (3, 101):
+        traj = _augmented(kind)(generator_matrix(p), p, s0, t_end, points=points)
+        assert traj.steps < 1000
+        assert _max_gap(traj.states, _closed_path(kind, p, s0, traj.times)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["mem", "post"])
+def test_augmented_ode_refuses_systems_past_the_norm_bound(kind):
+    # the bound is on ||A||_1 of the system: R for the memory kernel, 2R + 1 dressed
+    bound = volterra._MAX_SYSTEM_NORM
+    inside = bound if kind == "mem" else (bound - 1.0) / 2.0
+    for r, refused in ((inside, False), (inside * (1.0 + 1e-12), True), (1e20, True), (1e150, True)):
+        p = MapParams.from_ratio(r, n_occ=1.0)
+        g = generator_matrix(p)
+        norm = np.max(np.sum(np.abs(_system(kind, g / p.gamma)), axis=0))
+        assert (norm > bound) == refused
+        if refused:
+            with pytest.raises(IntegrationDivergenceError, match="2\\*\\*50") as err:
+                _augmented(kind)(g, p, EXCITED, 20.0, points=3)
+            assert err.value.last_good_time == 0.0
+        else:
+            traj = _augmented(kind)(g, p, EXCITED, 20.0, points=3)
+            assert _max_gap(traj.states, _closed_path(kind, p, EXCITED, traj.times)) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["mem", "post"])
+def test_augmented_ode_never_returns_a_wrong_finite_row(kind):
+    s0 = QubitState(0.7, 0.2 - 0.1j)
+    for r in 10.0 ** np.arange(-20, 151, 2):
+        for n in (0.0, 1.0):
+            p = MapParams.from_ratio(r, n_occ=n)
+            for t_end in (1.0, 20.0, 1e5, 1e100):
+                try:
+                    traj = _augmented(kind)(generator_matrix(p), p, s0, t_end, points=11)
+                except IntegrationDivergenceError:
+                    continue
+                gap = _max_gap(traj.states, _closed_path(kind, p, s0, traj.times))
+                assert gap < 1e-6, (r, n, t_end, gap)
+
+
+def _generators():
+    for r in (1e-6, 0.05, 0.2, 1.0, 3.0, 100.0):
+        for n in (0.0, 1.0, 10.0):
+            p = MapParams.from_ratio(r, n_occ=n)
+            yield generator_matrix(p) / p.gamma
+
+
+def test_expm_matches_scipy():
+    # test-only scipy: the generators and both augmented systems, ||A d||_1 up to 1e3
+    for ghat in _generators():
+        for a in (ghat, _system("mem", ghat), _system("post", ghat)):
+            norm = np.max(np.sum(np.abs(a), axis=0))
+            for scaled in (1e-3, 0.5, 1.0, 10.0, 1e3):
+                d = scaled / norm
+                reference = expm(a * d)
+                got, _ = volterra._expm(a, d)
+                assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_expm_keeps_a_slow_mode_and_huge_steps():
+    # plain squaring of S = e^{A d / 2**s} rounds e^{-1e-20 d / 2**s} to 1 and returns 1
+    got, _ = volterra._expm(np.diag([-1.0, -1e-20]), 1e20)
+    np.testing.assert_allclose(got, np.diag([0.0, math.exp(-1.0)]), rtol=1e-15, atol=0.0)
+    # d = 5e99, where scipy's expm returns NaN: exp(ghat d) projects on the fixed point
+    for ghat in _generators():
+        got, _ = volterra._expm(ghat, 5e99)
+        fixed = np.zeros((4, 4))
+        fixed[3, 3] = 1.0
+        if ghat[0, 0] != 0.0:
+            fixed[0, 3] = -ghat[0, 3] / ghat[0, 0]
+        np.testing.assert_allclose(got, fixed, rtol=0.0, atol=1e-15)
+    assert np.all(np.isnan(volterra._expm(np.array([[np.inf]]))[0]))
+
+
+@pytest.mark.parametrize("kind,r,n", [("mem", 0.2, 1.0), ("mem", 0.05, 10.0), ("post", 0.2, 1.0),
+                                      ("post", 0.05, 10.0), ("post", 1e4, 1.0), ("post", 1e8, 1.0)])
+def test_exact_routes_agree_with_the_closed_form_to_rounding(kind, r, n):
+    p = MapParams.from_ratio(r, n_occ=n)
+    s0 = QubitState(0.7, 0.2 - 0.1j)
+    closed = _closed_path(kind, p, s0, np.linspace(0.0, 20.0, 101))
+    tcl = integrate_tcl(kind, p, s0, 20.0, points=101)
+    assert np.max(np.abs(tcl.states - closed)) <= 1e-12
+    ode = _augmented(kind)(generator_matrix(p), p, s0, 20.0, points=101)
+    assert np.max(np.abs(ode.states - closed)) <= 1e-12
+
+
+@pytest.mark.parametrize("t_end", [1e20, 1e100, 1e300])
+@pytest.mark.parametrize("kind,r", [("mem", 1e-20), ("post", 1e-20), ("post", 1e150)])
+def test_time_local_work_stays_bounded_where_the_rates_lose_bits(kind, r, t_end):
+    # past xi's normal floats the rates lose bits, but the states no longer feel them
+    p = MapParams.from_ratio(r, n_occ=1.0)
+    s0 = QubitState(0.7, 0.2 - 0.1j)
+    traj = integrate_tcl(kind, p, s0, t_end, points=3)
+    assert traj.steps < 50_000
+    with np.errstate(over="ignore"):  # the closed form's phase R tau overflows to inf
+        closed = _closed_path(kind, p, s0, traj.times)
+    assert _max_gap(traj.states, closed) < 1e-12
 
 
 def test_divergence_error_carries_last_good_time():
     err = IntegrationDivergenceError("stalled", last_good_time=2.5)
     assert err.last_good_time == 2.5
     assert "stalled" in str(err)
+
+
+@pytest.mark.parametrize("r", [0.26, 3.0, 1e4])
+def test_time_local_route_runs_up_to_the_rate_divergence(r):
+    # near the first zero of xi the rates carry rounding of about eps / |xi|
+    p = MapParams.from_ratio(r, n_occ=1.0)
+    horizon = rate_divergence_time("mem", p)
+    s0 = QubitState(0.7, 0.2 - 0.1j)
+    for t_end in (horizon * (1.0 - 1e-12), math.nextafter(horizon, 0.0)):
+        for points in (2, 101):
+            traj = integrate_tcl("mem", p, s0, t_end, points=points)
+            assert traj.steps < 10_000
+            assert _max_gap(traj.states, _closed_path("mem", p, s0, traj.times)) < 1e-12
