@@ -10,7 +10,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,6 @@ from .states import QubitState, StatePair
 from .volterra import (
     TOL_RANGE,
     IntegrationDivergenceError,
-    generator_matrix,
     integrate_memory_kernel,
     integrate_post_markovian,
     integrate_quadrature,
@@ -191,12 +189,17 @@ def _flag_type(name: str, convert, ok, rule: str):
 
 
 # --tau-end; choi --tau and --tau-start; --steps, a quadrature step count;
-# --budget, accepted but changing no output
+# --tol, an integration or agreement tolerance; --budget, accepted but
+# changing no output
 _positive_time = _flag_type(
     "_positive_time", float, lambda v: np.isfinite(v) and v > 0.0, "finite and > 0"
 )
 _time = _flag_type("_time", float, lambda v: np.isfinite(v) and v >= 0.0, "finite and >= 0")
 _steps = _flag_type("_steps", int, lambda v: v >= 1, ">= 1")
+_tol = _flag_type(
+    "_tol", float, lambda v: TOL_RANGE[0] <= v <= TOL_RANGE[1],
+    f"in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]",
+)
 _budget = _flag_type("_budget", int, lambda v: v >= 100, ">= 100")
 
 
@@ -279,7 +282,7 @@ def cmd_solve(args, parser) -> int:
         rows = np.column_stack((taus, pe, b.real, b.imag))
     else:
         try:
-            traj = _integrate(kind, p, s0, args, parser)
+            traj = _integrate(args.method, kind, p, s0, args, parser)
         except IntegrationDivergenceError as exc:
             _diag(f"integrator diverged: {exc}")
             return 1
@@ -303,46 +306,29 @@ def _evolve(snap, s0):
     return 0.5 * (1.0 + t3 - lam3) + lam3 * s0.population_e, lam1 * complex(s0.coherence)
 
 
-def _augmented_ode(kind, p, s0, tau_end, tol, points):
+def _augmented_ode(kind, p, s0, tau_end, points):
     """Augmented-ODE trajectory of the equation of the given kind."""
     run = (
         integrate_memory_kernel
         if kind is EquationKind.MEMORY_KERNEL
         else integrate_post_markovian
     )
-    return run(generator_matrix(p), p, s0, tau_end, tol, points=points)
+    return run(p, s0, tau_end, points=points)
 
 
-def _quadrature_on_grid(kind, p, s0, args, parser):
-    """Volterra quadrature trajectory sampled on linspace(0, --tau-end, --points).
+def _integrate(method, kind, p, s0, args, parser):
+    """The trajectory of one integration route on the --points grid.
 
-    The --steps count is rounded up to a multiple of the grid so every
-    requested tau lands exactly on a quadrature node; a count the quadrature
-    rejects is a usage error.
+    An argument the route refuses (a --steps too coarse, a step too long) is
+    a usage error.
     """
-    per_cell = max(1, -(-args.steps // (args.points - 1)))
     try:
-        traj = integrate_quadrature(
-            kind, generator_matrix(p), p, s0, args.tau_end,
-            steps=per_cell * (args.points - 1),
-        )
-    except ValueError as exc:
-        parser.error(f"--steps {args.steps} on {args.points} points: {exc}")
-    keep = np.arange(args.points) * per_cell
-    return replace(
-        traj,
-        times=traj.times[keep],
-        states=traj.states[keep],
-        auxiliary=traj.auxiliary[keep],
-    )
-
-
-def _integrate(kind, p, s0, args, parser):
-    if args.method == "quadrature":
-        return _quadrature_on_grid(kind, p, s0, args, parser)
-    try:
-        if args.method == "ode":
-            return _augmented_ode(kind, p, s0, args.tau_end, args.tol, args.points)
+        if method == "quadrature":
+            return integrate_quadrature(
+                kind, p, s0, args.tau_end, args.steps, points=args.points
+            )
+        if method == "ode":
+            return _augmented_ode(kind, p, s0, args.tau_end, args.points)
         return integrate_tcl(kind, p, s0, args.tau_end, args.tol, points=args.points)
     except ValueError as exc:
         parser.error(str(exc))
@@ -356,14 +342,19 @@ def cmd_trace_distance(args, parser) -> int:
     snap = snapshot_arrays(kind, p, taus)
     # the arithmetic of trace_distance(apply_map(snap, s1), apply_map(snap, s2))
     # at every point, bit for bit: np.hypot equals abs(complex) where np.abs
-    # does not, and math.hypot, which np.hypot does not reproduce, runs per point;
-    # the differences are taken in place, so the lists below are all that grows
+    # does not, and math.hypot, which np.hypot does not reproduce, runs per
+    # point, on TABLE_CHUNK points at a time
     (a, db), (pe2, b2) = _evolve(snap, s1), _evolve(snap, s2)
     a -= pe2
     db -= b2
     del pe2, b2
-    distance = list(map(math.hypot, a.tolist(), np.hypot(db.real, db.imag).tolist()))
-    _emit(("tau", "distance"), np.column_stack((taus, distance)), args.format, args.out)
+    rows = np.empty((len(taus), 2))
+    rows[:, 0] = taus
+    for start in range(0, len(taus), TABLE_CHUNK):
+        part = slice(start, start + TABLE_CHUNK)
+        modulus = np.hypot(db[part].real, db[part].imag)
+        rows[part, 1] = list(map(math.hypot, a[part].tolist(), modulus.tolist()))
+    _emit(("tau", "distance"), rows, args.format, args.out)
     return 0
 
 
@@ -482,24 +473,23 @@ def cmd_positivity(args, parser) -> int:
 def cmd_oracle(args, parser) -> int:
     kind, p = _params(args, parser)
     taus = _grid(args, parser)
-    if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
-        parser.error(
-            f"--tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {args.tol}"
-        )
     s0 = _state_triple(args.state, parser, "--state")
 
     pe_closed, b_closed = _closed_form(kind, p, s0, taus)
     # the quadrature runs first: a --steps too coarse for it is a usage error
-    quad = _quadrature_on_grid(kind, p, s0, args, parser)
+    quad = _integrate("quadrature", kind, p, s0, args, parser)
     try:
-        ode = _augmented_ode(kind, p, s0, args.tau_end, min(args.tol, 1e-8), args.points)
+        ode = _integrate("ode", kind, p, s0, args, parser)
     except IntegrationDivergenceError as exc:
         _diag(f"integrator diverged: {exc}")
         return 1
 
     closed = np.column_stack((pe_closed, b_closed.real, b_closed.imag))
     rows = np.column_stack((taus, closed, ode.states, quad.states))
-    worst = float(np.max(np.abs(np.stack((ode.states, quad.states)) - closed)))
+    deltas = {
+        route: float(np.max(np.abs(traj.states - closed)))
+        for route, traj in (("ode", ode), ("quadrature", quad))
+    }
     headers = (
         "tau",
         "pe_closed", "re_b_closed", "im_b_closed",
@@ -507,11 +497,13 @@ def cmd_oracle(args, parser) -> int:
         "pe_quad", "re_b_quad", "im_b_quad",
     )
     _emit(headers, rows, args.format, args.out)
-    ok = worst <= args.tol
-    _diag(
-        f"max|delta| = {worst:.3e} {'<=' if ok else '>'} {args.tol:g}: "
-        f"{'PASS' if ok else 'FAIL'}"
-    )
+    for route, delta in deltas.items():
+        _diag(f"{route}: max|delta| = {delta:.3e}")
+    worst = max(deltas, key=deltas.get)
+    if deltas[worst] <= args.tol:
+        _diag(f"max|delta| = {deltas[worst]:.3e} <= {args.tol:g}: PASS")
+    else:
+        _diag(f"max|delta| = {deltas[worst]:.3e} ({worst}) > {args.tol:g}: FAIL")
     return 0
 
 
@@ -763,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--method", choices=("closed", "ode", "quadrature", "tcl"), default="closed"
     )
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_tol, default=1e-10)
     sp.add_argument("--steps", type=_steps, default=2000, help="quadrature steps")
     _add_output_flags(sp)
 
@@ -806,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("oracle", cmd_oracle, points=101, help="closed form vs both integration routes")
     sp.add_argument("--state", default="1,0,0")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_tol, default=1e-6)
     sp.add_argument("--steps", type=_steps, default=2000)
     _add_output_flags(sp)
 

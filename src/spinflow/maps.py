@@ -73,7 +73,8 @@ __all__ = [
 #: branch-point distance within which xi_envelope uses its (1 + theta) form;
 #: value, derivative and log-derivative need no such window
 BRANCH_TAYLOR_TOL = 1e-6
-#: below this |xi| the rates use the closed-form log-derivative, not xi' / xi
+#: below this |xi| (or unscaled |xi'|) the rates use the closed-form
+#: log-derivative, not xi' / xi
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
@@ -415,16 +416,21 @@ def rate_divergence_time(kind, p: MapParams) -> float:
 
 
 def _slope_terms(channel: _Channel, t):
-    """(xi', xi) of one channel, or (xi'/xi, 1) where xi is below the normal floats.
+    """(xi', xi) of one channel, or (xi'/xi, 1) where either is below the normal floats.
 
-    Their quotient is the log-derivative everywhere.  Where xi has underflowed
-    to 0 (or to a subnormal with few significant bits) the closed-form
-    log-derivative replaces the quotient; every other point keeps it.
+    Their quotient is the log-derivative everywhere.  Where xi, or xi' before
+    its scaling by dtheta/dtau, has underflowed to 0 (or to a subnormal with
+    few significant bits) the closed-form log-derivative replaces the
+    quotient; every other point keeps it.  The scaled xi' is checked against
+    tiny max(1, tscale), which covers both the scaled and the unscaled value.
     """
     x, d = channel.value(t), channel.derivative(t)
+    floor = _NORMAL_MIN * max(1.0, channel.tscale)
     if np.ndim(t) == 0:
-        return (d, x) if abs(x) >= _NORMAL_MIN else (channel.log_derivative(t), 1.0)
-    under = np.abs(x) < _NORMAL_MIN
+        if abs(x) >= _NORMAL_MIN and abs(d) >= floor:
+            return d, x
+        return channel.log_derivative(t), 1.0
+    under = (np.abs(x) < _NORMAL_MIN) | (np.abs(d) < floor)
     if under.any():  # value and derivative return fresh arrays
         d[under] = channel.log_derivative(t[under])
         x[under] = 1.0

@@ -24,12 +24,12 @@ Two independent routes are provided.
     implicit matrix.  Both kernels are powers of a one-step kernel, so the
     discrete history is carried by a one-step recursion that sums exactly
     the same trapezoid terms as the explicit sum.  That recursion is linear
-    with constant coefficients, so the grid states are powers of one 12x12
-    propagator applied to the initial vector, evaluated in a few batched
-    products instead of a loop over time steps.  The propagator never uses
-    maps or the augmented-ODE code, and its kernel comes from the matrix
-    exponential of the generator, so route 2 stays independent of route 1
-    and a bug in route 1 cannot self-confirm.
+    with constant coefficients: the states on the output grid are powers of
+    the propagator of one grid cell applied to the initial vector, evaluated
+    in a few batched products instead of a loop over time steps.  The
+    propagator never uses maps or the augmented-ODE code, and its kernel
+    comes from the matrix exponential of the generator, so route 2 stays
+    independent of route 1 and a bug in route 1 cannot self-confirm.
 
 Both routes take their exponentials from _expm, one numpy scaling and
 squaring (Moler & Van Loan, SIAM Rev. 45, 2003): route 1 of the 8x8 system,
@@ -37,13 +37,15 @@ route 2 of the 4x4 generator.  The time-local route integrates the closed
 form rates of maps by adaptive Gauss-Legendre quadrature.  No route needs
 scipy.
 
-All public times are dimensionless, tau = gamma t.
+Every route builds its generator from the parameters and returns its
+states on the grid linspace(0, t_end, points).  All public times are
+dimensionless, tau = gamma t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +121,7 @@ class AugmentedTrajectory:
     `auxiliary` carries the memory integral (zero for the time-local route);
     `steps` is the integrator work metric (matrix products for the augmented
     ODE, rate evaluations for the time-local route, time steps for the
-    quadrature);
+    quadrature, rounded up to whole steps per grid cell);
     `max_residual` is the worst trace defect max |Tr rho - 1| on the grid.
     """
 
@@ -128,7 +130,6 @@ class AugmentedTrajectory:
     auxiliary: np.ndarray
     steps: int
     max_residual: float
-    meta: dict = field(default_factory=dict)
 
 
 def _initial_vector(s0: QubitState) -> np.ndarray:
@@ -138,15 +139,13 @@ def _initial_vector(s0: QubitState) -> np.ndarray:
     return np.array([s0.population_e, b.real, b.imag, 1.0])
 
 
-def _check_t_end(t_end: float) -> None:
+def _grid(t_end: float, points: int) -> np.ndarray:
+    """linspace(0, t_end, points), the output grid of every route, once checked."""
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be finite and > 0, got {t_end}")
-
-
-def _check_grid_args(t_end: float, tol: float) -> None:
-    _check_t_end(t_end)
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
+    return np.linspace(0.0, t_end, points)
 
 
 def _expm(a: np.ndarray, t: float = 1.0) -> tuple[np.ndarray, int]:
@@ -203,25 +202,24 @@ def _orbit(step: np.ndarray, x0: np.ndarray, count: int, rows: int):
     return states.reshape(-1, rows)[:count], products
 
 
-def _integrate_augmented(system, g, p: MapParams, s0: QubitState, t_end, tol, points):
+def _integrate_augmented(system, p: MapParams, s0: QubitState, t_end, points):
     """Solve y' = A y, A = system(ghat), for y = (rho, aux) from (s0, 0) on the grid.
 
     ghat is the generator in units of gamma; aux is the memory variable.  The
     states are S**k y0 with the exact propagator S = exp(A d) of the grid
-    step d, so tol (checked) has no effect, and `steps` counts the matrix
-    products.  First the fixed point x of ghat (ghat x = 0, x_3 = 1) moves to
-    the origin: rho - x and m - m_3 x evolve under the system of ghat with
-    its affine column zeroed.  Without the shift the affine column (about R)
-    and the decay rate (about -R) of the population cancel in every product,
-    which cost the dressed system about eps R.  A system with
-    ||A||_1 > _MAX_SYSTEM_NORM = 2**50 is refused with an
-    IntegrationDivergenceError: past that, the unit memory rate of A sits
-    within a few rounding units of its largest entries (ghat - 1 rounds to
-    ghat from 2**53 on), and the memory-kernel propagator's error, which grows
-    like eps sqrt(||A||_1), passes 1e-8.
+    step d, and `steps` counts the matrix products.  First the fixed point x
+    of ghat (ghat x = 0, x_3 = 1) moves to the origin: rho - x and m - m_3 x
+    evolve under the system of ghat with its affine column zeroed.  Without
+    the shift the affine column (about R) and the decay rate (about -R) of
+    the population cancel in every product, which cost the dressed system
+    about eps R.  A system with ||A||_1 > _MAX_SYSTEM_NORM = 2**50 is
+    refused with an IntegrationDivergenceError: past that, the unit memory
+    rate of A sits within a few rounding units of its largest entries
+    (ghat - 1 rounds to ghat from 2**53 on), and the memory-kernel
+    propagator's error, which grows like eps sqrt(||A||_1), passes 1e-8.
     """
-    _check_grid_args(t_end, tol)
-    ghat = np.asarray(g, dtype=float) / p.gamma
+    grid = _grid(t_end, points)
+    ghat = generator_matrix(p) / p.gamma
     norm = float(np.max(np.sum(np.abs(system(ghat)), axis=0)))
     if not norm <= _MAX_SYSTEM_NORM:
         raise IntegrationDivergenceError(
@@ -234,7 +232,6 @@ def _integrate_augmented(system, g, p: MapParams, s0: QubitState, t_end, tol, po
         fixed[:3] = -np.linalg.solve(ghat[:3, :3], ghat[:3, 3])
     centred = ghat.copy()
     centred[:3, 3] = 0.0
-    grid = np.linspace(0.0, t_end, points)
     with np.errstate(all="ignore"):  # a non-finite propagator shows in the rows
         step, products = _expm(system(centred), t_end / (points - 1))
         x0 = np.concatenate((_initial_vector(s0) - fixed, np.zeros(4)))
@@ -255,7 +252,6 @@ def _integrate_augmented(system, g, p: MapParams, s0: QubitState, t_end, tol, po
         auxiliary=aux,
         steps=products + more,
         max_residual=residual,
-        meta={"route": "augmented-ode", "tol": tol},
     )
 
 
@@ -270,40 +266,29 @@ def _post_markovian_system(ghat):
 
 
 def integrate_memory_kernel(
-    g: np.ndarray,
-    p: MapParams,
-    s0: QubitState,
-    t_end: float,
-    tol: float = 1e-10,
-    *,
-    points: int = 201,
+    p: MapParams, s0: QubitState, t_end: float, *, points: int = 201
 ) -> AugmentedTrajectory:
     """Augmented-system solution of the convolution equation up to tau = t_end."""
-    return _integrate_augmented(_memory_kernel_system, g, p, s0, t_end, tol, points)
+    return _integrate_augmented(_memory_kernel_system, p, s0, t_end, points)
 
 
 def integrate_post_markovian(
-    g: np.ndarray,
-    p: MapParams,
-    s0: QubitState,
-    t_end: float,
-    tol: float = 1e-10,
-    *,
-    points: int = 201,
+    p: MapParams, s0: QubitState, t_end: float, *, points: int = 201
 ) -> AugmentedTrajectory:
     """Augmented-system solution of the dressed-kernel equation."""
-    return _integrate_augmented(_post_markovian_system, g, p, s0, t_end, tol, points)
+    return _integrate_augmented(_post_markovian_system, p, s0, t_end, points)
 
 
 def integrate_quadrature(
     kind,
-    g: np.ndarray,
     p: MapParams,
     s0: QubitState,
     t_end: float,
     steps: int = 2000,
+    *,
+    points: int = 201,
 ) -> AugmentedTrajectory:
-    """Implicit-trapezoid Volterra quadrature on a uniform grid.
+    """Implicit-trapezoid Volterra quadrature on a uniform grid of time steps.
 
     Second-order accurate; halving the step divides the error by about four.
     The memory integral at step k is the trapezoid sum
@@ -318,38 +303,45 @@ def integrate_quadrature(
         aux' = h hist + h rho' / 2,  acc' = hist + rho',
 
     so x_k = (rho_k, aux_k, acc_k) obeys x_{k+1} = S x_k with one 12x12
-    propagator S, and x_k = S^j S^(iB) x_0 for k = iB + j.  The states are
-    evaluated from the powers S^0 .. S^(B-1) and the heads S^(iB) x_0,
-    B = ceil(sqrt(steps + 1)), in one batched product (_orbit, shared with
-    route 1).  The trace row of S is exactly the unit row, so the trace stays
-    exactly 1.  A comes from _expm of the given generator, never from maps or
-    the augmented-ODE code, so this route stays independent of route 1.  A
-    step too long for S to be finite (from h of about 1e154) is a ValueError.
+    propagator S.  `steps` is rounded up to c (points - 1), c steps per cell
+    of the output grid, and must then be at least 100; the trajectory reports
+    the rounded count.  The grid rows are the orbit of the cell propagator
+    S**c (_orbit, shared with route 1), so the work and memory follow
+    `points` and log c, never `steps`.  The trace row of S is exactly the
+    unit row, so the trace stays exactly 1.  A comes from _expm of the
+    generator, never from maps or the augmented-ODE code, so this route
+    stays independent of route 1.  A step too long for S**c to be finite
+    (from h of about 1e154) is a ValueError.
     """
     kind = parse_kind(kind)
-    if steps < 100:
-        raise ValueError(f"steps must be >= 100, got {steps}")
-    _check_t_end(t_end)
+    grid = _grid(t_end, points)
+    per_cell = -(-steps // (points - 1))
+    if per_cell * (points - 1) < 100:
+        raise ValueError(
+            f"steps must be >= 100 once rounded up to a multiple of points - 1 = "
+            f"{points - 1}, got {steps}"
+        )
+    steps = per_cell * (points - 1)
     y0 = _initial_vector(s0)
-    ghat = np.asarray(g, dtype=float) / p.gamma
+    ghat = generator_matrix(p) / p.gamma
     h = t_end / steps
-    grid = np.linspace(0.0, t_end, steps + 1)
     dressed = kind is EquationKind.POST_MARKOVIAN
     # ghat commutes with the step kernel, so one step serves both kinds:
     # the memory kernel's integral is ghat m, the dressed kernel's is m.
-    with np.errstate(all="ignore"):  # a step too long shows as a non-finite S
+    with np.errstate(all="ignore"):  # a step too long shows as a non-finite S**c
         m_inv = np.linalg.inv(np.eye(4) - 0.25 * h * h * ghat)
         kernel = np.exp(-h) * (_expm(ghat, h)[0] if dressed else np.eye(4))
         rho_rows = np.hstack((m_inv, 0.5 * h * m_inv @ ghat, 0.5 * h * h * m_inv @ ghat @ kernel))
         to_acc = np.hstack((np.zeros((4, 8)), kernel))
         step = np.vstack((rho_rows, 0.5 * h * rho_rows + h * to_acc, rho_rows + to_acc))
-    if not np.all(np.isfinite(step)):
+        cell = np.linalg.matrix_power(step, per_cell)
+    if not np.all(np.isfinite(cell)):
         raise ValueError(
             f"step h = t_end / steps = {h:.6g} is too long: the one-step propagator is not finite"
         )
 
     x0 = np.concatenate((y0, np.zeros(4), 0.5 * y0))
-    states, _ = _orbit(step, x0, steps + 1, 8)  # the rows of rho and aux only
+    states, _ = _orbit(cell, x0, points, 8)  # the rows of rho and aux only
     rho, aux = states[:, :4], states[:, 4:]
     if not dressed:
         aux = aux @ ghat.T
@@ -361,7 +353,6 @@ def integrate_quadrature(
         auxiliary=aux,
         steps=steps,
         max_residual=residual,
-        meta={"route": "trapezoid-quadrature", "h": h},
     )
 
 
@@ -460,7 +451,9 @@ def integrate_tcl(
     from channels built once, without the per-call checks of tcl_rate_arrays.
     """
     kind = parse_kind(kind)
-    _check_grid_args(t_end, tol)
+    grid = _grid(t_end, points)
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}], got {tol}")
     horizon = rate_divergence_time(kind, p)
     if t_end >= horizon:
         raise SingularRateError(
@@ -475,7 +468,6 @@ def integrate_tcl(
         total = g1 + g2
         return np.stack((total, g2, 0.5 * total + 2.0 * g3))
 
-    grid = np.linspace(0.0, t_end, points)
     with np.errstate(all="ignore"):  # _rate_integrals raises on non-finite rates
         # the rates rise on the faster time scale of xi: 1, or 1 / R for the
         # dressed kernel at R > 1; 1 / R also resolves the memory kernel's
@@ -496,5 +488,4 @@ def integrate_tcl(
         auxiliary=np.zeros((grid.size, 4)),
         steps=evaluations,
         max_residual=0.0,
-        meta={"route": "time-local", "tol": tol},
     )

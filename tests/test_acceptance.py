@@ -27,7 +27,6 @@ from spinflow.maps import (
 from spinflow.measure import flow_report, measure, sigma_analytic
 from spinflow.states import EXCITED, GROUND, QubitState, StatePair, random_states
 from spinflow.volterra import (
-    generator_matrix,
     integrate_memory_kernel,
     integrate_post_markovian,
     integrate_quadrature,
@@ -86,15 +85,14 @@ def test_criterion_02_oracle_triangle():
         for r in GRID_RS:
             for n in GRID_NS:
                 p = MapParams.from_ratio(r, n_occ=n)
-                g = generator_matrix(p)
                 lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
                 run = integrate_memory_kernel if kind == "mem" else integrate_post_markovian
                 for s0 in states:
                     pe_exact = 0.5 * (1.0 + t3 - lam3) + lam3 * s0.population_e
                     b_exact = lam1 * complex(s0.coherence)
                     exact = np.column_stack((pe_exact, b_exact.real, b_exact.imag))
-                    so = run(g, p, s0, 10.0, points=101).states
-                    sq = integrate_quadrature(kind, g, p, s0, 10.0, steps=2000).states[::20]
+                    so = run(p, s0, 10.0, points=101).states
+                    sq = integrate_quadrature(kind, p, s0, 10.0, steps=2000, points=101).states
                     for gap in (so - exact, sq - exact, so - sq):
                         worst = max(
                             worst,

@@ -136,6 +136,12 @@ def test_physical_parameter_entry(capsys):
         # grids past the cap: a flag error before the grid is allocated
         ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--points", "1000000000000"],
         ["positivity", "--kind", "mem", "--r", "0.2", "--points", str(cli._MAX_POINTS + 1)],
+        # --tol outside [1e-12, 1e-4] is a flag error for every method, used or not
+        *(
+            ["solve", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--method", method,
+             "--tol", "5"]
+            for method in ("closed", "quadrature")
+        ),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -389,6 +395,20 @@ def test_oracle_fail_still_exits_zero(capsys):
     )
     assert code == 0
     assert "> 1e-12: FAIL" in err.strip().splitlines()[-1]
+
+
+def test_oracle_names_each_route_and_the_failing_one(capsys):
+    # 1000 quadrature steps per cell at R = 1e4 still miss by about 0.3
+    code, _, err = run_cli(
+        ["oracle", "--kind", "post", "--r", "1e4", "--tau-end", "1", "--points", "3"], capsys
+    )
+    assert code == 0
+    ode, quad, verdict = err.strip().splitlines()[-3:]
+    assert ode.startswith("ode: max|delta| = ")
+    assert quad.startswith("quadrature: max|delta| = ")
+    assert float(ode.rsplit(" ", 1)[1]) < 1e-12
+    assert 0.3 < float(quad.rsplit(" ", 1)[1]) < 0.33
+    assert verdict == f"max|delta| = {quad.rsplit(' ', 1)[1]} (quadrature) > 1e-06: FAIL"
 
 
 def test_tcl_rates_truncates_at_divergence(capsys):
@@ -917,8 +937,9 @@ def test_grid_at_the_cap_is_accepted():
         (["choi", "--kind", "mem", "--r", "0.2", "--tau"], "_time"),
         (["solve", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--steps"], "_steps"),
         (["measure", "--kind", "mem", "--r", "0.2", "--budget"], "_budget"),
+        (["oracle", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--tol"], "_tol"),
     ],
-    ids=["tau-end", "tau", "steps", "budget"],
+    ids=["tau-end", "tau", "steps", "budget", "tol"],
 )
 def test_flag_type_errors_name_the_type(argv, name, capsys):
     code, out, err = run_cli([*argv, "1.5x"], capsys)

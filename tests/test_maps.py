@@ -415,6 +415,26 @@ def test_rates_finite_past_underflow_of_xi():
 
 
 @pytest.mark.parametrize(
+    "kind,r,taus,full",
+    [
+        # xi(1e-20) ~ 1e-300 is normal there, but xi' ~ 1e-320 is subnormal
+        ("mem", 1e-20, np.linspace(6.9e22, 6.95e22, 51), -1e-20),
+        # the unscaled xi' of the dressed kernel at R = 1e150 is subnormal,
+        # though xi ~ e**-tau and the scaled xi' are not
+        ("post", 1e150, np.linspace(380.0, 400.0, 41), -1.0),
+    ],
+)
+def test_rates_exact_where_the_derivative_is_subnormal(kind, r, taus, full):
+    p = MapParams.from_ratio(r, 0.0)
+    g1, g2, g3 = tcl_rate_arrays(kind, p, taus)
+    # both channels decay at their slow rate: r (r / 2) for mem, 1 for post
+    half = 0.5 * full if kind == "mem" else full
+    np.testing.assert_allclose((g1 + g2) / p.gamma, -full, rtol=1e-12)
+    np.testing.assert_allclose(g3 / p.gamma, 0.5 * (0.5 * full - half), rtol=0.0, atol=1e-15)
+    assert tcl_rates(kind, p, taus[-1]) == TclRates(g1[-1], g2[-1], g3[-1])
+
+
+@pytest.mark.parametrize(
     "kind,r,tau_end",
     [
         ("mem", 0.25, 50.0),  # w**2 = 0 limit

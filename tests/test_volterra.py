@@ -43,9 +43,8 @@ def _max_gap(rows_a, rows_b):
 @pytest.mark.parametrize("r,n", [(0.1, 0.5), (0.24, 10.0), (0.5, 1.0)])
 def test_memory_kernel_ode_matches_closed_form(r, n):
     p = MapParams.from_ratio(r, n_occ=n)
-    g = generator_matrix(p)
     for s0 in PROBE_STATES:
-        traj = integrate_memory_kernel(g, p, s0, 10.0, points=51)
+        traj = integrate_memory_kernel(p, s0, 10.0, points=51)
         assert _max_gap(traj.states, _closed_path("mem", p, s0, traj.times)) < 1e-8
         assert traj.max_residual <= 1e-10
 
@@ -53,9 +52,8 @@ def test_memory_kernel_ode_matches_closed_form(r, n):
 @pytest.mark.parametrize("r,n", [(0.3, 1.0), (2.0, 0.5)])
 def test_post_markovian_ode_matches_closed_form(r, n):
     p = MapParams.from_ratio(r, n_occ=n)
-    g = generator_matrix(p)
     for s0 in PROBE_STATES:
-        traj = integrate_post_markovian(g, p, s0, 10.0, points=51)
+        traj = integrate_post_markovian(p, s0, 10.0, points=51)
         assert _max_gap(traj.states, _closed_path("post", p, s0, traj.times)) < 1e-8
         assert traj.max_residual <= 1e-10
 
@@ -63,8 +61,7 @@ def test_post_markovian_ode_matches_closed_form(r, n):
 @pytest.mark.parametrize("kind", ["mem", "post"])
 def test_quadrature_matches_closed_form(kind):
     p = MapParams.from_ratio(0.2, n_occ=1.0)
-    g = generator_matrix(p)
-    traj = integrate_quadrature(kind, g, p, EXCITED, 8.0, steps=4000)
+    traj = integrate_quadrature(kind, p, EXCITED, 8.0, steps=4000)
     assert _max_gap(traj.states, _closed_path(kind, p, EXCITED, traj.times)) < 1e-6
     assert traj.max_residual <= 1e-10
 
@@ -72,10 +69,9 @@ def test_quadrature_matches_closed_form(kind):
 @pytest.mark.parametrize("kind", ["mem", "post"])
 def test_quadrature_is_second_order(kind):
     p = MapParams.from_ratio(0.2, n_occ=1.0)
-    g = generator_matrix(p)
 
     def worst_error(steps):
-        traj = integrate_quadrature(kind, g, p, EXCITED, 6.0, steps=steps)
+        traj = integrate_quadrature(kind, p, EXCITED, 6.0, steps=steps)
         return _max_gap(traj.states, _closed_path(kind, p, EXCITED, traj.times))
 
     ratio = worst_error(400) / worst_error(800)
@@ -117,10 +113,13 @@ def test_quadrature_recursion_equals_summed_history(kind, r, n):
     p = MapParams.from_ratio(r, n_occ=n)
     g = generator_matrix(p)
     s0 = QubitState(0.3, 0.2 - 0.35j)
-    traj = integrate_quadrature(kind, g, p, s0, 10.0, steps=300)
     rho, aux = _summed_quadrature(kind, g / p.gamma, [0.3, 0.2, -0.35, 1.0], 10.0, 300)
-    np.testing.assert_allclose(traj.states, rho[:, :3], rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(traj.auxiliary, aux, rtol=0.0, atol=1e-13)
+    # every step on the grid, then every c-th step on a grid of c = 10 steps per cell
+    for points, c in ((301, 1), (31, 10)):
+        traj = integrate_quadrature(kind, p, s0, 10.0, steps=300, points=points)
+        assert traj.steps == 300
+        np.testing.assert_allclose(traj.states, rho[::c, :3], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(traj.auxiliary, aux[::c], rtol=0.0, atol=1e-13)
 
 
 def _stepped_quadrature(kind, ghat, y0, t_end, steps):
@@ -150,7 +149,7 @@ def test_quadrature_propagator_equals_stepped_loop(kind, r, n):
     g = generator_matrix(p)
     s0 = QubitState(0.3, 0.2 - 0.35j)
     for steps in (119, 120, 121, 7919, 7920, 7921):
-        traj = integrate_quadrature(kind, g, p, s0, 20.0, steps=steps)
+        traj = integrate_quadrature(kind, p, s0, 20.0, steps=steps, points=steps + 1)
         rho, aux = _stepped_quadrature(kind, g / p.gamma, [0.3, 0.2, -0.35, 1.0], 20.0, steps)
         assert traj.states.shape == (steps + 1, 3)
         np.testing.assert_allclose(traj.states, rho[:, :3], rtol=0.0, atol=1e-12)
@@ -160,9 +159,34 @@ def test_quadrature_propagator_equals_stepped_loop(kind, r, n):
         assert traj.steps == steps
 
 
+@pytest.mark.parametrize("kind", ["mem", "post"])
+def test_quadrature_orbit_has_one_row_per_grid_point(kind, monkeypatch):
+    # the orbit runs on the cell propagator S**c: its row count follows
+    # points, never steps, so 1e9 steps on 3 points allocate 3 rows
+    counts = []
+    real = volterra._orbit
+
+    def counting(step, x0, count, rows):
+        counts.append(count)
+        return real(step, x0, count, rows)
+
+    monkeypatch.setattr(volterra, "_orbit", counting)
+    p = MapParams.from_ratio(0.2, n_occ=1.0)
+    s0 = QubitState(0.7, 0.2 - 0.1j)
+    for points, steps, rounded in ((3, 100, 100), (101, 8000, 8000), (101, 8001, 8100),
+                                   (3, 10**9, 10**9), (3, 10**9 + 1, 10**9 + 2)):
+        traj = integrate_quadrature(kind, p, s0, 20.0, steps, points=points)
+        assert counts.pop() == points
+        assert traj.states.shape == (points, 3)
+        assert traj.auxiliary.shape == (points, 4)
+        assert traj.steps == rounded
+        if steps >= 10**9:
+            assert _max_gap(traj.states, _closed_path(kind, p, s0, traj.times)) < 1e-7
+
+
 def test_memory_kernel_auxiliary_is_state_derivative():
     p = MapParams.from_ratio(0.2, n_occ=1.0)
-    traj = integrate_memory_kernel(generator_matrix(p), p, EXCITED, 6.0, points=601)
+    traj = integrate_memory_kernel(p, EXCITED, 6.0, points=601)
     pe = traj.states[:, 0]
     dpe = np.gradient(pe, traj.times)
     np.testing.assert_allclose(traj.auxiliary[5:-5, 0], dpe[5:-5], atol=2e-4)
@@ -170,11 +194,10 @@ def test_memory_kernel_auxiliary_is_state_derivative():
 
 def test_zero_coupling_freezes_every_route():
     p = MapParams(gamma0=0.0, gamma=1.0, n_occ=3.0)
-    g = generator_matrix(p)
     for traj in (
-        integrate_memory_kernel(g, p, PLUS, 5.0, points=21),
-        integrate_post_markovian(g, p, PLUS, 5.0, points=21),
-        integrate_quadrature("mem", g, p, PLUS, 5.0, steps=100),
+        integrate_memory_kernel(p, PLUS, 5.0, points=21),
+        integrate_post_markovian(p, PLUS, 5.0, points=21),
+        integrate_quadrature("mem", p, PLUS, 5.0, steps=100),
         integrate_tcl("post", p, PLUS, 5.0, points=21),
     ):
         assert _max_gap(traj.states, _rows([PLUS])) < 1e-9
@@ -183,9 +206,8 @@ def test_zero_coupling_freezes_every_route():
 @pytest.mark.parametrize("kind,r", [("mem", 0.1), ("mem", 0.25), ("post", 0.7)])
 def test_evolved_states_stay_valid(kind, r):
     p = MapParams.from_ratio(r, n_occ=1.0)
-    g = generator_matrix(p)
     integrate = integrate_memory_kernel if kind == "mem" else integrate_post_markovian
-    traj = integrate(g, p, QubitState(0.9, 0.2j), 15.0, points=101)
+    traj = integrate(p, QubitState(0.9, 0.2j), 15.0, points=101)
     assert all(QubitState(pe, complex(re, im)).is_valid(tol=1e-8) for pe, re, im in traj.states)
 
 
@@ -208,26 +230,37 @@ def test_time_local_route_refuses_singular_horizon():
 
 def test_argument_validation():
     p = MapParams.from_ratio(0.2, n_occ=1.0)
-    g = generator_matrix(p)
     for bad in (0.0, math.inf, math.nan):
         for integrate in (
-            lambda t: integrate_memory_kernel(g, p, EXCITED, t),
-            lambda t: integrate_post_markovian(g, p, EXCITED, t),
-            lambda t: integrate_quadrature("mem", g, p, EXCITED, t),
+            lambda t: integrate_memory_kernel(p, EXCITED, t),
+            lambda t: integrate_post_markovian(p, EXCITED, t),
+            lambda t: integrate_quadrature("mem", p, EXCITED, t),
             lambda t: integrate_tcl("mem", p, EXCITED, t),
         ):
             with pytest.raises(ValueError, match="t_end must be finite and > 0"):
                 integrate(bad)
     with pytest.raises(ValueError, match="tol"):
-        integrate_post_markovian(g, p, EXCITED, 1.0, tol=1e-2)
+        integrate_tcl("post", p, EXCITED, 1.0, tol=1e-2)
+    for integrate in (integrate_memory_kernel, integrate_post_markovian):
+        with pytest.raises(TypeError, match="tol"):
+            integrate(p, EXCITED, 1.0, tol=1e-8)
+    # 50 steps on 51 points round to 50, below the floor; on 201 points to 200
     with pytest.raises(ValueError, match="steps"):
-        integrate_quadrature("mem", g, p, EXCITED, 1.0, steps=50)
+        integrate_quadrature("mem", p, EXCITED, 1.0, steps=50, points=51)
+    assert integrate_quadrature("mem", p, EXCITED, 1.0, steps=50).steps == 200
+    for integrate in (
+        lambda: integrate_memory_kernel(p, EXCITED, 1.0, points=1),
+        lambda: integrate_quadrature("post", p, EXCITED, 1.0, points=1),
+        lambda: integrate_tcl("mem", p, EXCITED, 1.0, points=1),
+    ):
+        with pytest.raises(ValueError, match="points must be >= 2"):
+            integrate()
     # 1 - h**2 ghat / 4 overflows: the one-step propagator is NaN
     for kind, t_end in (("post", 1e160), ("mem", 1e300)):
         with pytest.raises(ValueError, match="propagator is not finite"):
-            integrate_quadrature(kind, g, p, EXCITED, t_end)
+            integrate_quadrature(kind, p, EXCITED, t_end)
     with pytest.raises(ValueError, match="valid qubit state"):
-        integrate_memory_kernel(g, p, QubitState(1.4, 0.0), 1.0)
+        integrate_memory_kernel(p, QubitState(1.4, 0.0), 1.0)
 
 
 @pytest.mark.parametrize("t_end", [1e5, 1e12, 1e100])
@@ -235,10 +268,9 @@ def test_argument_validation():
 @pytest.mark.parametrize("kind,r", [("mem", 0.2), ("mem", 3.0), ("post", 0.2), ("post", 3.0)])
 def test_integrator_work_is_bounded_at_any_horizon(kind, r, n, t_end):
     p = MapParams.from_ratio(r, n_occ=n)
-    g = generator_matrix(p)
     s0 = QubitState(0.7, 0.2 - 0.1j)
     integrate = integrate_memory_kernel if kind == "mem" else integrate_post_markovian
-    trajectories = [integrate(g, p, s0, t_end, points=3)]
+    trajectories = [integrate(p, s0, t_end, points=3)]
     if t_end < rate_divergence_time(kind, p):
         trajectories.append(integrate_tcl(kind, p, s0, t_end, points=3))
     for traj in trajectories:
@@ -268,8 +300,8 @@ def test_integrator_failure_before_the_first_sample_is_a_divergence(monkeypatch)
     monkeypatch.setattr(volterra, "_expm", _nan_expm)
     monkeypatch.setattr(volterra, "_rate_pieces", _nan_rates_after(0.0))
     for integrate in (
-        lambda: integrate_memory_kernel(generator_matrix(p), p, EXCITED, 1e10),
-        lambda: integrate_post_markovian(generator_matrix(p), p, EXCITED, 1e10),
+        lambda: integrate_memory_kernel(p, EXCITED, 1e10),
+        lambda: integrate_post_markovian(p, EXCITED, 1e10),
         lambda: integrate_tcl("post", p, EXCITED, 1e10),
     ):
         with pytest.raises(IntegrationDivergenceError, match="not finite") as err:
@@ -289,7 +321,7 @@ def test_non_finite_state_is_a_divergence(monkeypatch):
     rows = np.hstack((rho, np.zeros((3, 4))))
     monkeypatch.setattr(volterra, "_orbit", lambda *args: (rows, 0))
     with pytest.raises(IntegrationDivergenceError, match="state is not finite") as err:
-        integrate_memory_kernel(generator_matrix(p), p, EXCITED, 1.0, points=3)
+        integrate_memory_kernel(p, EXCITED, 1.0, points=3)
     assert err.value.last_good_time == 0.0
 
 
@@ -308,7 +340,7 @@ def test_augmented_ode_is_exact_at_strong_coupling(r, points):
     # the work grows with log R only: the doublings of one exponential
     p = MapParams.from_ratio(r, n_occ=1.0)
     s0 = QubitState(0.7, 0.2 - 0.1j)
-    traj = integrate_memory_kernel(generator_matrix(p), p, s0, 20.0, points=points)
+    traj = integrate_memory_kernel(p, s0, 20.0, points=points)
     assert traj.steps < 300
     assert _max_gap(traj.states, _closed_path("mem", p, s0, traj.times)) < 1e-9
     assert traj.max_residual == 0.0
@@ -321,7 +353,7 @@ def test_augmented_ode_resolves_a_slow_mode_at_huge_horizons(kind, t_end):
     p = MapParams.from_ratio(1e-20, n_occ=1.0)
     s0 = QubitState(0.7, 0.2 - 0.1j)
     for points in (3, 101):
-        traj = _augmented(kind)(generator_matrix(p), p, s0, t_end, points=points)
+        traj = _augmented(kind)(p, s0, t_end, points=points)
         assert traj.steps < 1000
         assert _max_gap(traj.states, _closed_path(kind, p, s0, traj.times)) < 1e-9
 
@@ -338,10 +370,10 @@ def test_augmented_ode_refuses_systems_past_the_norm_bound(kind):
         assert (norm > bound) == refused
         if refused:
             with pytest.raises(IntegrationDivergenceError, match="2\\*\\*50") as err:
-                _augmented(kind)(g, p, EXCITED, 20.0, points=3)
+                _augmented(kind)(p, EXCITED, 20.0, points=3)
             assert err.value.last_good_time == 0.0
         else:
-            traj = _augmented(kind)(g, p, EXCITED, 20.0, points=3)
+            traj = _augmented(kind)(p, EXCITED, 20.0, points=3)
             assert _max_gap(traj.states, _closed_path(kind, p, EXCITED, traj.times)) < 1e-6
 
 
@@ -353,7 +385,7 @@ def test_augmented_ode_never_returns_a_wrong_finite_row(kind):
             p = MapParams.from_ratio(r, n_occ=n)
             for t_end in (1.0, 20.0, 1e5, 1e100):
                 try:
-                    traj = _augmented(kind)(generator_matrix(p), p, s0, t_end, points=11)
+                    traj = _augmented(kind)(p, s0, t_end, points=11)
                 except IntegrationDivergenceError:
                     continue
                 gap = _max_gap(traj.states, _closed_path(kind, p, s0, traj.times))
@@ -402,7 +434,7 @@ def test_exact_routes_agree_with_the_closed_form_to_rounding(kind, r, n):
     closed = _closed_path(kind, p, s0, np.linspace(0.0, 20.0, 101))
     tcl = integrate_tcl(kind, p, s0, 20.0, points=101)
     assert np.max(np.abs(tcl.states - closed)) <= 1e-12
-    ode = _augmented(kind)(generator_matrix(p), p, s0, 20.0, points=101)
+    ode = _augmented(kind)(p, s0, 20.0, points=101)
     assert np.max(np.abs(ode.states - closed)) <= 1e-12
 
 
