@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floatcsv
 from .analysis import (
     MAX_GRID,
     MapInversionError,
@@ -110,13 +110,21 @@ def _probe_out(out: str) -> None:
 
 
 def _table_pieces(headers, rows: np.ndarray, fmt: str):
-    """The text of a 2-D float table, TABLE_CHUNK rows and one ``%`` at a time."""
+    """The text of a 2-D float table, TABLE_CHUNK rows at a time.
+
+    CSV fields are ``%.17g`` of each float, byte for byte, formatted in bulk
+    by floatcsv; JSON records are written by the C encoder of json.
+    """
     if fmt == "csv":
         yield ",".join(headers)
-        row = "\n" + ",".join(["%.17g"] * len(headers))
+        width = len(headers)
+        size = min(len(rows), TABLE_CHUNK) * width
+        newline = (np.arange(size) % width == 0).astype(np.intp)
         for start in range(0, len(rows), TABLE_CHUNK):
-            chunk = rows[start : start + TABLE_CHUNK]
-            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+            values = np.asarray(rows[start : start + TABLE_CHUNK], dtype=float).ravel()
+            for at in range(0, len(values), floatcsv.BLOCK):
+                block = slice(at, min(at + floatcsv.BLOCK, len(values)))
+                yield floatcsv.format_fields(values[block], newline[block])
         yield "\n"
         return
     if len(rows) == 0:
@@ -143,9 +151,10 @@ def _emit(headers, rows, fmt: str, out: str | None) -> None:
     rows is either a 2-D float array, formatted and written in chunks of
     TABLE_CHUNK rows so that the text in memory does not grow with the
     table, or a list of rows that mix int, bool, str and float, typed value
-    by value.  CSV prints floats as ``%.17g``, JSON as their shortest
-    round-trip repr and non-finite ones as null.  out is opened before
-    anything is formatted; OutputError if it cannot be.
+    by value.  CSV prints floats byte for byte as ``%.17g`` (an array's in
+    bulk, see floatcsv), JSON as their shortest round-trip repr and
+    non-finite ones as null.  out is opened before anything is formatted;
+    OutputError if it cannot be.
     """
     with _open_out(out) as stream:
         if isinstance(rows, np.ndarray):

@@ -155,10 +155,12 @@ class MapParams:
         return cls(gamma0=r * gamma / (2.0 * n_occ + 1.0), gamma=gamma, n_occ=n_occ)
 
     def physical_for(self, kind: EquationKind) -> bool:
-        """True when the map family is positivity-safe for all times.
+        """True unless the memory-kernel map is oscillatory (4R > 1).
 
-        The memory-kernel map requires 4R <= 1; the post-Markovian map has
-        no restriction.
+        This is the parameter condition alone, reported by classify as
+        params_physical; the post-Markovian map has no such restriction.
+        It does not make the map positive: at low temperature the positivity
+        scan can still fail with 4R <= 1 (mem R = 0.2 at N = 0).
         """
         if parse_kind(kind) is EquationKind.POST_MARKOVIAN:
             return True

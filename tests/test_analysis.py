@@ -595,6 +595,21 @@ def test_classify_memory_kernel_nondivisible():
     assert not report.divisibility.divisible
 
 
+@pytest.mark.parametrize(
+    "n_occ, verdict",
+    [(0.0, "Unphysical(positivity broken)"), (1.0, "TimeDependentMarkovian-Nondivisible")],
+)
+def test_params_physical_is_the_4r_condition_alone(n_occ, verdict):
+    # mem R = 0.2 has 4R <= 1 at every temperature; at N = 0 the positivity
+    # scan still fails, and that decides the verdict
+    report = classify("mem", MapParams.from_ratio(0.2, n_occ=n_occ))
+    assert report.params_physical is True
+    assert report.verdict == verdict
+    assert report.positivity.ok is (n_occ > 0)
+    if n_occ == 0:
+        assert report.positivity.worst_value == pytest.approx(1.0051549551866237, rel=1e-9)
+
+
 def test_classify_post_markovian_divisible():
     report = classify("post", MapParams.from_ratio(0.6, n_occ=1.0))
     assert report.verdict == "TimeDependentMarkovian-Divisible"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinflow import analysis, cli
 from spinflow.analysis import MAX_GRID, choi_eigenvalues, divisibility_scan
@@ -586,9 +590,31 @@ def _emitted(tmp_path, headers, rows, fmt):
     return target.read_text()
 
 
+def _powers_of_ten_and_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+
+
+def _exact_ties():
+    """(k + 0.5) * 2**j with 18 significant decimal digits, the last a 5:
+    halfway between two 17-digit decimals, so %.17g rounds half to even."""
+    ties = []
+    for j in range(-10, 0):
+        # (k + 0.5) * 2**j = (2k + 1) * 5**(1 - j) / 10**(1 - j), and from k0 on
+        # the numerator (2k + 1) * 5**(1 - j) has 18 digits
+        k0 = 10**17 // (2 * 5 ** (1 - j))
+        ties += [(k + 0.5) * 2.0**j for k in range(k0 + 1, k0 + 4)]
+    return np.array(ties)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_float_table_matches_per_value_emitter(fmt, tmp_path):
-    values = np.array([-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e17, 123456789012345678.0])
+    values = np.concatenate([
+        [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1e17, 123456789012345678.0],
+        [1e-4, 1.7976931348623157e308],  # %.17g's fixed notation starts at 1e-4
+        _powers_of_ten_and_neighbours(),
+        _exact_ties(),
+    ])
     chunk = cli.TABLE_CHUNK
     headers = ("tau", "b", "a")  # not in sorted order
     for n in (0, 1, len(values), chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
@@ -599,6 +625,42 @@ def test_emit_float_table_matches_per_value_emitter(fmt, tmp_path):
         assert _emitted(tmp_path, headers, table, fmt) == _emit_per_value(
             headers, list(zip(*table.T)), fmt
         ), n
+
+
+def _float64(sign, exponent, fraction):
+    return float(np.array((sign << 63) | (exponent << 52) | fraction, np.uint64).view(np.float64))
+
+
+# biased exponents 1009..1080 span |x| in [1e-4, 1e17), the bulk formatter's
+# window, and a little beyond it on each side
+_FLOAT64_BITS = st.builds(
+    _float64,
+    st.integers(0, 1),
+    st.one_of(st.integers(1009, 1080), st.integers(0, 2047)),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    rows=st.sampled_from([1, 2, cli.TABLE_CHUNK - 1, cli.TABLE_CHUNK, cli.TABLE_CHUNK + 1]),
+    pool=st.lists(_FLOAT64_BITS, min_size=1, max_size=32),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_emit_csv_of_any_float64_matches_per_value_emitter(width, rows, pool, seed):
+    # the table is drawn from a pool of arbitrary bit patterns, so that a
+    # table longer than a chunk is still cheap for hypothesis to generate
+    table = np.random.default_rng(seed).choice(np.array(pool), size=(rows, width))
+    headers = tuple(f"c{k}" for k in range(width))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(headers, table, "csv", None)
+    got = out.getvalue().split("\n")
+    want = _emit_per_value(headers, table.tolist(), "csv").split("\n")
+    # report the first line that differs, not a diff of two long tables
+    assert len(got) == len(want)
+    assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -691,6 +753,38 @@ def test_float_tables_match_per_row_output(argv, headers, fmt, capsys):
     code, out, _ = run_cli([argv[0], *GRID, *argv[1:], "--format", fmt], capsys)
     assert code == 0
     assert out == _emit_per_value(headers, _per_row_reference(argv[0]), fmt)
+
+
+LONG_GRID = [*GRID[:-1], str(2 * cli.TABLE_CHUNK + 1)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", *LONG_GRID],
+        ["tcl-rates", *LONG_GRID],
+        ["solve", *LONG_GRID, "--method", "closed", "--state", S1],
+        ["sigma", *LONG_GRID, "--state1", S1, "--state2", S2],
+        ["trace-distance", *LONG_GRID, "--state1", S1, "--state2", S2],
+        # tau past 1e17 and dxi below 1e-4, outside the bulk formatter's window
+        ["xi", "--kind", "post", "--r", "1e-300", "--tau-end", "1e300", *LONG_GRID[-2:]],
+    ],
+    ids=["xi", "tcl-rates", "solve", "sigma", "trace-distance", "xi-out-of-window"],
+)
+def test_csv_and_json_tables_hold_the_same_doubles(argv, capsys):
+    code, csv_out, _ = run_cli([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    code, json_out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    from_csv = np.array([[float(v) for v in line.split(",")] for line in lines])
+    records = json.loads(json_out)
+    from_json = np.array([[rec[h] for h in header.split(",")] for rec in records], dtype=float)
+    assert from_csv.shape == from_json.shape
+    assert len(from_csv) > cli.TABLE_CHUNK
+    finite = np.isfinite(from_json)  # JSON writes non-finite values as null
+    assert np.array_equal(from_csv[finite].view(np.int64), from_json[finite].view(np.int64))
+    assert not np.isfinite(from_csv[~finite]).any()
 
 
 def _reject_constant(token):
