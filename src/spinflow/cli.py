@@ -52,6 +52,7 @@ from .volterra import (
 
 TRIG_WARNING = "regime: trigonometric (4R>1), positivity not guaranteed"
 ANALYSES = ("measure", "rates", "choi", "divisibility", "positivity")
+FORMATS = ("csv", "json")
 #: the most grid rows --points or a sweep's tau_points may ask for, checked
 #: before the grid is allocated
 _MAX_POINTS = 2**22
@@ -190,7 +191,7 @@ def _flag_type(name: str, convert, ok, rule: str):
     def check(text: str):
         value = convert(text)
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
 
     check.__name__ = name  # argparse prints it in "invalid <name> value"
@@ -210,10 +211,14 @@ _tol = _flag_type(
     f"in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]",
 )
 _budget = _flag_type("_budget", int, lambda v: v >= 100, ">= 100")
+_points = _flag_type("_points", int, lambda v: 2 <= v <= _MAX_POINTS, f"in [2, {_MAX_POINTS}]")
+# a sweep config's analyses and format
+_analysis = _flag_type("_analysis", str, ANALYSES.__contains__, "one of " + ", ".join(ANALYSES))
+_format = _flag_type("_format", str, FORMATS.__contains__, "csv or json")
 
 
 def _add_output_flags(sp) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--format", choices=FORMATS, default="csv")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -225,30 +230,25 @@ def _add_param_flags(sp) -> None:
     sp.add_argument("--n", type=float, default=0.0, help="thermal occupation N")
 
 
+def _map_params(r, gamma0, gamma, n) -> MapParams:
+    """MapParams of --r (or --gamma0/--gamma) and --n, or of a sweep point; None: not given."""
+    if r is not None and (gamma0 is not None or gamma is not None):
+        raise ValueError("give either r or gamma0/gamma, not both")
+    if r is not None:
+        return MapParams.from_ratio(r, n)
+    if gamma0 is None:
+        raise ValueError("parameters required: r, or gamma0 and an optional gamma")
+    return MapParams(gamma0, 1.0 if gamma is None else gamma, n)
+
+
 def _params(args, parser) -> tuple[EquationKind, MapParams]:
     try:
-        kind = parse_kind(args.kind)
+        return parse_kind(args.kind), _map_params(args.r, args.gamma0, args.gamma, args.n)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.r is not None and (args.gamma0 is not None or args.gamma is not None):
-        parser.error("give either --r or --gamma0/--gamma, not both")
-    try:
-        if args.r is not None:
-            p = MapParams.from_ratio(args.r, args.n)
-        elif args.gamma0 is not None:
-            p = MapParams(args.gamma0, args.gamma if args.gamma is not None else 1.0, args.n)
-        else:
-            parser.error("parameters required: --r R or --gamma0 G0 [--gamma G]")
-    except ValueError as exc:
-        parser.error(str(exc))
-    return kind, p
 
 
-def _grid(args, parser) -> np.ndarray:
-    if args.points < 2:
-        parser.error(f"--points must be >= 2, got {args.points}")
-    if args.points > _MAX_POINTS:
-        parser.error(f"--points must be <= {_MAX_POINTS}, got {args.points}")
+def _grid(args) -> np.ndarray:
     return np.linspace(0.0, args.tau_end, args.points)
 
 
@@ -273,7 +273,7 @@ def _warn_trig(kind: EquationKind, r: float) -> None:
 
 def cmd_xi(args, parser) -> int:
     kind, p = _params(args, parser)
-    taus = _grid(args, parser)
+    taus = _grid(args)
     _warn_trig(kind, p.R)
     x = xi(kind, p.R, taus)
     d = xi_derivative(kind, p.R, taus)
@@ -283,7 +283,7 @@ def cmd_xi(args, parser) -> int:
 
 def cmd_solve(args, parser) -> int:
     kind, p = _params(args, parser)
-    taus = _grid(args, parser)
+    taus = _grid(args)
     s0 = _state_triple(args.state, parser, "--state")
     headers = ("tau", "pe", "re_b", "im_b")
     if args.method == "closed":
@@ -345,7 +345,7 @@ def _integrate(method, kind, p, s0, args, parser):
 
 def cmd_trace_distance(args, parser) -> int:
     kind, p = _params(args, parser)
-    taus = _grid(args, parser)
+    taus = _grid(args)
     s1 = _state_triple(args.state1, parser, "--state1")
     s2 = _state_triple(args.state2, parser, "--state2")
     snap = snapshot_arrays(kind, p, taus)
@@ -369,7 +369,7 @@ def cmd_trace_distance(args, parser) -> int:
 
 def cmd_sigma(args, parser) -> int:
     kind, p = _params(args, parser)
-    taus = _grid(args, parser)
+    taus = _grid(args)
     pair = StatePair(
         _state_triple(args.state1, parser, "--state1"),
         _state_triple(args.state2, parser, "--state2"),
@@ -426,7 +426,7 @@ def cmd_measure(args, parser) -> int:
 
 def cmd_tcl_rates(args, parser) -> int:
     kind, p = _params(args, parser)
-    taus = _grid(args, parser)
+    taus = _grid(args)
     rows, horizon = _rate_rows(kind, p, taus)
     if np.isfinite(horizon):
         _diag(
@@ -470,7 +470,7 @@ def cmd_divisibility(args, parser) -> int:
 
 def cmd_positivity(args, parser) -> int:
     kind, p = _params(args, parser)
-    taus = _grid(args, parser)
+    taus = _grid(args)
     if not 1000 <= args.samples <= MAX_VERTICES:
         parser.error(f"--samples must lie in [1000, {MAX_VERTICES}], got {args.samples}")
     result = positivity_scan(kind, p, taus, samples=args.samples)
@@ -481,7 +481,7 @@ def cmd_positivity(args, parser) -> int:
 
 def cmd_oracle(args, parser) -> int:
     kind, p = _params(args, parser)
-    taus = _grid(args, parser)
+    taus = _grid(args)
     s0 = _state_triple(args.state, parser, "--state")
 
     pe_closed, b_closed = _closed_form(kind, p, s0, taus)
@@ -560,16 +560,18 @@ def _parse_flat_config(text: str) -> dict:
     return config
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+#: the JSON values a config key takes: numbers (not booleans), or strings
+_NUMBER, _TEXT = (int, float), (str,)
 
 
 def _load_sweep_config(path: str) -> dict:
+    """The checked sweep config at path; ConfigError at the first bad key or point.
+
+    Each key is checked as the flag of the same name is, a number given to
+    the flag's check as its repr.
+    """
     text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        raw = json.loads(text)
-    else:
-        raw = _parse_flat_config(text)
+    raw = json.loads(text) if text.lstrip().startswith("{") else _parse_flat_config(text)
     known = {
         "kind", "r", "gamma0", "gamma", "n", "tau_end", "tau_points",
         "analyses", "format", "seed", "budget", "out_dir",
@@ -578,59 +580,46 @@ def _load_sweep_config(path: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    kinds = [parse_kind(k) for k in _as_list(raw.get("kind", "mem"))]
-    if "r" in raw and ("gamma0" in raw or "gamma" in raw):
-        raise ConfigError("give either r or gamma0/gamma, not both")
-    n_values = [float(v) for v in _as_list(raw.get("n", 0.0))]
-    if any(n < 0.0 for n in n_values):
-        raise ConfigError("every n must be >= 0")
-    if "r" in raw:
-        r_values = [float(v) for v in _as_list(raw["r"])]
-        if any(r <= 0.0 for r in r_values):
-            raise ConfigError("every r must be > 0")
-        points = [
-            (kind, MapParams.from_ratio(r, n))
-            for kind in kinds for r in r_values for n in n_values
-        ]
-    elif "gamma0" in raw:
-        gamma = float(raw.get("gamma", 1.0))
-        g0_values = [float(v) for v in _as_list(raw["gamma0"])]
-        if any(g0 <= 0.0 for g0 in g0_values) or gamma <= 0.0:
-            raise ConfigError("every gamma0 and gamma must be > 0")
-        points = [
-            (kind, MapParams(g0, gamma, n))
-            for kind in kinds for g0 in g0_values for n in n_values
-        ]
-    else:
-        raise ConfigError("config must set r or gamma0")
+    def get(key, check, types, default=None, many=False):
+        """The checked value of key, or of default if key is absent (None if both are)."""
+        if key not in raw and default is None:
+            return None
+        value = raw.get(key, default)
+        values = value if many and type(value) is list else [value]
+        if not values or any(type(v) not in types or v == "" for v in values):
+            noun = "number" if types is _NUMBER else "non-empty string"
+            rule = f"one {noun} or a non-empty list of them" if many else f"one {noun}"
+            raise ConfigError(f"{key} takes {rule}, got {value!r}")
+        try:
+            checked = [check(repr(v) if types is _NUMBER else v) for v in values]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        return checked if many else checked[0]
 
-    tau_end = float(raw.get("tau_end", 20.0))
-    if not (np.isfinite(tau_end) and tau_end > 0.0):
-        raise ConfigError("tau_end must be finite and > 0")
-    tau_points = raw.get("tau_points", 201)
-    if type(tau_points) is not int or not 2 <= tau_points <= _MAX_POINTS:
-        raise ConfigError(
-            f"tau_points must be an integer in [2, {_MAX_POINTS}], got {tau_points!r}"
-        )
-    analyses = [str(a) for a in _as_list(raw.get("analyses", [])) if str(a).strip()]
-    if not analyses:
-        raise ConfigError("analyses must name at least one analysis")
-    bad = [a for a in analyses if a not in ANALYSES]
-    if bad:
-        raise ConfigError(f"unknown analyses: {bad}; choose from {list(ANALYSES)}")
-    fmt = str(raw.get("format", "csv"))
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    if int(raw.get("budget", 1000)) < 100:  # checked and echoed; changes no output
-        raise ConfigError("budget must be >= 100")
-    int(raw.get("seed", 0))  # must be an integer; echoed, but changes no output
+    kinds = get("kind", parse_kind, _TEXT, "mem", many=True)
+    r_values = get("r", float, _NUMBER, many=True) or [None]
+    g0_values = get("gamma0", float, _NUMBER, many=True) or [None]
+    gamma = get("gamma", float, _NUMBER)
+    n_values = get("n", float, _NUMBER, 0.0, many=True)
+    try:
+        points = [
+            (kind, _map_params(r, g0, gamma, n))
+            for kind in kinds for r in r_values for g0 in g0_values for n in n_values
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for _, p in points:
+        if not p.R > 0.0:  # the run record's r is > 0
+            raise ConfigError(f"every point needs R > 0, got R = {p.R!r}")
+    get("seed", int, _NUMBER)  # checked and echoed; changes no output
+    get("budget", _budget, _NUMBER)  # likewise
     return {
         "points": points,
-        "tau_end": tau_end,
-        "tau_points": tau_points,
-        "analyses": analyses,
-        "format": fmt,
-        "out_dir": raw.get("out_dir"),
+        "tau_end": get("tau_end", _positive_time, _NUMBER, 20.0),
+        "tau_points": get("tau_points", _points, _NUMBER, 201),
+        "analyses": get("analyses", _analysis, _TEXT, [], many=True),
+        "format": get("format", _format, _TEXT, "csv"),
+        "out_dir": get("out_dir", str, _TEXT),
         "echo": raw,
     }
 
@@ -674,7 +663,7 @@ def cmd_sweep(args, parser) -> int:
     started = time.perf_counter()
     try:
         cfg = _load_sweep_config(args.config)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # RecursionError: nested too deep
         _diag(f"config error: {exc}")
         return 2
     out_dir = Path(args.out_dir or cfg["out_dir"] or ".")
@@ -753,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_param_flags(sp)
         if points is not None:
             sp.add_argument("--tau-end", type=_positive_time, required=True)
-            sp.add_argument("--points", type=int, default=points)
+            sp.add_argument("--points", type=_points, default=points)
         return sp
 
     sp = add("xi", cmd_xi, points=201, help="decay profile xi and its tau-derivative on a grid")
@@ -801,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("positivity", cmd_positivity, help="Bloch-ball contraction check on a grid")
     sp.add_argument("--tau-end", type=_positive_time, default=20.0)
-    sp.add_argument("--points", type=int, default=201)
+    sp.add_argument("--points", type=_points, default=201)
     sp.add_argument("--samples", type=int, default=1000)
     _add_output_flags(sp)
 

@@ -138,6 +138,8 @@ class MapParams:
         # the channels square R + 1 (post) and take 4R (mem)
         if not math.isfinite((self.R + 1.0) * (self.R + 1.0)):
             raise ValueError(f"R = gamma0 (2N+1) / gamma overflows, got {self.R!r}")
+        if self.R == 0.0 and self.gamma0 > 0.0:
+            raise ValueError(f"R = gamma0 (2N+1) / gamma underflows, got {self.R!r}")
 
     @property
     def R(self) -> float:
@@ -152,7 +154,10 @@ class MapParams:
         # checked before 2N + 1 divides R, which it cannot for N = -1/2
         if not (math.isfinite(n_occ) and n_occ >= 0.0):
             raise ValueError(f"n_occ must be finite and >= 0, got {n_occ!r}")
-        return cls(gamma0=r * gamma / (2.0 * n_occ + 1.0), gamma=gamma, n_occ=n_occ)
+        gamma0 = r * gamma / (2.0 * n_occ + 1.0)
+        if r > 0.0 and gamma0 == 0.0:
+            raise ValueError(f"gamma0 = R gamma / (2N+1) underflows, got R = {r!r}")
+        return cls(gamma0=gamma0, gamma=gamma, n_occ=n_occ)
 
     def physical_for(self, kind: EquationKind) -> bool:
         """True unless the memory-kernel map is oscillatory (4R > 1).

@@ -380,7 +380,9 @@ def _rate_integrals(rates, grid: np.ndarray, tol: float, scale: float):
     """
     t_end = float(grid[-1])
     halvings = max(0, math.ceil(math.log2(t_end) - math.log2(scale))) + _FIRST_CELL_BITS
-    edges = np.unique(np.concatenate((grid, np.ldexp(t_end, -np.arange(1, halvings + 1)))))
+    # sorted and deduplicated as np.unique would, which imports numpy.ma for floats
+    edges = np.sort(np.concatenate((grid, np.ldexp(t_end, -np.arange(1, halvings + 1)))))
+    edges = edges[np.diff(edges, prepend=-np.inf) > 0.0]
     lo, hi = edges[:-1], edges[1:]
     budget = _MAX_WORK * _RULE_NODES.size * lo.size
     done_lo, done_value = np.empty(0), np.empty((3, 0))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -122,6 +123,9 @@ def test_physical_parameter_entry(capsys):
         ["choi", "--kind", "mem", "--r", "1e200", "--tau", "1"],
         ["measure", "--kind", "mem", "--r", "1e200"],
         ["measure", "--kind", "post", "--r", "1e200"],
+        # R > 0 that underflows to 0, which would be the identity map
+        ["measure", "--kind", "mem", "--r", "5e-324", "--n", "1"],
+        ["classify", "--kind", "mem", "--gamma0", "1e-320", "--gamma", "1e10"],
         ["xi", "--kind", "mem", "--r", "0.2", "--n", "-0.5", "--tau-end", "1"],
         ["positivity", "--kind", "mem", "--r", "0.2", "--n", "1", "--samples", "200000"],
         # a quadrature step too long for a finite one-step propagator
@@ -279,6 +283,7 @@ calls = [
 for argv in calls:
     assert main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
+    assert "numpy.ma" not in sys.modules, argv
 measure = sys.modules["spinflow.measure"]  # the package exports a function of that name
 from spinflow.maps import MapParams
 from spinflow.states import EXCITED, GROUND, StatePair
@@ -590,6 +595,16 @@ def _emitted(tmp_path, headers, rows, fmt):
     return target.read_text()
 
 
+def _assert_same_lines(got: str, want: str, context=None):
+    """got == want, reporting the first line that differs, not a diff of two long texts."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    first = next(
+        ((k, g, w) for k, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w), None
+    )
+    assert first is None, (context, first)
+    assert len(got_lines) == len(want_lines), (context, len(got_lines), len(want_lines))
+
+
 def _powers_of_ten_and_neighbours():
     powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
     return np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
@@ -622,9 +637,8 @@ def test_emit_float_table_matches_per_value_emitter(fmt, tmp_path):
         table = np.column_stack((column, column[::-1], -column))
         if n > chunk:  # non-finite values only in a later chunk
             table[-2:] = [np.inf, np.nan, -np.inf]
-        assert _emitted(tmp_path, headers, table, fmt) == _emit_per_value(
-            headers, list(zip(*table.T)), fmt
-        ), n
+        got = _emitted(tmp_path, headers, table, fmt)
+        _assert_same_lines(got, _emit_per_value(headers, list(zip(*table.T)), fmt), n)
 
 
 def _float64(sign, exponent, fraction):
@@ -656,11 +670,7 @@ def test_emit_csv_of_any_float64_matches_per_value_emitter(width, rows, pool, se
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit(headers, table, "csv", None)
-    got = out.getvalue().split("\n")
-    want = _emit_per_value(headers, table.tolist(), "csv").split("\n")
-    # report the first line that differs, not a diff of two long tables
-    assert len(got) == len(want)
-    assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
+    _assert_same_lines(out.getvalue(), _emit_per_value(headers, table.tolist(), "csv"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -752,7 +762,7 @@ def _per_row_reference(command):
 def test_float_tables_match_per_row_output(argv, headers, fmt, capsys):
     code, out, _ = run_cli([argv[0], *GRID, *argv[1:], "--format", fmt], capsys)
     assert code == 0
-    assert out == _emit_per_value(headers, _per_row_reference(argv[0]), fmt)
+    _assert_same_lines(out, _emit_per_value(headers, _per_row_reference(argv[0]), fmt))
 
 
 LONG_GRID = [*GRID[:-1], str(2 * cli.TABLE_CHUNK + 1)]
@@ -1003,15 +1013,100 @@ def test_sweep_json_config_and_json_outputs(tmp_path, capsys):
         "kind = mem\nr = 0.1\nanalyses = rates\ntau_points = 2.7\n",
         f"kind = mem\nr = 0.1\nanalyses = rates\ntau_points = {cli._MAX_POINTS + 1}\n",
         'kind = mem\nr = 0.1\nanalyses = rates\ntau_points = "201"\n',
+        # numbers are JSON numbers, checked as their flag is: no booleans, no
+        # quoted numbers, and seed and budget are integers
+        "kind = mem\nr = true\nanalyses = rates\n",
+        'kind = mem\nr = "0.1"\nanalyses = rates\n',
+        "kind = mem\nr = 0.1\nn = 1, false\nanalyses = rates\n",
+        "kind = mem\nr = 0.1\nanalyses = rates\nseed = 2.5\n",
+        "kind = mem\nr = 0.1\nanalyses = rates\nbudget = 1e308\n",
+        "kind = mem\nr = 0.1\nanalyses = rates\ntau_end = 1, 2\n",
+        "kind = mem\nr = 0.1\nanalyses = rates, \n",
+        "kind = mem\nr = 0.1\nanalyses = rates\nout_dir = null\n",
+        'kind = mem\nr = 0.1\nanalyses = rates\nout_dir = ""\n',
+        "kind = mem\ngamma = 2\nanalyses = rates\n",
+        # a point needs R > 0, also where R > 0 underflows to 0
+        "kind = mem\nr = 0\nanalyses = rates\n",
+        "kind = mem\nr = 5e-324\nn = 1\nanalyses = rates\n",
+        "kind = mem\ngamma0 = 1e-320\ngamma = 1e10\nanalyses = rates\n",
+        # a list key takes at least one value
+        *(
+            json.dumps({"kind": "mem", "r": 0.1, "analyses": "rates", key: []})
+            for key in ("kind", "r", "n", "analyses")
+        ),
+        json.dumps({"gamma0": [], "analyses": "rates"}),
+        pytest.param('{"r": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-too-deep"),
     ],
 )
 def test_sweep_config_errors_exit_2(text, tmp_path, capsys):
     cfg = _write_config(tmp_path, text)
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         ["sweep", "--config", cfg, "--out-dir", str(tmp_path / "x")], capsys
     )
-    assert code == 2
-    assert "config error" in err
+    assert (code, out) == (2, "")
+    assert err.startswith("config error") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def _run_quietly(argv):
+    """main(argv)'s exit code, stdout and stderr, without pytest's capture fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: a config of one cheap point, whose keys the property test replaces
+PROBE_CONFIG = {
+    "kind": "mem", "r": 0.2, "n": 1, "tau_end": 8, "tau_points": 5,
+    "analyses": ["measure", "rates", "choi"], "format": "csv", "seed": 7, "budget": 150,
+}
+_ABSENT = object()  # the key is left out of the config
+PROBE_VALUES = [
+    None, True, [], {}, "x", math.inf, -math.inf, math.nan, -1, 0, 1e308, [1, 2], 2.5, "5",
+    1e-320, 10**400, [[1]], _ABSENT,
+]
+
+
+def _flat_config(config: dict):
+    """config in the flat key = value grammar, or None if a value cannot be written there."""
+    lines = []
+    for key, value in config.items():
+        items = value if type(value) is list else [value]
+        if not items or any(type(v) in (list, dict) for v in items):
+            return None
+        lines.append(f"{key} = " + ", ".join(json.dumps(v) for v in items))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    changes=st.dictionaries(
+        st.sampled_from([*PROBE_CONFIG, "gamma0", "gamma", "out_dir"]),
+        st.sampled_from(PROBE_VALUES),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_any_sweep_config_exits_0_with_a_valid_record_or_2_with_one_line(changes):
+    config = {k: v for k, v in (PROBE_CONFIG | changes).items() if v is not _ABSENT}
+    texts = [json.dumps(config), _flat_config(config)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, text in enumerate(t for t in texts if t is not None):
+            cfg, out_dir = Path(tmp) / f"cfg{k}", Path(tmp) / f"run{k}"
+            cfg.write_text(text)
+            argv = ["sweep", "--config", str(cfg), "--out-dir", str(out_dir)]
+            code, out, err = _run_quietly(argv)
+            assert code in (0, 2) and out == "" and "Traceback" not in err, (text, err)
+            record = out_dir / "run_record.json"
+            if code == 2:
+                assert len(err.strip().splitlines()) == 1, (text, err)
+                assert not record.exists(), text
+            else:
+                jsonschema.validate(json.loads(record.read_text()), SCHEMA)
 
 
 def test_grid_at_the_cap_is_accepted():
@@ -1019,7 +1114,7 @@ def test_grid_at_the_cap_is_accepted():
         ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1",
          "--points", str(cli._MAX_POINTS)]
     )
-    assert len(cli._grid(args, cli.build_parser())) == cli._MAX_POINTS
+    assert len(cli._grid(args)) == cli._MAX_POINTS
     # above the largest grid a workload, test or example uses
     assert cli._MAX_POINTS > 200_001
 
@@ -1032,8 +1127,9 @@ def test_grid_at_the_cap_is_accepted():
         (["solve", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--steps"], "_steps"),
         (["measure", "--kind", "mem", "--r", "0.2", "--budget"], "_budget"),
         (["oracle", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--tol"], "_tol"),
+        (["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--points"], "_points"),
     ],
-    ids=["tau-end", "tau", "steps", "budget", "tol"],
+    ids=["tau-end", "tau", "steps", "budget", "tol", "points"],
 )
 def test_flag_type_errors_name_the_type(argv, name, capsys):
     code, out, err = run_cli([*argv, "1.5x"], capsys)

@@ -65,6 +65,13 @@ def test_params_ratio_and_validation():
         with pytest.raises(ValueError, match="overflows"):
             MapParams.from_ratio(r)
     assert MapParams.from_ratio(1e150).R == 1e150
+    # a coupling > 0 whose R underflows would be the identity map; R = 0 is that map
+    with pytest.raises(ValueError, match="underflows"):
+        MapParams(gamma0=1e-320, gamma=1e10)
+    with pytest.raises(ValueError, match="underflows"):
+        MapParams.from_ratio(5e-324, 1.0)
+    assert MapParams.from_ratio(0.0, 1.0).R == MapParams(gamma0=0.0).R == 0.0
+    assert MapParams.from_ratio(5e-324).R == 5e-324
 
 
 def test_physical_regime_flag():
