@@ -212,13 +212,14 @@ _tol = _flag_type(
 )
 _budget = _flag_type("_budget", int, lambda v: v >= 100, ">= 100")
 _points = _flag_type("_points", int, lambda v: 2 <= v <= _MAX_POINTS, f"in [2, {_MAX_POINTS}]")
-# a sweep config's analyses and format
+# --format and a sweep config's format; a sweep config's analyses, a key
+# with no flag, checked the same way
+_format = _flag_type("_format", str, FORMATS.__contains__, "one of " + ", ".join(FORMATS))
 _analysis = _flag_type("_analysis", str, ANALYSES.__contains__, "one of " + ", ".join(ANALYSES))
-_format = _flag_type("_format", str, FORMATS.__contains__, "csv or json")
 
 
 def _add_output_flags(sp) -> None:
-    sp.add_argument("--format", choices=FORMATS, default="csv")
+    sp.add_argument("--format", type=_format, default="csv", metavar="{%s}" % ",".join(FORMATS))
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -233,11 +234,11 @@ def _add_param_flags(sp) -> None:
 def _map_params(r, gamma0, gamma, n) -> MapParams:
     """MapParams of --r (or --gamma0/--gamma) and --n, or of a sweep point; None: not given."""
     if r is not None and (gamma0 is not None or gamma is not None):
-        raise ValueError("give either r or gamma0/gamma, not both")
+        raise ValueError("give either r (--r) or gamma0/gamma (--gamma0/--gamma), not both")
     if r is not None:
         return MapParams.from_ratio(r, n)
     if gamma0 is None:
-        raise ValueError("parameters required: r, or gamma0 and an optional gamma")
+        raise ValueError("parameters required: r (--r), or gamma0 (--gamma0) and an optional gamma")
     return MapParams(gamma0, 1.0 if gamma is None else gamma, n)
 
 
