@@ -38,7 +38,6 @@ __all__ = [
     "MapInversionError",
     "CpVerdict",
     "PositivityVerdict",
-    "IntermediateMap",
     "DivisibilityReport",
     "RegimeReport",
     "choi_of",
@@ -273,21 +272,7 @@ def cp_scan(kind, p: MapParams, taus, tol: float = CP_TOL) -> ScanResult:
     )
 
 
-@dataclass(frozen=True)
-class IntermediateMap:
-    """Affine Bloch action carrying the state from tau_start to tau_end."""
-
-    lambda1: float
-    lambda3: float
-    t3: float
-    tau_start: float
-    tau_end: float
-
-    def as_snapshot(self) -> MapSnapshot:
-        return MapSnapshot(self.lambda1, self.lambda3, self.t3)
-
-
-def intermediate_map(kind, p: MapParams, t1: float, t2: float) -> IntermediateMap:
+def intermediate_map(kind, p: MapParams, t1: float, t2: float) -> MapSnapshot:
     """Two-time map: the tau = t2 map composed with the inverse of tau = t1.
 
     Componentwise lambda(t2) / lambda(t1) and the matching translation.
@@ -308,7 +293,7 @@ def intermediate_map(kind, p: MapParams, t1: float, t2: float) -> IntermediateMa
     lam1 = late.lambda1 / early.lambda1
     lam3 = late.lambda3 / early.lambda3
     t3 = late.t3 - lam3 * early.t3
-    return IntermediateMap(lam1, lam3, t3, tau_start=t1, tau_end=t2)
+    return MapSnapshot(lam1, lam3, t3)
 
 
 @dataclass(frozen=True)
@@ -405,7 +390,7 @@ def divisibility_scan(
 
     try:
         worst = intermediate_map(kind, p, t1, t2)
-        verdict = is_completely_positive(choi_of(worst.as_snapshot()), tol=tol)
+        verdict = is_completely_positive(choi_of(worst), tol=tol)
         min_eig = verdict.min_eigenvalue
     except MapInversionError:
         min_eig = float(screened) if np.isfinite(screened) else 0.0

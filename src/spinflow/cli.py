@@ -62,26 +62,17 @@ TABLE_CHUNK = 4096
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most values of a mixed table; np.float64 falls through
-        return "%.17g" % value
-    if isinstance(value, (bool, np.bool_)):
+    """The CSV text of a table value."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return "%.17g" % float(value)
+    return str(value) if isinstance(value, (int, str)) else "%.17g" % value
 
 
-def _py(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return value if math.isfinite(value) else None
-    return value
+def _json(value) -> str:
+    """The JSON text of a table value, null for a non-finite float."""
+    value = value.item() if isinstance(value, np.generic) else value
+    return "null" if isinstance(value, float) and not math.isfinite(value) else json.dumps(value)
 
 
 class OutputError(Exception):
@@ -110,63 +101,85 @@ def _probe_out(out: str) -> None:
         os.remove(out)
 
 
-def _table_pieces(headers, rows: np.ndarray, fmt: str):
-    """The text of a 2-D float table, TABLE_CHUNK rows at a time.
+def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
+    """The text of a table's rows, TABLE_CHUNK rows at a time.
 
-    CSV fields are ``%.17g`` of each float, byte for byte, formatted in bulk
-    by floatcsv; JSON records are written by the C encoder of json.
+    rows is a 2-D float array, or a short list of rows that mix int, bool,
+    str and float; prefix holds the values of the first len(prefix) columns
+    of headers, the same on every row.  The text of a row starts with its
+    separator: a newline in CSV; in JSON "[\n" before the first record of
+    the table (first) and ",\n" before any other.  CSV prints floats as
+    ``%.17g`` byte for byte (an array's in bulk, see floatcsv), JSON as their
+    shortest round-trip repr and non-finite ones as null, in records laid
+    out as by ``json.dumps(records, indent=2, sort_keys=True)``.
     """
+    floats = isinstance(rows, np.ndarray)
     if fmt == "csv":
-        yield ",".join(headers)
-        width = len(headers)
+        lead = "\n" + "".join(_fmt(v) + "," for v in prefix)
+        if not floats:
+            yield "".join(lead + ",".join(map(_fmt, row)) for row in rows)
+            return
+        width = len(headers) - len(prefix)
         size = min(len(rows), TABLE_CHUNK) * width
         newline = (np.arange(size) % width == 0).astype(np.intp)
         for start in range(0, len(rows), TABLE_CHUNK):
             values = np.asarray(rows[start : start + TABLE_CHUNK], dtype=float).ravel()
             for at in range(0, len(values), floatcsv.BLOCK):
                 block = slice(at, min(at + floatcsv.BLOCK, len(values)))
-                yield floatcsv.format_fields(values[block], newline[block])
-        yield "\n"
+                text = floatcsv.format_fields(values[block], newline[block])
+                yield text if lead == "\n" else text.replace("\n", lead)
         return
-    if len(rows) == 0:
-        yield "[]\n"
-        return
-    # json.dumps(records, indent=2, sort_keys=True), with the floats of a
-    # chunk written by the C encoder, which json.dumps runs without indent
+    # the record template: the JSON text of each prefix value, %s for the others
+    fields = [_json(v).replace("%", "%%") for v in prefix]
+    fields += ["%s"] * (len(headers) - len(prefix))
     order = sorted(range(len(headers)), key=headers.__getitem__)
-    fields = ",\n".join(f"    {json.dumps(headers[c])}: %s" for c in order)
-    record = "  {\n" + fields + "\n  }"
+    record = ",\n".join(f"    {json.dumps(headers[c])}: {fields[c]}" for c in order)
+    record = "  {\n" + record + "\n  }"
+    columns = [c - len(prefix) for c in order if c >= len(prefix)]
     for start in range(0, len(rows), TABLE_CHUNK):
-        chunk = rows[start : start + TABLE_CHUNK, order]
-        finite = np.isfinite(chunk)
-        values = (chunk if finite.all() else np.where(finite, chunk, None)).ravel().tolist()
-        tokens = json.dumps(values, allow_nan=False)[1:-1].split(", ")
-        lead = "[\n" if start == 0 else ",\n"
+        chunk = rows[start : start + TABLE_CHUNK]
+        if floats:
+            # the floats of a chunk written by the C encoder, which json.dumps
+            # runs without indent
+            chunk = chunk[:, columns]
+            finite = np.isfinite(chunk)
+            values = (chunk if finite.all() else np.where(finite, chunk, None)).ravel().tolist()
+            tokens = json.dumps(values, allow_nan=False)[1:-1].split(", ")
+        else:
+            tokens = [_json(row[c]) for row in chunk for c in columns]
+        lead = "[\n" if first and start == 0 else ",\n"
         yield lead + ",\n".join([record] * len(chunk)) % tuple(tokens)
-    yield "\n]\n"
+
+
+class _Table:
+    """A table written to stream: its header, then rows as they come, then its tail."""
+
+    def __init__(self, stream, headers, fmt: str):
+        self.stream, self.headers, self.fmt, self.rows = stream, headers, fmt, 0
+        if fmt == "csv":
+            stream.write(",".join(headers))
+
+    def write(self, rows, prefix=()) -> None:
+        """Write rows, see _table_pieces."""
+        self.stream.writelines(_table_pieces(self.headers, rows, self.fmt, prefix, not self.rows))
+        self.rows += len(rows)
+
+    def close(self) -> None:
+        self.stream.write("\n" if self.fmt == "csv" else "\n]\n" if self.rows else "[]\n")
 
 
 def _emit(headers, rows, fmt: str, out: str | None) -> None:
-    """Write rows as CSV, or as a JSON list of records with sorted keys.
+    """Write rows to out (stdout if None) as CSV, or as a JSON list of records.
 
-    rows is either a 2-D float array, formatted and written in chunks of
-    TABLE_CHUNK rows so that the text in memory does not grow with the
-    table, or a list of rows that mix int, bool, str and float, typed value
-    by value.  CSV prints floats byte for byte as ``%.17g`` (an array's in
-    bulk, see floatcsv), JSON as their shortest round-trip repr and
-    non-finite ones as null.  out is opened before anything is formatted;
-    OutputError if it cannot be.
+    rows is a 2-D float array, formatted and written TABLE_CHUNK rows at a
+    time so that the text in memory does not grow with the table, or a short
+    list of mixed rows; see _table_pieces.  out is opened before anything is
+    formatted; OutputError if it cannot be.
     """
     with _open_out(out) as stream:
-        if isinstance(rows, np.ndarray):
-            stream.writelines(_table_pieces(headers, rows, fmt))
-        elif fmt == "csv":
-            body = [",".join(_fmt(v) for v in row) for row in rows]
-            stream.write("\n".join([",".join(headers), *body]) + "\n")
-        else:
-            records = [dict(zip(headers, map(_py, row))) for row in rows]
-            text = json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
-            stream.write(text + "\n")
+        table = _Table(stream, headers, fmt)
+        table.write(rows)
+        table.close()
 
 
 def _emit_record(record: dict, fmt: str, out: str | None) -> None:
@@ -444,7 +457,7 @@ def cmd_choi(args, parser) -> int:
         parser.error(f"--tau-start {args.tau_start:g} is after --tau {args.tau:g}")
     try:
         if args.tau_start > 0.0:
-            snap = intermediate_map(kind, p, args.tau_start, args.tau).as_snapshot()
+            snap = intermediate_map(kind, p, args.tau_start, args.tau)
         else:
             snap = snapshot(kind, p, args.tau)
     except MapInversionError as exc:
@@ -625,27 +638,26 @@ def _load_sweep_config(path: str) -> dict:
     }
 
 
-def _sweep_point(index: int, kind, p, cfg: dict) -> dict:
-    """The run-record fields of one point, and its rows of each analysis table."""
+def _sweep_point(kind, p, cfg: dict):
+    """The tables of one point, float arrays or one-row lists, and its RegimeReport."""
     taus = np.linspace(0.0, cfg["tau_end"], cfg["tau_points"])
     analyses = cfg["analyses"]
     report = classify(kind, p)
     tables = {}
     if "measure" in analyses:
-        tables["measure"] = [_measure_fields(report.measure).values()]
+        tables["measure"] = [tuple(_measure_fields(report.measure).values())]
     if "rates" in analyses:
-        tables["rates"] = _rate_rows(kind, p, taus)[0].tolist()
+        tables["rates"] = _rate_rows(kind, p, taus)[0]
     if "choi" in analyses:
         eigs = _snapshot_min_eigs(*snapshot_arrays(kind, p, taus))
-        tables["choi"] = zip(taus.tolist(), eigs.tolist())
+        tables["choi"] = np.column_stack((taus, eigs))
     if "divisibility" in analyses:
         rep = divisibility_scan(kind, p, tau_end=cfg["tau_end"])
-        tables["divisibility"] = [_divisibility_fields(rep).values()]
+        tables["divisibility"] = [tuple(_divisibility_fields(rep).values())]
     if "positivity" in analyses:
-        tables["positivity"] = [_positivity_fields(positivity_scan(kind, p, taus)).values()]
-    prefix = (index, kind.value, p.R, p.n_occ)
-    out = {name: [(*prefix, *row) for row in rows] for name, rows in tables.items()}
-    return out | {"classification": report.verdict, "measure_value": report.measure.value}
+        result = positivity_scan(kind, p, taus)
+        tables["positivity"] = [tuple(_positivity_fields(result).values())]
+    return tables, report
 
 
 #: the columns of each sweep table after its (index, kind, r, n) prefix
@@ -673,39 +685,38 @@ def cmd_sweep(args, parser) -> int:
     except OSError as exc:
         raise OutputError(f"cannot create {out_dir}: {exc.strerror}") from None
 
-    points = cfg["points"]
-    results: list[dict] = [{}] * len(points)  # a failed point keeps its empty dict
-    failures = []
-    for idx, (kind, p) in enumerate(points):
-        try:
-            results[idx] = _sweep_point(idx, kind, p, cfg)
-        except Exception as exc:  # a failed point is recorded; the sweep goes on
-            failures.append({"index": idx, "error": f"{type(exc).__name__}: {exc}"})
-
-    for analysis in cfg["analyses"]:
-        rows = [row for res in results for row in res.get(analysis, ())]
-        _emit(
-            ("index", "kind", "r", "n", *_SWEEP_HEADERS[analysis]),
-            rows,
-            cfg["format"],
-            str(out_dir / f"{analysis}.{cfg['format']}"),
-        )
+    points, fmt = cfg["points"], cfg["format"]
+    summaries, failures = [], []
+    with contextlib.ExitStack() as stack:
+        # each table is written point by point, as soon as the point is done
+        tables = {
+            name: _Table(
+                stack.enter_context(_open_out(str(out_dir / f"{name}.{fmt}"))),
+                ("index", "kind", "r", "n", *_SWEEP_HEADERS[name]),
+                fmt,
+            )
+            for name in dict.fromkeys(cfg["analyses"])
+        }
+        for idx, (kind, p) in enumerate(points):
+            prefix = (idx, kind.value, p.R, p.n_occ)
+            summary = {"classification": None, "measure_value": None}
+            try:
+                point_tables, report = _sweep_point(kind, p, cfg)
+            except Exception as exc:  # a failed point is recorded and writes no rows
+                failures.append({"index": idx, "error": f"{type(exc).__name__}: {exc}"})
+            else:
+                for name, rows in point_tables.items():
+                    tables[name].write(rows, prefix)
+                summary = {"classification": report.verdict, "measure_value": report.measure.value}
+            summaries.append(dict(zip(("index", "kind", "r", "n"), prefix)) | summary)
+        for table in tables.values():
+            table.close()
 
     record = {
         "tool": "spinflow",
         "version": __version__,
         "config": cfg["echo"],
-        "points": [
-            {
-                "index": idx,
-                "kind": kind.value,
-                "r": p.R,
-                "n": p.n_occ,
-                "classification": results[idx].get("classification"),
-                "measure_value": results[idx].get("measure_value"),
-            }
-            for idx, (kind, p) in enumerate(points)
-        ],
+        "points": summaries,
         "failures": failures,
         "wall_time_s": time.perf_counter() - started,
     }
@@ -825,9 +836,14 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None) is not None:
             _probe_out(args.out)
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
     except OutputError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:  # stdout's reader left early (| head): signal's "Note on SIGPIPE"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet exit flush
+        return 1
 
 
 if __name__ == "__main__":

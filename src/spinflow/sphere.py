@@ -93,14 +93,13 @@ def pattern_search(
     *,
     project=None,
     step: float = 0.25,
-    shrink: float = 0.5,
     min_step: float = 1e-6,
-    max_evals: int | None = None,
 ):
     """Coordinate-wise +- probing that maximizes `objective`.
 
     Returns (best_x, best_value, evaluations).  `project` maps trial points
-    back into the feasible set.  Deterministic probe order.
+    back into the feasible set.  The step halves after a sweep that finds
+    nothing better.  Deterministic probe order.
     """
     x = np.array(x0, dtype=float)
     if project is not None:
@@ -111,8 +110,6 @@ def pattern_search(
         improved = False
         for i in range(x.size):
             for sign in (1.0, -1.0):
-                if max_evals is not None and evals >= max_evals:
-                    return x, best, evals
                 trial = x.copy()
                 trial[i] += sign * step
                 if project is not None:
@@ -123,5 +120,5 @@ def pattern_search(
                     x, best = trial, val
                     improved = True
         if not improved:
-            step *= shrink
+            step *= 0.5
     return x, best, evals

@@ -303,11 +303,11 @@ def test_intermediate_map_endpoints():
     p = MapParams.from_ratio(0.2, n_occ=1.0)
     whole = intermediate_map("mem", p, 0.0, 3.0)
     direct = snapshot("mem", p, 3.0)
-    assert whole.as_snapshot().lambda1 == pytest.approx(direct.lambda1, rel=1e-14)
-    assert whole.as_snapshot().lambda3 == pytest.approx(direct.lambda3, rel=1e-14)
-    assert whole.as_snapshot().t3 == pytest.approx(direct.t3, rel=1e-14)
+    assert whole.lambda1 == pytest.approx(direct.lambda1, rel=1e-14)
+    assert whole.lambda3 == pytest.approx(direct.lambda3, rel=1e-14)
+    assert whole.t3 == pytest.approx(direct.t3, rel=1e-14)
 
-    trivial = intermediate_map("mem", p, 3.0, 3.0).as_snapshot()
+    trivial = intermediate_map("mem", p, 3.0, 3.0)
     assert trivial.lambda1 == pytest.approx(1.0, abs=1e-12)
     assert trivial.lambda3 == pytest.approx(1.0, abs=1e-12)
     assert trivial.t3 == pytest.approx(0.0, abs=1e-12)
@@ -318,7 +318,7 @@ def test_intermediate_map_composes(rng):
     for kind in ("mem", "post"):
         early = snapshot(kind, p, 2.0)
         late = snapshot(kind, p, 6.0)
-        bridge = intermediate_map(kind, p, 2.0, 6.0).as_snapshot()
+        bridge = intermediate_map(kind, p, 2.0, 6.0)
         for _ in range(5):
             z = rng.uniform(-1.0, 1.0)
             s = QubitState(0.5 * (1.0 + z), 0.5 * rng.uniform(-0.7, 0.7))
@@ -353,7 +353,7 @@ def test_divisibility_scan_memory_kernel_breaks():
     assert 0.0 <= t1 < t2 <= 20.0
     # the winner must reproduce under a direct eigensolve
     direct = is_completely_positive(
-        choi_of(intermediate_map("mem", p, t1, t2).as_snapshot()), tol=1e-9
+        choi_of(intermediate_map("mem", p, t1, t2)), tol=1e-9
     )
     assert direct.min_eigenvalue == pytest.approx(report.min_eigenvalue, rel=1e-12)
 
@@ -400,7 +400,7 @@ def test_divisibility_refinement_properties(kind, r, n):
     t1, t2 = report.worst_pair
     assert 0.0 <= t1 <= t2 <= tau_end
     direct = np.linalg.eigvalsh(
-        _oracle_choi(intermediate_map(kind, p, t1, t2).as_snapshot())
+        _oracle_choi(intermediate_map(kind, p, t1, t2))
     )[0]
     assert report.min_eigenvalue == pytest.approx(direct, rel=1e-12)
 
@@ -538,7 +538,7 @@ def test_intermediate_map_composition_law(kind_r, n, times, bloch):
     p = _ratio_params(r, n)
     t1, t2 = times
     state = state_from_bloch(*bloch)
-    bridge = intermediate_map(kind, p, t1, t2).as_snapshot()
+    bridge = intermediate_map(kind, p, t1, t2)
     via = apply_map(bridge, apply_map(snapshot(kind, p, t1), state))
     direct = apply_map(snapshot(kind, p, t2), state)
     assert via.population_e == pytest.approx(direct.population_e, abs=1e-12)

@@ -1238,17 +1238,110 @@ def test_sweep_records_a_failed_point_and_goes_on(fmt, monkeypatch, tmp_path, ca
         ], analysis
 
 
-def test_sweep_with_every_point_failed_keeps_every_header(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_with_every_point_failed_keeps_every_header(fmt, monkeypatch, tmp_path, capsys):
     def fails(*args, **kwargs):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(cli, "classify", fails)
-    cfg = _write_config(tmp_path, ALL_ANALYSES_CONFIG.format(fmt="csv"))
+    cfg = _write_config(tmp_path, ALL_ANALYSES_CONFIG.format(fmt=fmt))
     out_dir = tmp_path / "run"
     code, _, err = run_cli(["sweep", "--config", cfg, "--out-dir", str(out_dir)], capsys)
     assert code == 0 and "4 points, 4 failures" in err
     for analysis, header in SWEEP_TABLE_HEADERS.items():
-        assert (out_dir / f"{analysis}.csv").read_text() == ",".join(header) + "\n"
+        empty = ",".join(header) + "\n" if fmt == "csv" else "[]\n"
+        assert (out_dir / f"{analysis}.{fmt}").read_text() == empty
     record = json.loads((out_dir / "run_record.json").read_text())
     jsonschema.validate(record, SCHEMA)
     assert [pt["classification"] for pt in record["points"]] == [None] * 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_table_memory_follows_one_point(fmt, tmp_path, capsys):
+    """Each point's tables are written when it is done, TABLE_CHUNK rows at a time."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "mem", "r": [0.1, 0.2], "n": 1, "tau_end": 20, "tau_points": 2**17,
+        "analyses": ["rates", "choi"], "format": fmt,
+    }))
+    out_dir = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "2 points, 0 failures" in err
+    # the arrays of one point peak at about 20 MB; the 2**18 rows held as
+    # Python tuples would take about 860 bytes each, over 200 MB
+    assert peak < 40e6
+    for analysis in ("rates", "choi"):
+        text = (out_dir / f"{analysis}.{fmt}").read_text()
+        rows = text.count("\n") - 1 if fmt == "csv" else text.count('"index": ')
+        assert rows == 2**18, analysis
+
+
+def test_sweep_rates_rows_are_the_tcl_rates_table(tmp_path, capsys):
+    """A point's rates.csv rows, without their prefix, are tcl-rates' bytes."""
+    points = str(2 * cli.TABLE_CHUNK + 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "mem", "r": [0.2, 0.3], "n": 1, "tau_end": 20, "tau_points": int(points),
+        "analyses": ["rates"],
+    }))
+    code, _, _ = run_cli(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    _, *lines = (tmp_path / "rates.csv").read_text().splitlines()
+    rows = [line.split(",", 4) for line in lines]  # (index, kind, r, n, the rest)
+    for index, r in enumerate(["0.2", "0.3"]):  # R = 0.3: rates diverge before tau_end
+        target = tmp_path / f"tcl-rates{index}.csv"
+        argv = ["tcl-rates", "--kind", "mem", "--r", r, "--n", "1", "--tau-end", "20",
+                "--points", points, "--out", str(target)]
+        assert run_cli(argv, capsys)[0] == 0
+        table = ["tau,gamma1,gamma2,gamma3", *(row[4] for row in rows if row[0] == str(index))]
+        assert "\n".join(table) + "\n" == target.read_text(), r
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_with_prefix_written_in_parts_matches_per_value_emitter(fmt):
+    """Constant prefix values, a table written in several parts, floats and mixed rows."""
+    headers = ("index", "label", "flag", "r", "tau", "b", "a")
+    floats = np.random.default_rng(1).random((cli.TABLE_CHUNK + 3, 3))
+    floats[5] = [np.nan, -np.inf, -0.0]
+    parts = [
+        ((0, "50% done", True, 0.1), floats),
+        ((1, "mem", np.bool_(False), np.float64(np.inf)), floats[:0]),
+        ((2, '"q"', False, 5e-324), [(1.5, np.int64(3), "x, y")]),
+        ((3, "%s", True, -2.0), floats[:2]),
+    ]
+    stream = io.StringIO()
+    table = cli._Table(stream, headers, fmt)
+    for prefix, rows in parts:
+        table.write(rows, prefix)
+    table.close()
+    every_row = [(*prefix, *row) for prefix, rows in parts for row in list(rows)]
+    _assert_same_lines(stream.getvalue(), _emit_per_value(headers, every_row, fmt))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "20", "--points", "100001"],
+        ["classify", "--kind", "mem", "--r", "0.2", "--n", "1"],
+    ],
+    ids=["read-one-line", "read-nothing"],
+)
+def test_reader_closing_stdout_early_exits_1_without_traceback(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    with subprocess.Popen(
+        [sys.executable, "-m", "spinflow.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        if argv[0] == "xi":
+            assert proc.stdout.readline() == "tau,xi,dxi\n"
+        proc.stdout.close()  # as `| head -1` and `| head -0` do
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, "")
