@@ -4,131 +4,20 @@ Closed-form damping maps for the convolution and dressed-kernel master
 equations of a qubit in a thermal bath, two independent integration oracles,
 time-local rate extraction, Choi/positivity/divisibility analysis, and the
 trace-distance non-Markovianity measure.
+
+The public names are those of each layer's ``__all__``.  ``spinflow.measure``
+is the function ``measure``; its layer is ``sys.modules["spinflow.measure"]``.
 """
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    CpVerdict,
-    DivisibilityReport,
-    MapInversionError,
-    PositivityVerdict,
-    RegimeReport,
-    ScanResult,
-    choi_eigenvalues,
-    choi_of,
-    classify,
-    cp_scan,
-    cp_temperature_threshold,
-    divisibility_scan,
-    intermediate_map,
-    is_completely_positive,
-    is_positive,
-    positivity_scan,
-)
-from .maps import (
-    EquationKind,
-    MapParams,
-    MapSnapshot,
-    SingularRateError,
-    TclRates,
-    apply_map,
-    parse_kind,
-    rate_divergence_time,
-    snapshot,
-    snapshot_arrays,
-    tcl_rate_arrays,
-    tcl_rates,
-    xi,
-    xi_derivative,
-    xi_envelope,
-)
-from .measure import (
-    DegeneratePairError,
-    FlowReport,
-    MeasureResult,
-    certified_horizon,
-    flow_report,
-    measure,
-    sigma_analytic,
-)
-from .states import (
-    EXCITED,
-    GROUND,
-    MAXIMALLY_MIXED,
-    PLUS,
-    QubitState,
-    StatePair,
-    random_state,
-    random_states,
-    state_from_bloch,
-    trace_distance,
-)
-from .volterra import (
-    AugmentedTrajectory,
-    IntegrationDivergenceError,
-    generator_matrix,
-    integrate_memory_kernel,
-    integrate_post_markovian,
-    integrate_quadrature,
-    integrate_tcl,
-)
+from . import analysis as _analysis, maps as _maps, measure as _measure
+from . import states as _states, volterra as _volterra
+from .states import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .volterra import *  # noqa: F403
+from .analysis import *  # noqa: F403
+from .measure import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "EXCITED",
-    "GROUND",
-    "MAXIMALLY_MIXED",
-    "PLUS",
-    "QubitState",
-    "StatePair",
-    "random_state",
-    "random_states",
-    "state_from_bloch",
-    "trace_distance",
-    "EquationKind",
-    "MapParams",
-    "MapSnapshot",
-    "SingularRateError",
-    "TclRates",
-    "apply_map",
-    "parse_kind",
-    "rate_divergence_time",
-    "snapshot",
-    "snapshot_arrays",
-    "tcl_rate_arrays",
-    "tcl_rates",
-    "xi",
-    "xi_derivative",
-    "xi_envelope",
-    "AugmentedTrajectory",
-    "IntegrationDivergenceError",
-    "generator_matrix",
-    "integrate_memory_kernel",
-    "integrate_post_markovian",
-    "integrate_quadrature",
-    "integrate_tcl",
-    "CpVerdict",
-    "DivisibilityReport",
-    "MapInversionError",
-    "PositivityVerdict",
-    "RegimeReport",
-    "ScanResult",
-    "choi_eigenvalues",
-    "choi_of",
-    "classify",
-    "cp_scan",
-    "cp_temperature_threshold",
-    "divisibility_scan",
-    "intermediate_map",
-    "is_completely_positive",
-    "is_positive",
-    "positivity_scan",
-    "DegeneratePairError",
-    "FlowReport",
-    "MeasureResult",
-    "certified_horizon",
-    "flow_report",
-    "measure",
-    "sigma_analytic",
-]
+_LAYERS = (_states, _maps, _volterra, _analysis, _measure)
+__all__ = ["__version__", *(name for layer in _LAYERS for name in layer.__all__)]

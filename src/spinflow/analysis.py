@@ -40,6 +40,7 @@ __all__ = [
     "PositivityVerdict",
     "DivisibilityReport",
     "RegimeReport",
+    "ScanResult",
     "choi_of",
     "choi_eigenvalues",
     "is_completely_positive",
@@ -56,6 +57,8 @@ __all__ = [
 CP_TOL = 1e-10
 #: Bloch-norm slack for positivity verdicts
 POSITIVITY_TOL = 1e-10
+#: eigenvalue slack for divisibility verdicts
+DIVISIBILITY_TOL = 1e-9
 #: damping factors smaller than this make the earlier map non-invertible
 INVERSION_FLOOR = 1e-12
 #: cells per block of rows in the positivity and divisibility screens, which
@@ -125,9 +128,7 @@ def _image_norm(snap: MapSnapshot, direction: np.ndarray) -> float:
     return math.sqrt(tx * tx + ty * ty + tz * tz)
 
 
-def is_positive(
-    snap: MapSnapshot, samples: int = 1000, tol: float = POSITIVITY_TOL
-) -> PositivityVerdict:
+def is_positive(snap: MapSnapshot, samples: int = 1000) -> PositivityVerdict:
     """Does the affine image of the Bloch ball stay inside the ball?
 
     Maximizes the output Bloch norm over pure inputs: a deterministic
@@ -158,7 +159,7 @@ def is_positive(
         objective, verts[best], project=project, step=0.2, min_step=1e-8
     )
     return PositivityVerdict(
-        ok=max_norm <= 1.0 + tol,
+        ok=max_norm <= 1.0 + POSITIVITY_TOL,
         max_norm=float(max_norm),
         witness=state_from_bloch(*direction),
     )
@@ -199,9 +200,7 @@ def _screen_columns(samples: int) -> tuple[np.ndarray, np.ndarray]:
     return columns
 
 
-def positivity_scan(
-    kind, p: MapParams, taus, samples: int = 1000, tol: float = POSITIVITY_TOL
-) -> ScanResult:
+def positivity_scan(kind, p: MapParams, taus, samples: int = 1000) -> ScanResult:
     """Vectorized icosphere positivity check over a tau grid.
 
     Screens every grid time for its largest squared output Bloch norm over
@@ -230,7 +229,6 @@ def positivity_scan(
     verdict = is_positive(
         MapSnapshot(float(lam1[worst_idx]), float(lam3[worst_idx]), float(t3[worst_idx])),
         samples=samples,
-        tol=tol,
     )
     return ScanResult(
         ok=verdict.ok,
@@ -248,7 +246,7 @@ def _snapshot_min_eigs(lam1: np.ndarray, lam3: np.ndarray, t3: np.ndarray) -> np
     return np.minimum(np.minimum(v, one_minus_u), outer)
 
 
-def cp_scan(kind, p: MapParams, taus, tol: float = CP_TOL) -> ScanResult:
+def cp_scan(kind, p: MapParams, taus) -> ScanResult:
     """Smallest Choi eigenvalue of the one-time map over a tau grid.
 
     The grid is screened with the closed-form spectrum; the reported worst
@@ -262,11 +260,10 @@ def cp_scan(kind, p: MapParams, taus, tol: float = CP_TOL) -> ScanResult:
     mins = _snapshot_min_eigs(lam1, lam3, t3)
     worst = int(np.argmin(mins))
     verdict = is_completely_positive(
-        choi_of(MapSnapshot(float(lam1[worst]), float(lam3[worst]), float(t3[worst]))),
-        tol=tol,
+        choi_of(MapSnapshot(float(lam1[worst]), float(lam3[worst]), float(t3[worst])))
     )
     return ScanResult(
-        ok=bool(np.all(mins >= -tol)) and verdict.ok,
+        ok=bool(np.all(mins >= -CP_TOL)) and verdict.ok,
         worst_tau=float(taus[worst]),
         worst_value=verdict.min_eigenvalue,
     )
@@ -314,24 +311,20 @@ def _pair_min_eigs(early, late) -> np.ndarray:
     """Closed-form smallest Choi eigenvalue of each t1 -> t2 intermediate map.
 
     early and late are the snapshot arrays at t1 and t2; broadcasts over
-    them; inf where the earlier map is not invertible.
+    them; inf where the earlier map is not invertible.  Near-singular earlier
+    maps overflow to inf or NaN without a warning.
     """
     e1, e3, et = early
     l1, l3, lt = late
     invertible = (np.abs(e1) >= INVERSION_FLOOR) & (np.abs(e3) >= INVERSION_FLOOR)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lam3 = l3 / e3
         mins = _snapshot_min_eigs(l1 / e1, lam3, lt - lam3 * et)
     return np.where(invertible, mins, np.inf)
 
 
 def divisibility_scan(
-    kind,
-    p: MapParams,
-    tau_end: float = 20.0,
-    grid: int = 200,
-    tol: float = 1e-9,
-    refine: bool = True,
+    kind, p: MapParams, tau_end: float = 20.0, grid: int = 200, refine: bool = True
 ) -> DivisibilityReport:
     """Search 0 <= t1 <= t2 <= tau_end for an intermediate map that is not CP.
 
@@ -390,12 +383,12 @@ def divisibility_scan(
 
     try:
         worst = intermediate_map(kind, p, t1, t2)
-        verdict = is_completely_positive(choi_of(worst), tol=tol)
+        verdict = is_completely_positive(choi_of(worst), tol=DIVISIBILITY_TOL)
         min_eig = verdict.min_eigenvalue
     except MapInversionError:
         min_eig = float(screened) if np.isfinite(screened) else 0.0
     return DivisibilityReport(
-        divisible=min_eig >= -tol,
+        divisible=min_eig >= -DIVISIBILITY_TOL,
         min_eigenvalue=min_eig,
         worst_pair=(t1, t2),
         tau_end=tau_end,

@@ -147,17 +147,17 @@ class MapParams:
         return self.gamma0 * (2.0 * self.n_occ + 1.0) / self.gamma
 
     @classmethod
-    def from_ratio(cls, r: float, n_occ: float = 0.0, gamma: float = 1.0) -> "MapParams":
-        """Build parameters from (R, N), taking gamma as the time unit."""
+    def from_ratio(cls, r: float, n_occ: float = 0.0) -> "MapParams":
+        """Build parameters from (R, N) with gamma = 1, the time unit."""
         if r < 0.0:
             raise ValueError(f"R must be >= 0, got {r}")
         # checked before 2N + 1 divides R, which it cannot for N = -1/2
         if not (math.isfinite(n_occ) and n_occ >= 0.0):
             raise ValueError(f"n_occ must be finite and >= 0, got {n_occ!r}")
-        gamma0 = r * gamma / (2.0 * n_occ + 1.0)
+        gamma0 = r / (2.0 * n_occ + 1.0)
         if r > 0.0 and gamma0 == 0.0:
             raise ValueError(f"gamma0 = R gamma / (2N+1) underflows, got R = {r!r}")
-        return cls(gamma0=gamma0, gamma=gamma, n_occ=n_occ)
+        return cls(gamma0=gamma0, gamma=1.0, n_occ=n_occ)
 
     def physical_for(self, kind: EquationKind) -> bool:
         """True unless the memory-kernel map is oscillatory (4R > 1).

@@ -48,6 +48,8 @@ __all__ = [
 
 #: |xi| must decay below this at the horizon for truncation to be certified
 TAIL_TOL = 1e-6
+#: first horizon that certified_horizon tries before doubling
+HORIZON_START = 20.0
 
 
 def brentq(f, a: float, b: float, **kwargs) -> float:
@@ -229,13 +231,14 @@ class MeasureResult:
     tau_end: float
 
 
-def certified_horizon(kind, p: MapParams, t_end: float = 20.0) -> float:
-    """Smallest doubling of t_end at which both xi envelopes fall below TAIL_TOL.
+def certified_horizon(kind, p: MapParams) -> float:
+    """Smallest doubling of HORIZON_START at which both xi envelopes fall below TAIL_TOL.
 
     With R = 0 the map is frozen (xi identically 1, sigma identically 0) and
-    no horizon can be certified; the default is returned unchanged.
+    no horizon can be certified; HORIZON_START is returned unchanged.
     """
     kind = parse_kind(kind)
+    t_end = HORIZON_START
     if p.R == 0.0:
         return t_end
     for _ in range(60):

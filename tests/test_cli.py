@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -517,6 +518,24 @@ def test_divisibility_rows(capsys):
     _, rows = rows_of(out)
     assert rows[0][0] == "true"
 
+
+@pytest.mark.parametrize("kind", ["mem", "post"])
+@pytest.mark.parametrize(
+    "params",
+    [["--r", "1e8", "--n", "1"], ["--gamma0", "2", "--gamma", "3", "--n", "0.5"], ["--r", "5"]],
+    ids=["r=1e8,n=1", "gamma0=2,gamma=3,n=0.5", "r=5"],
+)
+def test_divisibility_near_singular_maps_warn_nothing(kind, params, capsys):
+    # the earlier map of a pair nearly vanishes late in the horizon, and the
+    # screen's quotients overflow; that is part of the screen, not a fault
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            ["divisibility", "--kind", kind, *params, "--tau-end", "1000"], capsys
+        )
+    assert code == 0 and out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert err == ""
 
 def test_positivity_row(capsys):
     code, out, _ = run_cli(
