@@ -75,8 +75,9 @@ def _json(value) -> str:
     return "null" if isinstance(value, float) and not math.isfinite(value) else json.dumps(value)
 
 
-class OutputError(Exception):
-    """An --out file or --out-dir that cannot be opened: a flag error."""
+class UsageError(Exception):
+    """Flags refused after parsing: together, by the library, or an --out or
+    --out-dir that cannot be opened; main reports it as a usage error."""
 
 
 def _open_out(out: str | None, mode: str = "w"):
@@ -85,11 +86,11 @@ def _open_out(out: str | None, mode: str = "w"):
     try:
         return open(out, mode)
     except OSError as exc:
-        raise OutputError(f"cannot write {out}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _probe_out(out: str) -> None:
-    """OutputError now if out cannot be opened for writing, changing no file.
+    """UsageError now if out cannot be opened for writing, changing no file.
 
     An existing file is opened for appending, so it keeps its contents until
     the command writes it; a file the probe creates is removed again.
@@ -174,7 +175,7 @@ def _emit(headers, rows, fmt: str, out: str | None) -> None:
     rows is a 2-D float array, formatted and written TABLE_CHUNK rows at a
     time so that the text in memory does not grow with the table, or a short
     list of mixed rows; see _table_pieces.  out is opened before anything is
-    formatted; OutputError if it cannot be.
+    formatted; UsageError if it cannot be.
     """
     with _open_out(out) as stream:
         table = _Table(stream, headers, fmt)
@@ -225,15 +226,15 @@ _tol = _flag_type(
 )
 _budget = _flag_type("_budget", int, lambda v: v >= 100, ">= 100")
 _points = _flag_type("_points", int, lambda v: 2 <= v <= _MAX_POINTS, f"in [2, {_MAX_POINTS}]")
+_grid_size = _flag_type("_grid_size", int, lambda v: 2 <= v <= MAX_GRID, f"in [2, {MAX_GRID}]")
+_samples = _flag_type(
+    "_samples", int, lambda v: 1000 <= v <= MAX_VERTICES, f"in [1000, {MAX_VERTICES}]"
+)
+_workers = _flag_type("_workers", int, lambda v: v >= 1, ">= 1")
 # --format and a sweep config's format; a sweep config's analyses, a key
 # with no flag, checked the same way
 _format = _flag_type("_format", str, FORMATS.__contains__, "one of " + ", ".join(FORMATS))
 _analysis = _flag_type("_analysis", str, ANALYSES.__contains__, "one of " + ", ".join(ANALYSES))
-
-
-def _add_output_flags(sp) -> None:
-    sp.add_argument("--format", type=_format, default="csv", metavar="{%s}" % ",".join(FORMATS))
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def _add_param_flags(sp) -> None:
@@ -255,28 +256,29 @@ def _map_params(r, gamma0, gamma, n) -> MapParams:
     return MapParams(gamma0, 1.0 if gamma is None else gamma, n)
 
 
-def _params(args, parser) -> tuple[EquationKind, MapParams]:
+def _params(args) -> tuple[EquationKind, MapParams]:
     try:
         return parse_kind(args.kind), _map_params(args.r, args.gamma0, args.gamma, args.n)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise UsageError(str(exc)) from None
 
 
 def _grid(args) -> np.ndarray:
     return np.linspace(0.0, args.tau_end, args.points)
 
 
-def _state_triple(text: str, parser, flag: str) -> QubitState:
+def _state(text: str) -> QubitState:
+    """The argparse type of --state, --state1 and --state2: 'pe,re,im'."""
     parts = text.split(",")
     if len(parts) != 3:
-        parser.error(f"{flag} expects 'pe,re,im', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects 'pe,re,im', got {text!r}")
     try:
         pe, re, im = (float(v) for v in parts)
     except ValueError:
-        parser.error(f"{flag} expects three numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects three numbers, got {text!r}") from None
     state = QubitState(pe, complex(re, im))
     if not state.is_valid():
-        parser.error(f"{flag} is not a valid qubit state: {text!r}")
+        raise argparse.ArgumentTypeError(f"is not a valid qubit state: {text!r}")
     return state
 
 
@@ -285,8 +287,8 @@ def _warn_trig(kind: EquationKind, r: float) -> None:
         _diag(TRIG_WARNING)
 
 
-def cmd_xi(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_xi(args) -> int:
+    kind, p = _params(args)
     taus = _grid(args)
     _warn_trig(kind, p.R)
     x = xi(kind, p.R, taus)
@@ -295,17 +297,16 @@ def cmd_xi(args, parser) -> int:
     return 0
 
 
-def cmd_solve(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_solve(args) -> int:
+    kind, p = _params(args)
     taus = _grid(args)
-    s0 = _state_triple(args.state, parser, "--state")
     headers = ("tau", "pe", "re_b", "im_b")
     if args.method == "closed":
-        pe, b = _closed_form(kind, p, s0, taus)
+        pe, b = _closed_form(kind, p, args.state, taus)
         rows = np.column_stack((taus, pe, b.real, b.imag))
     else:
         try:
-            traj = _integrate(args.method, kind, p, s0, args, parser)
+            traj = _integrate(args.method, kind, p, args)
         except IntegrationDivergenceError as exc:
             _diag(f"integrator diverged: {exc}")
             return 1
@@ -339,12 +340,13 @@ def _augmented_ode(kind, p, s0, tau_end, points):
     return run(p, s0, tau_end, points=points)
 
 
-def _integrate(method, kind, p, s0, args, parser):
-    """The trajectory of one integration route on the --points grid.
+def _integrate(method, kind, p, args):
+    """The trajectory of --state by one integration route on the --points grid.
 
     An argument the route refuses (a --steps too coarse, a step too long) is
     a usage error.
     """
+    s0 = args.state
     try:
         if method == "quadrature":
             return integrate_quadrature(
@@ -354,20 +356,18 @@ def _integrate(method, kind, p, s0, args, parser):
             return _augmented_ode(kind, p, s0, args.tau_end, args.points)
         return integrate_tcl(kind, p, s0, args.tau_end, args.tol, points=args.points)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise UsageError(str(exc)) from None
 
 
-def cmd_trace_distance(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_trace_distance(args) -> int:
+    kind, p = _params(args)
     taus = _grid(args)
-    s1 = _state_triple(args.state1, parser, "--state1")
-    s2 = _state_triple(args.state2, parser, "--state2")
     snap = snapshot_arrays(kind, p, taus)
     # the arithmetic of trace_distance(apply_map(snap, s1), apply_map(snap, s2))
     # at every point, bit for bit: np.hypot equals abs(complex) where np.abs
     # does not, and math.hypot, which np.hypot does not reproduce, runs per
     # point, on TABLE_CHUNK points at a time
-    (a, db), (pe2, b2) = _evolve(snap, s1), _evolve(snap, s2)
+    (a, db), (pe2, b2) = _evolve(snap, args.state1), _evolve(snap, args.state2)
     a -= pe2
     db -= b2
     del pe2, b2
@@ -381,65 +381,66 @@ def cmd_trace_distance(args, parser) -> int:
     return 0
 
 
-def cmd_sigma(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_sigma(args) -> int:
+    kind, p = _params(args)
     taus = _grid(args)
-    pair = StatePair(
-        _state_triple(args.state1, parser, "--state1"),
-        _state_triple(args.state2, parser, "--state2"),
-    )
-    _warn_trig(kind, p.R)
     try:
-        values = sigma_analytic(kind, p, pair, taus)
+        values = sigma_analytic(kind, p, StatePair(args.state1, args.state2), taus)
     except DegeneratePairError as exc:
-        parser.error(str(exc))
+        raise UsageError(str(exc)) from None
+    _warn_trig(kind, p.R)
     _emit(("tau", "sigma"), np.column_stack((taus, values)), args.format, args.out)
     return 0
 
 
-def _measure_fields(m) -> dict:
-    return {
-        "value": m.value, "evaluations": m.evaluations, "method": m.method, "tau_end": m.tau_end,
-    }
+#: the columns of each analysis's record, shared by its command and its sweep
+#: table, which puts (index, kind, r, n) before them; the command's record
+#: may add columns after them
+_COLUMNS = {
+    "measure": ("value", "evaluations", "method", "tau_end"),
+    "rates": ("tau", "gamma1", "gamma2", "gamma3"),
+    "choi": ("tau", "min_eigenvalue"),
+    "divisibility": ("divisible", "min_eigenvalue", "t1", "t2"),
+    "positivity": ("ok", "worst_tau", "max_norm"),
+}
 
 
-def _divisibility_fields(report) -> dict:
-    t1, t2 = report.worst_pair
-    return {
-        "divisible": report.divisible, "min_eigenvalue": report.min_eigenvalue, "t1": t1, "t2": t2,
-    }
+def _measure_row(m) -> tuple:
+    return m.value, m.evaluations, m.method, m.tau_end
 
 
-def _positivity_fields(result) -> dict:
-    return {"ok": result.ok, "worst_tau": result.worst_tau, "max_norm": result.worst_value}
+def _divisibility_row(report) -> tuple:
+    return report.divisible, report.min_eigenvalue, *report.worst_pair
+
+
+def _positivity_row(result) -> tuple:
+    return result.ok, result.worst_tau, result.worst_value
 
 
 def _bloch_fields(prefix: str, state: QubitState) -> dict:
     return dict(zip((f"{prefix}_x", f"{prefix}_y", f"{prefix}_z"), state.bloch()))
 
 
-_RATE_COLUMNS = ("tau", "gamma1", "gamma2", "gamma3")
-
-
 def _rate_rows(kind, p, taus):
-    """_RATE_COLUMNS on the taus before the rates diverge, and that time (inf if never)."""
+    """The rates columns on the taus before the rates diverge, and that time (inf if never)."""
     horizon = rate_divergence_time(kind, p)
     kept = taus[taus < horizon] if np.isfinite(horizon) else taus
     return np.column_stack((kept, *tcl_rate_arrays(kind, p, kept))), horizon
 
 
-def cmd_measure(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_measure(args) -> int:
+    kind, p = _params(args)
     result = measure(kind, p, t_end=args.tau_end)
-    record = {**_measure_fields(result), "classification": classify(kind, p).verdict}
+    record = dict(zip(_COLUMNS["measure"], _measure_row(result)))
+    record["classification"] = classify(kind, p).verdict
     pair = result.argmax_pair
     record |= _bloch_fields("first", pair.first) | _bloch_fields("second", pair.second)
     _emit_record(record, args.format, args.out)
     return 0
 
 
-def cmd_tcl_rates(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_tcl_rates(args) -> int:
+    kind, p = _params(args)
     taus = _grid(args)
     rows, horizon = _rate_rows(kind, p, taus)
     if np.isfinite(horizon):
@@ -447,14 +448,14 @@ def cmd_tcl_rates(args, parser) -> int:
             f"rates diverge at tau = {_fmt(horizon)}; "
             f"emitting {len(rows)} of {len(taus)} grid rows"
         )
-    _emit(_RATE_COLUMNS, rows, args.format, args.out)
+    _emit(_COLUMNS["rates"], rows, args.format, args.out)
     return 0
 
 
-def cmd_choi(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_choi(args) -> int:
+    kind, p = _params(args)
     if args.tau_start > args.tau:
-        parser.error(f"--tau-start {args.tau_start:g} is after --tau {args.tau:g}")
+        raise UsageError(f"--tau-start {args.tau_start:g} is after --tau {args.tau:g}")
     try:
         if args.tau_start > 0.0:
             snap = intermediate_map(kind, p, args.tau_start, args.tau)
@@ -472,37 +473,33 @@ def cmd_choi(args, parser) -> int:
     return 0
 
 
-def cmd_divisibility(args, parser) -> int:
-    kind, p = _params(args, parser)
-    if not 2 <= args.grid <= MAX_GRID:
-        parser.error(f"--grid must lie in [2, {MAX_GRID}], got {args.grid}")
+def cmd_divisibility(args) -> int:
+    kind, p = _params(args)
     report = divisibility_scan(kind, p, tau_end=args.tau_end, grid=args.grid)
-    record = {**_divisibility_fields(report), "tau_end": report.tau_end, "grid": report.grid}
+    record = dict(zip(_COLUMNS["divisibility"], _divisibility_row(report)))
+    record |= {"tau_end": report.tau_end, "grid": report.grid}
     _emit_record(record, args.format, args.out)
     return 0
 
 
-def cmd_positivity(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_positivity(args) -> int:
+    kind, p = _params(args)
     taus = _grid(args)
-    if not 1000 <= args.samples <= MAX_VERTICES:
-        parser.error(f"--samples must lie in [1000, {MAX_VERTICES}], got {args.samples}")
     result = positivity_scan(kind, p, taus, samples=args.samples)
-    record = _positivity_fields(result) | _bloch_fields("witness", result.witness)
+    record = dict(zip(_COLUMNS["positivity"], _positivity_row(result)))
+    record |= _bloch_fields("witness", result.witness)
     _emit_record(record, args.format, args.out)
     return 0
 
 
-def cmd_oracle(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_oracle(args) -> int:
+    kind, p = _params(args)
     taus = _grid(args)
-    s0 = _state_triple(args.state, parser, "--state")
-
-    pe_closed, b_closed = _closed_form(kind, p, s0, taus)
+    pe_closed, b_closed = _closed_form(kind, p, args.state, taus)
     # the quadrature runs first: a --steps too coarse for it is a usage error
-    quad = _integrate("quadrature", kind, p, s0, args, parser)
+    quad = _integrate("quadrature", kind, p, args)
     try:
-        ode = _integrate("ode", kind, p, s0, args, parser)
+        ode = _integrate("ode", kind, p, args)
     except IntegrationDivergenceError as exc:
         _diag(f"integrator diverged: {exc}")
         return 1
@@ -530,8 +527,8 @@ def cmd_oracle(args, parser) -> int:
     return 0
 
 
-def cmd_classify(args, parser) -> int:
-    kind, p = _params(args, parser)
+def cmd_classify(args) -> int:
+    kind, p = _params(args)
     report = classify(kind, p)
     record = {
         "verdict": report.verdict,
@@ -645,7 +642,7 @@ def _sweep_point(kind, p, cfg: dict):
     report = classify(kind, p)
     tables = {}
     if "measure" in analyses:
-        tables["measure"] = [tuple(_measure_fields(report.measure).values())]
+        tables["measure"] = [_measure_row(report.measure)]
     if "rates" in analyses:
         tables["rates"] = _rate_rows(kind, p, taus)[0]
     if "choi" in analyses:
@@ -653,26 +650,14 @@ def _sweep_point(kind, p, cfg: dict):
         tables["choi"] = np.column_stack((taus, eigs))
     if "divisibility" in analyses:
         rep = divisibility_scan(kind, p, tau_end=cfg["tau_end"])
-        tables["divisibility"] = [tuple(_divisibility_fields(rep).values())]
+        tables["divisibility"] = [_divisibility_row(rep)]
     if "positivity" in analyses:
         result = positivity_scan(kind, p, taus)
-        tables["positivity"] = [tuple(_positivity_fields(result).values())]
+        tables["positivity"] = [_positivity_row(result)]
     return tables, report
 
 
-#: the columns of each sweep table after its (index, kind, r, n) prefix
-_SWEEP_HEADERS = {
-    "measure": ("value", "evaluations", "method", "tau_end"),
-    "rates": _RATE_COLUMNS,
-    "choi": ("tau", "min_eigenvalue"),
-    "divisibility": ("divisible", "min_eigenvalue", "t1", "t2"),
-    "positivity": ("ok", "worst_tau", "max_norm"),
-}
-
-
-def cmd_sweep(args, parser) -> int:
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+def cmd_sweep(args) -> int:
     started = time.perf_counter()
     try:
         cfg = _load_sweep_config(args.config)
@@ -683,7 +668,7 @@ def cmd_sweep(args, parser) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise OutputError(f"cannot create {out_dir}: {exc.strerror}") from None
+        raise UsageError(f"cannot create {out_dir}: {exc.strerror}") from None
 
     points, fmt = cfg["points"], cfg["format"]
     summaries, failures = [], []
@@ -692,7 +677,7 @@ def cmd_sweep(args, parser) -> int:
         tables = {
             name: _Table(
                 stack.enter_context(_open_out(str(out_dir / f"{name}.{fmt}"))),
-                ("index", "kind", "r", "n", *_SWEEP_HEADERS[name]),
+                ("index", "kind", "r", "n", *_COLUMNS[name]),
                 fmt,
             )
             for name in dict.fromkeys(cfg["analyses"])
@@ -757,27 +742,23 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--points", type=_points, default=points)
         return sp
 
-    sp = add("xi", cmd_xi, points=201, help="decay profile xi and its tau-derivative on a grid")
-    _add_output_flags(sp)
+    add("xi", cmd_xi, points=201, help="decay profile xi and its tau-derivative on a grid")
 
     sp = add("solve", cmd_solve, points=201, help="evolve one state (closed form or integrator)")
-    sp.add_argument("--state", default="1,0,0", help="initial state as 'pe,re,im'")
+    sp.add_argument("--state", type=_state, default="1,0,0", help="initial state as 'pe,re,im'")
     sp.add_argument(
         "--method", choices=("closed", "ode", "quadrature", "tcl"), default="closed"
     )
     sp.add_argument("--tol", type=_tol, default=1e-10)
     sp.add_argument("--steps", type=_steps, default=2000, help="quadrature steps")
-    _add_output_flags(sp)
 
-    sp = add("trace-distance", cmd_trace_distance, points=201, help="distance of an evolving pair")
-    sp.add_argument("--state1", default="1,0,0")
-    sp.add_argument("--state2", default="0,0,0")
-    _add_output_flags(sp)
-
-    sp = add("sigma", cmd_sigma, points=201, help="trace-distance rate of change for a pair")
-    sp.add_argument("--state1", default="1,0,0")
-    sp.add_argument("--state2", default="0,0,0")
-    _add_output_flags(sp)
+    for name, func, summary in (
+        ("trace-distance", cmd_trace_distance, "distance of an evolving pair"),
+        ("sigma", cmd_sigma, "trace-distance rate of change for a pair"),
+    ):
+        sp = add(name, func, points=201, help=summary)
+        sp.add_argument("--state1", type=_state, default="1,0,0")
+        sp.add_argument("--state2", type=_state, default="0,0,0")
 
     sp = add("measure", cmd_measure, help="non-Markovianity measure of the best state pair")
     sp.add_argument("--tau-end", type=_positive_time, default=None)
@@ -785,38 +766,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=_budget, default=1000, help="accepted (>= 100); changes no output"
     )
     sp.add_argument("--seed", type=int, help="accepted; changes no output")
-    _add_output_flags(sp)
 
-    sp = add("tcl-rates", cmd_tcl_rates, points=201, help="time-local decay rates on a grid")
-    _add_output_flags(sp)
+    add("tcl-rates", cmd_tcl_rates, points=201, help="time-local decay rates on a grid")
 
     sp = add("choi", cmd_choi, help="Choi matrix of the map at tau (or tau-start->tau)")
     sp.add_argument("--tau", type=_time, required=True)
     sp.add_argument("--tau-start", type=_time, default=0.0)
-    _add_output_flags(sp)
 
     sp = add("divisibility", cmd_divisibility, help="two-time intermediate-map CP scan")
     sp.add_argument("--tau-end", type=_positive_time, default=20.0)
-    sp.add_argument("--grid", type=int, default=200)
-    _add_output_flags(sp)
+    sp.add_argument("--grid", type=_grid_size, default=200)
 
     sp = add("positivity", cmd_positivity, help="Bloch-ball contraction check on a grid")
     sp.add_argument("--tau-end", type=_positive_time, default=20.0)
     sp.add_argument("--points", type=_points, default=201)
-    sp.add_argument("--samples", type=int, default=1000)
-    _add_output_flags(sp)
+    sp.add_argument("--samples", type=_samples, default=1000)
 
     sp = add("oracle", cmd_oracle, points=101, help="closed form vs both integration routes")
-    sp.add_argument("--state", default="1,0,0")
+    sp.add_argument("--state", type=_state, default="1,0,0")
     sp.add_argument("--tol", type=_tol, default=1e-6)
     sp.add_argument("--steps", type=_steps, default=2000)
-    _add_output_flags(sp)
 
     sp = add("sweep", cmd_sweep, params=False, help="parameter sweep driven by a config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out-dir", default=None)
     sp.add_argument(
-        "--workers", type=int, default=4,
+        "--workers", type=_workers, default=4,
         help="accepted (>= 1); points run one after another, so it changes no output",
     )
 
@@ -825,7 +800,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=_budget, default=400, help="accepted (>= 100); changes no output"
     )
     sp.add_argument("--seed", type=int, help="accepted; changes no output")
-    _add_output_flags(sp)
+
+    # every command but sweep writes one table; its flags come last in --help
+    for name, sp in sub.choices.items():
+        if name != "sweep":
+            sp.add_argument(
+                "--format", type=_format, default="csv", metavar="{%s}" % ",".join(FORMATS)
+            )
+            sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     return parser
 
@@ -836,10 +818,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None) is not None:
             _probe_out(args.out)
-        code = args.func(args, parser)
+        code = args.func(args)
         sys.stdout.flush()  # a reader gone early shows here, not at exit
         return code
-    except OutputError as exc:
+    except UsageError as exc:
         parser.error(str(exc))
     except BrokenPipeError:  # stdout's reader left early (| head): signal's "Note on SIGPIPE"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet exit flush

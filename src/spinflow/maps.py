@@ -76,6 +76,12 @@ BRANCH_TAYLOR_TOL = 1e-6
 #: below this |xi| (or unscaled |xi'|) the rates use the closed-form
 #: log-derivative, not xi' / xi
 _NORMAL_MIN = float(np.finfo(float).tiny)
+#: the largest float: an oscillatory phase past it is capped here, since a
+#: phase of inf would make sin and cos NaN where exp(-theta) is already 0
+_FLOAT_MAX = float(np.finfo(float).max)
+#: a scaled time tscale * t, or a rate times it, may overflow to inf; xi and
+#: its derivatives are at their limits there, so _Channel ignores the overflow
+_OVERFLOW_IS_A_LIMIT = np.errstate(over="ignore")
 
 
 class EquationKind(enum.Enum):
@@ -226,6 +232,7 @@ class _Channel:
             self.dist = abs(r - 1.0)
         self.w = math.sqrt(abs(self.w2))
 
+    @_OVERFLOW_IS_A_LIMIT
     def value(self, t):
         """xi at t; exactly 1.0 at t = 0."""
         w2, w = self.w2, self.w
@@ -239,11 +246,13 @@ class _Channel:
                 1.0 - (1.0 - w) / (2.0 * w) * np.expm1(-2.0 * w * theta)
             )
         elif w2 < 0.0:
-            val = np.exp(-theta) * (np.sin(w * theta) / w + np.cos(w * theta))
+            phase = np.minimum(w * theta, _FLOAT_MAX)
+            val = np.exp(-theta) * (np.sin(phase) / w + np.cos(phase))
         else:
             val = np.exp(-theta) * (1.0 + theta)
         return _shaped(t, np.where(t == 0.0, 1.0, val))
 
+    @_OVERFLOW_IS_A_LIMIT
     def derivative(self, t):
         """d xi / d tau at t; exactly 0.0 at t = 0."""
         w2, w, one_minus_w2 = self.w2, self.w, self.one_minus_w2
@@ -254,11 +263,12 @@ class _Channel:
             # difference of exponentials would lose digits to cancellation
             val = one_minus_w2 / (2.0 * w) * np.exp(-m1 * theta) * np.expm1(-2.0 * w * theta)
         elif w2 < 0.0:
-            val = -one_minus_w2 * np.exp(-theta) * np.sin(w * theta) / w
+            val = -one_minus_w2 * np.exp(-theta) * np.sin(np.minimum(w * theta, _FLOAT_MAX)) / w
         else:
             val = -theta * np.exp(-theta)
         return _shaped(t, np.where(t == 0.0, 0.0, self.tscale * val))
 
+    @_OVERFLOW_IS_A_LIMIT
     def log_derivative(self, t):
         """xi' / xi at t with the common exponential cancelled.
 
@@ -270,12 +280,14 @@ class _Channel:
             fast = np.expm1(-2.0 * w * theta)
             val = one_minus_w2 / (2.0 * w) * fast / (1.0 - (1.0 - w) / (2.0 * w) * fast)
         elif w2 < 0.0:
-            sinc = np.sin(w * theta) / w
-            val = -one_minus_w2 * sinc / (sinc + np.cos(w * theta))
+            phase = np.minimum(w * theta, _FLOAT_MAX)
+            sinc = np.sin(phase) / w
+            val = -one_minus_w2 * sinc / (sinc + np.cos(phase))
         else:
             val = -theta / (1.0 + theta)
         return _shaped(t, self.tscale * val)
 
+    @_OVERFLOW_IS_A_LIMIT
     def envelope(self, t):
         """Decaying upper bound for |xi(t')| at t' >= t."""
         w2, w = self.w2, self.w

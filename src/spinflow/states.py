@@ -58,13 +58,15 @@ class QubitState:
 
     def is_valid(self, tol: float = DEFAULT_STATE_TOL) -> bool:
         """True when populations lie in [0, 1] and rho >= 0, within tol."""
-        p = self.population_e
-        if not (np.isfinite(p) and np.isfinite(complex(self.coherence))):
+        p, b = self.population_e, complex(self.coherence)
+        if not (np.isfinite(p) and np.isfinite(b)):
             return False
-        if p < -tol or p > 1.0 + tol:
+        # a part of b past 1 rules the state out before abs(b) ** 2, which
+        # raises OverflowError for a huge b
+        if p < -tol or p > 1.0 + tol or abs(b.real) > 1.0 or abs(b.imag) > 1.0:
             return False
         # det(rho) = p(1-p) - |b|^2 >= 0 is the qubit positivity test
-        det = p * (1.0 - p) - abs(complex(self.coherence)) ** 2
+        det = p * (1.0 - p) - abs(b) ** 2
         return det >= -tol
 
 

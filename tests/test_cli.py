@@ -151,6 +151,10 @@ def test_physical_parameter_entry(capsys):
              "--tol", "5"]
             for method in ("closed", "quadrature")
         ),
+        # a coherence whose square, or modulus, overflows
+        ["solve", "--kind", "mem", "--r", "0.1", "--tau-end", "1", "--state", "0.5,1e200,0"],
+        ["trace-distance", "--kind", "mem", "--r", "0.1", "--tau-end", "1",
+         "--state1", "0,1.7976931348623157e308,1.7976931348623157e308"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -159,6 +163,41 @@ def test_usage_errors_exit_2(argv, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        # a value one flag's type refuses names the command and the flag
+        (["divisibility", "--kind", "mem", "--r", "0.2", "--grid", "1"],
+         "spinflow divisibility: error: argument --grid: must be in [2, 65536], got '1'"),
+        (["positivity", "--kind", "mem", "--r", "0.2", "--samples", "5"],
+         "spinflow positivity: error: argument --samples: must be in [1000, 163842]"),
+        (["sweep", "--config", str(ROOT / "configs" / "smoke_sweep.txt"), "--workers", "0"],
+         "spinflow sweep: error: argument --workers: must be >= 1"),
+        (["solve", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--state", "1,0"],
+         "spinflow solve: error: argument --state: expects 'pe,re,im'"),
+        (["oracle", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--state", "a,0,0"],
+         "spinflow oracle: error: argument --state: expects three numbers"),
+        (["sigma", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--state1", "2,0,0"],
+         "spinflow sigma: error: argument --state1: is not a valid qubit state"),
+        (["trace-distance", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--state2", "x"],
+         "spinflow trace-distance: error: argument --state2: expects 'pe,re,im'"),
+        # a refusal of flags together, or by the library, names neither
+        (["choi", "--kind", "mem", "--r", "0.2", "--tau", "1", "--tau-start", "2"],
+         "spinflow: error: --tau-start 2 is after --tau 1"),
+        (["sigma", "--kind", "mem", "--r", "0.5", "--tau-end", "1", "--state1", "0,0,0"],
+         "spinflow: error: identical initial states"),
+        (["xi", "--kind", "mem", "--r", "0.2", "--gamma0", "1", "--tau-end", "1"],
+         "spinflow: error: give either r"),
+    ],
+    ids=["grid", "samples", "workers", "state", "state-numbers", "state1", "state2",
+         "tau-start", "sigma-pair", "r-and-gamma0"],
+)
+def test_usage_error_names_the_flag_only_for_one_flag(argv, prefix, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 def test_divisibility_grid_above_the_cap_is_rejected_before_any_work(monkeypatch):
@@ -536,6 +575,29 @@ def test_divisibility_near_singular_maps_warn_nothing(kind, params, capsys):
     assert code == 0 and out
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", "--kind", "post", "--r", "1e10", "--tau-end", "1e300", "--points", "3"],
+        ["choi", "--kind", "post", "--r", "1e15", "--n", "0", "--tau", "1e300"],
+        ["tcl-rates", "--kind", "post", "--r", "1e15", "--n", "0", "--tau-end", "1e300"],
+        ["divisibility", "--kind", "post", "--r", "1e15", "--n", "0", "--tau-end", "1e300"],
+        ["positivity", "--kind", "post", "--r", "1e15", "--tau-end", "1e300"],
+        # an oscillatory phase past the float range, where exp(-theta) is 0
+        ["xi", "--kind", "mem", "--r", "1e100", "--tau-end", "1e300", "--points", "3"],
+        ["choi", "--kind", "mem", "--r", "1e100", "--tau", "1e300"],
+    ],
+)
+def test_time_scales_past_the_float_range_warn_nothing(argv, capsys):
+    # tscale * tau, or a rate times it, overflows to inf: xi is at its limit
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 0 and out and "nan" not in out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Warning" not in err
 
 def test_positivity_row(capsys):
     code, out, _ = run_cli(
@@ -1128,6 +1190,99 @@ def test_any_sweep_config_exits_0_with_a_valid_record_or_2_with_one_line(changes
                 jsonschema.validate(json.loads(record.read_text()), SCHEMA)
 
 
+#: the text of a float flag: finite, huge, tiny, zero, negative and non-finite
+_FLOAT_TEXT = st.one_of(
+    st.sampled_from([
+        "0", "-0", "-1", "0.2", "0.3", "1", "3", "1e-320", "5e-324", "1e-300", "1e-10", "1e-06",
+        "1e10", "1e15", "1e100", "1e300", "1.7976931348623157e308", "nan", "inf", "-inf",
+    ]),
+    st.floats().map(repr),
+)
+
+
+def _count_text(*small, cap=None):
+    """The text of a count flag: small values, the first past its cap, and refused ones.
+
+    Only the small values are ever run, so the work of an example is bounded
+    by counts, not by a clock.
+    """
+    return st.sampled_from(
+        [*map(str, small), *([str(cap + 1)] if cap else []), "0", "-1", "2.5", "nan", "inf"]
+    )
+
+
+_STATE_TEXT = st.one_of(
+    st.sampled_from(["1,0,0", "0,0,0", "0.5,0.5,0", "0.3,0.1,-0.2"]),
+    st.tuples(_FLOAT_TEXT, _FLOAT_TEXT, _FLOAT_TEXT).map(",".join),
+)
+_GRID_FLAGS = {"--tau-end": _FLOAT_TEXT, "--points": _count_text(2, 3, 9, cap=cli._MAX_POINTS)}
+_STEPS_TEXT = _count_text(1, 2, 40, 10**9)
+#: the flags each subcommand is run with, besides --kind and the parameter flags
+_COMMAND_FLAGS = {
+    "xi": _GRID_FLAGS,
+    "solve": {
+        **_GRID_FLAGS, "--state": _STATE_TEXT,
+        "--method": st.sampled_from(["closed", "ode", "quadrature", "tcl"]),
+        "--tol": _FLOAT_TEXT, "--steps": _STEPS_TEXT,
+    },
+    "trace-distance": {**_GRID_FLAGS, "--state1": _STATE_TEXT, "--state2": _STATE_TEXT},
+    "sigma": {**_GRID_FLAGS, "--state1": _STATE_TEXT, "--state2": _STATE_TEXT},
+    "measure": {
+        "--tau-end": _FLOAT_TEXT,
+        "--budget": _count_text(100, 10**30),
+        "--seed": _count_text(7, 10**30),
+    },
+    "tcl-rates": _GRID_FLAGS,
+    "choi": {"--tau": _FLOAT_TEXT, "--tau-start": _FLOAT_TEXT},
+    "divisibility": {"--tau-end": _FLOAT_TEXT, "--grid": _count_text(2, 3, 17, cap=MAX_GRID)},
+    "positivity": {
+        "--tau-end": _FLOAT_TEXT, "--points": _count_text(2, 9, cap=cli._MAX_POINTS),
+        "--samples": _count_text(1000, cap=cli.MAX_VERTICES),
+    },
+    "oracle": {
+        **_GRID_FLAGS, "--state": _STATE_TEXT, "--tol": _FLOAT_TEXT, "--steps": _STEPS_TEXT,
+    },
+    "sweep": {"--workers": _count_text(1, 4, 10**30)},
+    "classify": {"--budget": _count_text(100, 10**30), "--seed": _count_text(7, 10**30)},
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_numeric_flags_keep_the_exit_code_contract(command, data):
+    argv, flags = [command], {}
+    if command == "sweep":
+        argv += ["--config", str(ROOT / "configs" / "smoke_sweep.txt")]
+    else:
+        argv += ["--kind", data.draw(st.sampled_from(["mem", "post"]), label="--kind")]
+        source = data.draw(st.sampled_from(["--r", "--gamma0"]), label="R from")
+        flags = {source: _FLOAT_TEXT, "--n": st.none() | _FLOAT_TEXT}
+        if source == "--gamma0":
+            flags["--gamma"] = st.none() | _FLOAT_TEXT
+    for flag, values in _COMMAND_FLAGS[command].items():
+        # a flag left out takes its default; the times are always given
+        flags[flag] = values if flag in ("--tau", "--tau-end") else st.none() | values
+    for flag, values in flags.items():
+        value = data.draw(values, label=flag)
+        # --flag=value, so that a value such as -inf is not read as a flag
+        argv += [] if value is None else [f"{flag}={value}"]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run_quietly([*argv, f"--out-dir={tmp}"] if command == "sweep" else argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
+    if code == 2:
+        assert out == "" and len(err.strip().splitlines()) == 1, (argv, out, err)
+    elif code == 0 and command != "sweep":
+        header, *rows = (line.split(",") for line in out.splitlines())
+        assert rows and {len(row) for row in rows} == {len(header)}, (argv, out)
+        # README allows non-finite values only in sigma: mem, 4R > 1, where D reads 0
+        if command != "sigma":
+            assert not {"nan", "inf", "-inf"} & {v for row in rows for v in row}, (argv, out)
+
+
 def test_grid_at_the_cap_is_accepted():
     args = cli.build_parser().parse_args(
         ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1",
@@ -1147,8 +1302,12 @@ def test_grid_at_the_cap_is_accepted():
         (["measure", "--kind", "mem", "--r", "0.2", "--budget"], "_budget"),
         (["oracle", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--tol"], "_tol"),
         (["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "1", "--points"], "_points"),
+        (["divisibility", "--kind", "mem", "--r", "0.2", "--grid"], "_grid_size"),
+        (["positivity", "--kind", "mem", "--r", "0.2", "--samples"], "_samples"),
+        (["sweep", "--config", str(ROOT / "configs" / "smoke_sweep.txt"), "--workers"],
+         "_workers"),
     ],
-    ids=["tau-end", "tau", "steps", "budget", "tol", "points"],
+    ids=["tau-end", "tau", "steps", "budget", "tol", "points", "grid", "samples", "workers"],
 )
 def test_flag_type_errors_name_the_type(argv, name, capsys):
     code, out, err = run_cli([*argv, "1.5x"], capsys)
