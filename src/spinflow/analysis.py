@@ -2,7 +2,8 @@
 
 Choi matrices and complete positivity, positivity on the Bloch ball,
 two-time intermediate maps and divisibility, and a regime classifier that
-combines those scans with the information-flow measure.
+combines those scans with the information-flow measure (classify, with
+every result, or regime_verdict, the verdict alone).
 
 Convention fixed project-wide: the Choi matrix is built with the input index
 on the first tensor factor and is unnormalized,
@@ -50,6 +51,7 @@ __all__ = [
     "intermediate_map",
     "divisibility_scan",
     "cp_temperature_threshold",
+    "regime_verdict",
     "classify",
 ]
 
@@ -443,8 +445,67 @@ class RegimeReport:
     tau_end: float
 
 
+class _PointScans:
+    """classify's scans of one parameter point, each run at its first use.
+
+    Every scan and the measure run up to the certified horizon, the scans on
+    CLASSIFY_POINTS times and a CLASSIFY_DIVISIBILITY_GRID-sided pair grid.
+    """
+
+    def __init__(self, kind: EquationKind, p: MapParams):
+        self.kind, self.p = kind, p
+
+    @functools.cached_property
+    def tau_end(self) -> float:
+        return measure_mod.certified_horizon(self.kind, self.p)
+
+    @functools.cached_property
+    def taus(self) -> np.ndarray:
+        return np.linspace(0.0, self.tau_end, CLASSIFY_POINTS)
+
+    @functools.cached_property
+    def positivity(self) -> ScanResult:
+        return positivity_scan(self.kind, self.p, self.taus)
+
+    @functools.cached_property
+    def cp(self) -> ScanResult:
+        return cp_scan(self.kind, self.p, self.taus)
+
+    @functools.cached_property
+    def measure(self) -> "measure_mod.MeasureResult":
+        return measure_mod.measure(self.kind, self.p, t_end=self.tau_end)
+
+    @functools.cached_property
+    def divisibility(self) -> DivisibilityReport:
+        return divisibility_scan(
+            self.kind, self.p, tau_end=self.tau_end, grid=CLASSIFY_DIVISIBILITY_GRID
+        )
+
+    def verdict(self) -> str:
+        """The verdict by order of precedence, running only the scans that decide it."""
+        if not self.p.physical_for(self.kind) or not self.positivity.ok:
+            return _VERDICT_UNPHYSICAL
+        if self.measure.value > MEASURE_TOL:
+            return _VERDICT_NONMARKOVIAN
+        if not self.divisibility.divisible:
+            return _VERDICT_NONDIVISIBLE
+        return _VERDICT_DIVISIBLE
+
+
+def regime_verdict(kind, p: MapParams) -> str:
+    """classify(kind, p).verdict, running only the scans that decide it.
+
+    The rules apply in classify's order, each with classify's settings:
+    params_physical, then the positivity scan, then the measure above
+    MEASURE_TOL, then the divisibility scan.  A scan runs only when the
+    rules before it have not decided, and the CP scan, which never decides,
+    does not run.
+    """
+    return _PointScans(parse_kind(kind), p).verdict()
+
+
 def classify(kind, p: MapParams) -> RegimeReport:
-    """Classify the dynamics generated by (kind, p).
+    """Classify the dynamics generated by (kind, p), with every scan's result.
 
     Order of precedence: a positivity defect (or an inherently unsafe
     parameter regime) makes the family unphysical; otherwise information
@@ -452,36 +513,21 @@ def classify(kind, p: MapParams) -> RegimeReport:
     two time-dependent Markovian classes.  A CP defect alone (low
     temperature) is reported but does not change the verdict.
 
-    Every scan and the measure run up to the certified horizon, the scans on
-    CLASSIFY_POINTS times and a CLASSIFY_DIVISIBILITY_GRID-sided pair grid.
+    Every scan and the measure run, whether or not they decide the verdict,
+    up to the certified horizon, the scans on CLASSIFY_POINTS times and a
+    CLASSIFY_DIVISIBILITY_GRID-sided pair grid.  regime_verdict gives the
+    same verdict from the deciding scans alone.
     """
     kind = parse_kind(kind)
-    tau_end = measure_mod.certified_horizon(kind, p)
-    taus = np.linspace(0.0, tau_end, CLASSIFY_POINTS)
-
-    physical = p.physical_for(kind)
-    pos = positivity_scan(kind, p, taus)
-    cp = cp_scan(kind, p, taus)
-    measure_result = measure_mod.measure(kind, p, t_end=tau_end)
-    div = divisibility_scan(kind, p, tau_end=tau_end, grid=CLASSIFY_DIVISIBILITY_GRID)
-
-    if not physical or not pos.ok:
-        verdict = _VERDICT_UNPHYSICAL
-    elif measure_result.value > MEASURE_TOL:
-        verdict = _VERDICT_NONMARKOVIAN
-    elif not div.divisible:
-        verdict = _VERDICT_NONDIVISIBLE
-    else:
-        verdict = _VERDICT_DIVISIBLE
-
+    scans = _PointScans(kind, p)
     return RegimeReport(
         kind=kind,
         params=p,
-        verdict=verdict,
-        params_physical=physical,
-        positivity=pos,
-        cp=cp,
-        divisibility=div,
-        measure=measure_result,
-        tau_end=tau_end,
+        params_physical=p.physical_for(kind),
+        positivity=scans.positivity,
+        cp=scans.cp,
+        measure=scans.measure,
+        divisibility=scans.divisibility,
+        verdict=scans.verdict(),
+        tau_end=scans.tau_end,
     )

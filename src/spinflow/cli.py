@@ -25,6 +25,7 @@ from .analysis import (
     divisibility_scan,
     intermediate_map,
     positivity_scan,
+    regime_verdict,
 )
 from .maps import (
     EquationKind,
@@ -432,7 +433,7 @@ def cmd_measure(args) -> int:
     kind, p = _params(args)
     result = measure(kind, p, t_end=args.tau_end)
     record = dict(zip(_COLUMNS["measure"], _measure_row(result)))
-    record["classification"] = classify(kind, p).verdict
+    record["classification"] = regime_verdict(kind, p)
     pair = result.argmax_pair
     record |= _bloch_fields("first", pair.first) | _bloch_fields("second", pair.second)
     _emit_record(record, args.format, args.out)

@@ -86,18 +86,14 @@ def _require_distinct(pair: StatePair) -> tuple[float, float]:
 def sigma_analytic(kind, p: MapParams, pair: StatePair, tau) -> float:
     """Rate of change of the trace distance, physical inverse-time units.
 
-    Raises DegeneratePairError for an identical pair.  At an isolated zero
-    of the trace distance (oscillatory regime) the value is +-inf or nan;
-    interval bookkeeping in flow_report avoids the division entirely.
-    Where the trace distance underflows to 0 elsewhere the value is 0.
+    Raises DegeneratePairError for an identical pair.  Where the trace
+    distance D underflows to 0 the value is 0, the limit of dD/dtau; only at
+    an isolated zero of D (mem with 4R > 1) is it +-inf or nan, see _paths.
+    Interval bookkeeping in flow_report avoids the division entirely.
     """
     kind = parse_kind(kind)
     a2, b2 = _require_distinct(pair)
-    t = _check_times(tau)
-    full, half = _channels(kind, p.R)
-    out = _sigma(
-        kind, p, _numerator(full, half, a2, b2, t), _distance(full, half, a2, b2, t)
-    )
+    out = _paths(kind, p, a2, b2, _check_times(tau))[2]
     return float(out) if np.ndim(tau) == 0 else out
 
 
@@ -119,44 +115,64 @@ class FlowReport:
     total_gain: float
 
 
-def _distance(full, half, a2: float, b2: float, t):
-    """Trace distance D of a pair with weights (a2, b2) = (a0**2, |b0|**2)."""
-    xf, xh = full.value(t), half.value(t)
+# Both take the pair's weights (a2, b2) = (a0**2, |b0|**2) and the channel
+# values xf = xi(R, t) and xh = xi(R/2, t), so that a caller evaluates each
+# channel once for both.
+
+
+def _distance(a2: float, b2: float, xf, xh):
+    """Trace distance D of a pair."""
     return np.sqrt(a2 * xf * xf + b2 * xh * xh)
 
 
-def _numerator(full, half, a2: float, b2: float, t):
-    """D dD/dtau, the numerator of sigma / gamma: it has sigma's sign."""
-    return a2 * full.value(t) * full.derivative(t) + b2 * half.value(t) * half.derivative(t)
+def _numerator(a2: float, b2: float, xf, df, xh, dh):
+    """D dD/dtau, the numerator of sigma / gamma: it has sigma's sign.
 
-
-def _sigma(kind: EquationKind, p: MapParams, num, distance):
-    """sigma = gamma * num / D from its numerator and the trace distance D.
-
-    For every post and for mem with 4R <= 1, D has no zero, so D == 0 means
-    its squares underflowed while xi is still representable; sigma is 0
-    there, the limit of dD/dtau, instead of 0/0.  For mem with 4R > 1 an
-    isolated zero of D gives +-inf or nan.
+    df and dh are the channels' tau-derivatives at the same times.
     """
+    return a2 * xf * df + b2 * xh * dh
+
+
+def _paths(kind: EquationKind, p: MapParams, a2: float, b2: float, t):
+    """D, its numerator D dD/dtau and sigma = gamma * num / D at checked times t.
+
+    Where D == 0 because its squares underflowed, sigma is 0, the limit of
+    dD/dtau, instead of 0/0.  For post and for mem with 4R <= 1, D has no
+    zero, so every D == 0 is an underflow.  For mem with 4R > 1, D also has
+    isolated zeros: points where each weighted channel value is exactly 0
+    while the same distance of the channel envelopes (bounds on |xi|) has
+    not underflowed.  sigma is +-inf or nan there.
+    """
+    full, half = _channels(kind, p.R)
+    xf, xh = full.value(t), half.value(t)
+    distance = _distance(a2, b2, xf, xh)
+    num = _numerator(a2, b2, xf, full.derivative(t), xh, half.derivative(t))
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = p.gamma * num / distance
-    if kind is EquationKind.MEMORY_KERNEL and 4.0 * p.R > 1.0:
-        return sigma
-    return np.where(distance == 0.0, 0.0, sigma)
+    underflow = distance == 0.0
+    if kind is EquationKind.MEMORY_KERNEL and 4.0 * p.R > 1.0 and np.any(underflow):
+        bound = _distance(a2, b2, full.envelope(t), half.envelope(t))
+        underflow &= (a2 * xf != 0.0) | (b2 * xh != 0.0) | (bound == 0.0)
+    return distance, num, np.where(underflow, 0.0, sigma)
 
 
 def _positive_intervals(
-    full, half, a2: float, b2: float, taus: np.ndarray, num: np.ndarray
+    kind: EquationKind, r: float, a2: float, b2: float, taus: np.ndarray, num: np.ndarray
 ) -> tuple[tuple[float, float, float], ...]:
-    """Maximal sub-intervals of the grid span where sigma's numerator > 0.
+    """Maximal sub-intervals of the grid span where sigma's numerator num > 0.
 
-    full and half are the two channels from maps._channels.  Grid sign
-    changes are polished with brentq on the continuous numerator; each gain
-    is the exact trace-distance difference across the interval.
+    Grid sign changes are polished with brentq on the continuous numerator;
+    each gain is the exact trace-distance difference across the interval.
     """
+    full, half = _channels(kind, r)
 
     def numerator(t: float) -> float:
-        return _numerator(full, half, a2, b2, t)
+        return _numerator(
+            a2, b2, full.value(t), full.derivative(t), half.value(t), half.derivative(t)
+        )
+
+    def distance(t: float) -> float:
+        return _distance(a2, b2, full.value(t), half.value(t))
 
     def crossing(lo: float, hi: float) -> float:
         flo, fhi = numerator(lo), numerator(hi)
@@ -180,10 +196,7 @@ def _positive_intervals(
             inside = False
     if inside:
         intervals.append((float(start), float(taus[-1])))
-    return tuple(
-        (lo, hi, float(_distance(full, half, a2, b2, hi) - _distance(full, half, a2, b2, lo)))
-        for lo, hi in intervals
-    )
+    return tuple((lo, hi, float(distance(hi) - distance(lo))) for lo, hi in intervals)
 
 
 def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: int = 400) -> FlowReport:
@@ -199,18 +212,14 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
     taus = np.linspace(0.0, t_end, grid_points)
     a2, b2 = _pair_weights(pair)
     kind = parse_kind(kind)
-    full, half = _channels(kind, p.R)
-    distance = _distance(full, half, a2, b2, taus)
-    num = _numerator(full, half, a2, b2, taus)
-
     if a2 == 0.0 and b2 == 0.0:
         zeros = np.zeros_like(taus)
         return FlowReport(pair, taus, zeros, zeros.copy(), zeros.copy(), (), 0.0)
 
-    sigma = _sigma(kind, p, num, distance)
+    distance, num, sigma = _paths(kind, p, a2, b2, taus)
     sigma_discrete = p.gamma * np.gradient(distance, taus)
 
-    intervals = _positive_intervals(full, half, a2, b2, taus, num)
+    intervals = _positive_intervals(kind, p.R, a2, b2, taus, num)
     total = float(sum(gain for _, _, gain in intervals))
     return FlowReport(pair, taus, distance, sigma, sigma_discrete, intervals, total)
 

@@ -21,6 +21,7 @@ from spinflow.analysis import (
     is_completely_positive,
     is_positive,
     positivity_scan,
+    regime_verdict,
 )
 from spinflow.maps import (
     IDENTITY_SNAPSHOT,
@@ -383,7 +384,7 @@ def _ratio_params(r, n):
     return MapParams.from_ratio(r, n_occ=n)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     kind=st.sampled_from(["mem", "post"]),
     r=st.floats(min_value=0.0, max_value=0.25, exclude_min=True),
@@ -638,3 +639,33 @@ def test_classify_report_is_coherent():
     assert report.divisibility.grid == analysis.CLASSIFY_DIVISIBILITY_GRID
     assert report.measure.method == "analytic-sigma"
     assert report.cp.ok
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+_QUARTER = (
+    0.25, math.nextafter(0.25, 0.0), math.nextafter(0.25, 1.0), 0.2500001, 0.2499999
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["mem", "post"]),
+    r=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e300, *_QUARTER]),
+        st.floats(0.2499, 0.2501),
+        st.floats(5e-324, 1e300),
+    ),
+    n_occ=st.one_of(st.sampled_from([0.0, 1.0, 1e300]), st.floats(0.0, 1e300)),
+)
+def test_regime_verdict_is_the_classify_verdict(kind, r, n_occ):
+    p = _outcome(MapParams.from_ratio, r, n_occ)
+    assume(isinstance(p, MapParams))
+    expected = _outcome(lambda k, q: classify(k, q).verdict, kind, p)
+    assert _outcome(regime_verdict, kind, p) == expected

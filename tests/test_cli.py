@@ -421,6 +421,18 @@ def test_sigma_rows(capsys):
     assert np.any(values > 0.0)  # backflow in the oscillatory regime
 
 
+def test_oscillatory_sigma_is_zero_where_the_distance_underflows(capsys):
+    # mem with 4R > 1 past the underflow of D: the limit 0, not nan
+    code, out, err = run_cli(
+        ["sigma", "--kind", "mem", "--r", "1", "--tau-end", "2000", "--points", "5"], capsys
+    )
+    assert (code, err) == (0, TRIG_WARNING + "\n")
+    _, rows = rows_of(out)
+    assert [row[0] for row in rows] == ["0", "500", "1000", "1500", "2000"]
+    assert [row[1] for row in rows[2:]] == ["0", "0", "0"]
+    assert "nan" not in out and "inf" not in out
+
+
 def test_oracle_emits_pass_line(capsys):
     code, out, err = run_cli(
         ["oracle", "--kind", "post", "--r", "0.3", "--n", "1",
@@ -521,6 +533,31 @@ def test_measure_row_contract(capsys):
     assert record["evaluations"] <= 150
     for key in ("first_x", "first_y", "first_z", "second_x", "second_y", "second_z"):
         assert key in record
+
+
+def _scan_fails(*args, **kwargs):
+    raise RuntimeError("this scan does not decide the verdict")
+
+
+@pytest.mark.parametrize(
+    "r, n, skipped, verdict",
+    [
+        # 4R > 1 decides before any scan runs
+        ("5", "0", ("positivity_scan", "cp_scan", "divisibility_scan"),
+         "Unphysical(positivity broken)"),
+        # the positivity scan fails, so the divisibility scan never runs
+        ("0.2", "0", ("cp_scan", "divisibility_scan"), "Unphysical(positivity broken)"),
+        # the CP scan never decides
+        ("0.2", "1", ("cp_scan",), "TimeDependentMarkovian-Nondivisible"),
+    ],
+)
+def test_measure_runs_only_the_scans_that_decide(r, n, skipped, verdict, monkeypatch, capsys):
+    for name in skipped:
+        monkeypatch.setattr(analysis, name, _scan_fails)
+    code, out, err = run_cli(["measure", "--kind", "mem", "--r", r, "--n", n], capsys)
+    assert code == 0, err
+    header, (row,) = rows_of(out)
+    assert row[header.index("classification")] == verdict
 
 
 def test_measure_past_a_crossing_exits_0(capsys):
@@ -1278,7 +1315,7 @@ def test_any_numeric_flags_keep_the_exit_code_contract(command, data):
     elif code == 0 and command != "sweep":
         header, *rows = (line.split(",") for line in out.splitlines())
         assert rows and {len(row) for row in rows} == {len(header)}, (argv, out)
-        # README allows non-finite values only in sigma: mem, 4R > 1, where D reads 0
+        # README allows non-finite values only in sigma: mem, 4R > 1, at D's isolated zeros
         if command != "sigma":
             assert not {"nan", "inf", "-inf"} & {v for row in rows for v in row}, (argv, out)
 

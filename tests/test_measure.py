@@ -75,6 +75,35 @@ def test_sigma_is_zero_where_the_distance_underflows(kind, r):
     np.testing.assert_array_equal(sigma[kept], p.gamma * num[kept] / distance[kept])
 
 
+@pytest.mark.parametrize("r", [1.0, 1e15])
+@pytest.mark.parametrize("pair", [POLE_PAIR, GENERIC_PAIR], ids=["pole", "generic"])
+def test_oscillatory_sigma_is_zero_where_the_distance_underflows(r, pair):
+    # mem with 4R > 1: from the underflow of D's squares (tau near 740 at
+    # R = 1) sigma is its limit 0, first where xi itself is still nonzero,
+    # later where the envelopes' squares have underflowed too
+    p = MapParams.from_ratio(r, n_occ=1.0)
+    taus = np.linspace(0.0, 4000.0, 8001) * (1.0 if r == 1.0 else 1e12)
+    sigma = sigma_analytic("mem", p, pair, taus)
+    assert np.all(np.isfinite(sigma))
+    assert sigma_analytic("mem", p, pair, taus[-1]) == 0.0
+    report = flow_report("mem", p, pair, taus[-1], grid_points=len(taus))
+    np.testing.assert_array_equal(report.sigma_path, sigma)
+    late = taus >= taus[-1] / 2.0
+    assert np.all(sigma[late] == 0.0)
+
+
+@pytest.mark.parametrize("r, tau", [(5.0, 2.265664999460543), (10.0, 1.5600226601448768)])
+def test_oscillatory_sigma_keeps_the_isolated_zeros_of_the_distance(r, tau):
+    # xi(R, .) reads exactly 0 at these times (found one ulp at a time near
+    # its second zero), an isolated zero of the pole pair's D = |xi(R, .)|:
+    # the quotient stays non-finite there, with the envelopes far from 0
+    assert xi("mem", r, tau) == 0.0 and xi_envelope("mem", r, tau) > 1e-3
+    p = MapParams.from_ratio(r, n_occ=1.0)
+    assert not math.isfinite(sigma_analytic("mem", p, POLE_PAIR, tau))
+    # the generic pair's D has no zero there
+    assert math.isfinite(sigma_analytic("mem", p, GENERIC_PAIR, tau))
+
+
 def test_sigma_rejects_identical_pair():
     with pytest.raises(DegeneratePairError):
         sigma_analytic("mem", PHYSICAL, StatePair(PLUS, PLUS), 1.0)
