@@ -28,7 +28,6 @@ from .maps import (
     MapParams,
     MapSnapshot,
     parse_kind,
-    snapshot,
     snapshot_arrays,
     xi,
 )
@@ -281,18 +280,25 @@ def intermediate_map(kind, p: MapParams, t1: float, t2: float) -> MapSnapshot:
     kind = parse_kind(kind)
     if not 0.0 <= t1 <= t2:
         raise ValueError(f"need 0 <= t1 <= t2, got t1 = {t1}, t2 = {t2}")
-    early = snapshot(kind, p, t1)
-    late = snapshot(kind, p, t2)
-    for name, value in (("lambda1", early.lambda1), ("lambda3", early.lambda3)):
+    early = snapshot_arrays(kind, p, float(t1))
+    for name, value in zip(("lambda1", "lambda3"), early):
         if abs(value) < INVERSION_FLOOR:
             raise MapInversionError(
                 f"{name}(t1 = {t1:.9g}) = {value:.3g} has vanished; "
                 "the earlier map is not invertible"
             )
-    lam1 = late.lambda1 / early.lambda1
-    lam3 = late.lambda3 / early.lambda3
-    t3 = late.t3 - lam3 * early.t3
-    return MapSnapshot(lam1, lam3, t3)
+    return MapSnapshot(*_compose(early, snapshot_arrays(kind, p, float(t2))))
+
+
+def _compose(early, late):
+    """The late map after the inverse of the early one, each a (lambda1, lambda3, t3) triple.
+
+    Componentwise lambda(t2) / lambda(t1), and t3(t2) - lambda3' t3(t1), over floats or arrays.
+    """
+    e1, e3, et = early
+    l1, l3, lt = late
+    lam3 = l3 / e3
+    return l1 / e1, lam3, lt - lam3 * et
 
 
 @dataclass(frozen=True)
@@ -316,12 +322,10 @@ def _pair_min_eigs(early, late) -> np.ndarray:
     them; inf where the earlier map is not invertible.  Near-singular earlier
     maps overflow to inf or NaN without a warning.
     """
-    e1, e3, et = early
-    l1, l3, lt = late
+    e1, e3, _ = early
     invertible = (np.abs(e1) >= INVERSION_FLOOR) & (np.abs(e3) >= INVERSION_FLOOR)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lam3 = l3 / e3
-        mins = _snapshot_min_eigs(l1 / e1, lam3, lt - lam3 * et)
+        mins = _snapshot_min_eigs(*_compose(early, late))
     return np.where(invertible, mins, np.inf)
 
 
@@ -411,8 +415,8 @@ def cp_temperature_threshold(kind, r: float, tau: float) -> float:
     lam3 = xi(kind, r, tau)
     lam1 = xi(kind, 0.5 * r, tau)
     gap = (1.0 + lam3) ** 2 - 4.0 * lam1 * lam1
-    if gap <= 0.0:
-        return math.inf
+    if gap <= 0.0:  # only the identity map, lambda3 = 1 and t3 = 0, meets gap >= t3**2 there
+        return 0.0 if gap == 0.0 and lam3 == 1.0 else math.inf
     needed = abs(1.0 - lam3) / math.sqrt(gap)  # required 2N+1
     return max(0.0, 0.5 * (needed - 1.0))
 

@@ -18,6 +18,7 @@ from . import __version__, floatcsv
 from .analysis import (
     MAX_GRID,
     MapInversionError,
+    _PointScans,
     _snapshot_min_eigs,
     choi_eigenvalues,
     choi_of,
@@ -31,6 +32,7 @@ from .maps import (
     EquationKind,
     MapParams,
     SingularRateError,
+    _affine_action,
     parse_kind,
     rate_divergence_time,
     snapshot,
@@ -303,7 +305,7 @@ def cmd_solve(args) -> int:
     taus = _grid(args)
     headers = ("tau", "pe", "re_b", "im_b")
     if args.method == "closed":
-        pe, b = _closed_form(kind, p, args.state, taus)
+        pe, b = _affine_action(*snapshot_arrays(kind, p, taus), args.state)
         rows = np.column_stack((taus, pe, b.real, b.imag))
     else:
         try:
@@ -318,17 +320,6 @@ def cmd_solve(args) -> int:
         rows = np.column_stack((traj.times, traj.states))
     _emit(headers, rows, args.format, args.out)
     return 0
-
-
-def _closed_form(kind, p, s0, taus):
-    """Closed-form population pe and coherence b of s0 evolved over taus."""
-    return _evolve(snapshot_arrays(kind, p, taus), s0)
-
-
-def _evolve(snap, s0):
-    """pe and b of s0 under the affine maps snap = (lambda1, lambda3, t3), pointwise."""
-    lam1, lam3, t3 = snap
-    return 0.5 * (1.0 + t3 - lam3) + lam3 * s0.population_e, lam1 * complex(s0.coherence)
 
 
 def _augmented_ode(kind, p, s0, tau_end, points):
@@ -368,7 +359,7 @@ def cmd_trace_distance(args) -> int:
     # at every point, bit for bit: np.hypot equals abs(complex) where np.abs
     # does not, and math.hypot, which np.hypot does not reproduce, runs per
     # point, on TABLE_CHUNK points at a time
-    (a, db), (pe2, b2) = _evolve(snap, args.state1), _evolve(snap, args.state2)
+    (a, db), (pe2, b2) = _affine_action(*snap, args.state1), _affine_action(*snap, args.state2)
     a -= pe2
     db -= b2
     del pe2, b2
@@ -496,7 +487,7 @@ def cmd_positivity(args) -> int:
 def cmd_oracle(args) -> int:
     kind, p = _params(args)
     taus = _grid(args)
-    pe_closed, b_closed = _closed_form(kind, p, args.state, taus)
+    pe_closed, b_closed = _affine_action(*snapshot_arrays(kind, p, taus), args.state)
     # the quadrature runs first: a --steps too coarse for it is a usage error
     quad = _integrate("quadrature", kind, p, args)
     try:
@@ -637,13 +628,17 @@ def _load_sweep_config(path: str) -> dict:
 
 
 def _sweep_point(kind, p, cfg: dict):
-    """The tables of one point, float arrays or one-row lists, and its RegimeReport."""
+    """The tables of one point, float arrays or one-row lists, and its run-record summary.
+
+    The verdict comes by precedence, as measure's does: only the scans that decide it run.
+    """
     taus = np.linspace(0.0, cfg["tau_end"], cfg["tau_points"])
     analyses = cfg["analyses"]
-    report = classify(kind, p)
+    scans = _PointScans(kind, p)
+    summary = {"classification": scans.verdict(), "measure_value": scans.measure.value}
     tables = {}
     if "measure" in analyses:
-        tables["measure"] = [_measure_row(report.measure)]
+        tables["measure"] = [_measure_row(scans.measure)]
     if "rates" in analyses:
         tables["rates"] = _rate_rows(kind, p, taus)[0]
     if "choi" in analyses:
@@ -655,7 +650,7 @@ def _sweep_point(kind, p, cfg: dict):
     if "positivity" in analyses:
         result = positivity_scan(kind, p, taus)
         tables["positivity"] = [_positivity_row(result)]
-    return tables, report
+    return tables, summary
 
 
 def cmd_sweep(args) -> int:
@@ -687,13 +682,12 @@ def cmd_sweep(args) -> int:
             prefix = (idx, kind.value, p.R, p.n_occ)
             summary = {"classification": None, "measure_value": None}
             try:
-                point_tables, report = _sweep_point(kind, p, cfg)
+                point_tables, summary = _sweep_point(kind, p, cfg)
             except Exception as exc:  # a failed point is recorded and writes no rows
                 failures.append({"index": idx, "error": f"{type(exc).__name__}: {exc}"})
             else:
                 for name, rows in point_tables.items():
                     tables[name].write(rows, prefix)
-                summary = {"classification": report.verdict, "measure_value": report.measure.value}
             summaries.append(dict(zip(("index", "kind", "r", "n"), prefix)) | summary)
         for table in tables.values():
             table.close()

@@ -393,6 +393,11 @@ def snapshot_arrays(kind, p: MapParams, taus) -> tuple[np.ndarray, np.ndarray, n
     return half.value(t), lam3, t3
 
 
+def _affine_action(lam1, lam3, t3, s: QubitState):
+    """pe and b of s under the affine map(s) (lambda1, lambda3, t3) of floats or arrays."""
+    return 0.5 * (1.0 + t3 - lam3) + lam3 * s.population_e, lam1 * complex(s.coherence)
+
+
 def apply_map(snap: MapSnapshot, s: QubitState) -> QubitState:
     """Push a state through the affine map; never clamps.
 
@@ -400,8 +405,7 @@ def apply_map(snap: MapSnapshot, s: QubitState) -> QubitState:
     oscillatory regime; callers probe that with the returned state's
     ``is_valid()`` flag.  Trace is preserved exactly by construction.
     """
-    pe = snap.v + snap.lambda3 * s.population_e
-    return QubitState(pe, snap.lambda1 * complex(s.coherence))
+    return QubitState(*_affine_action(snap.lambda1, snap.lambda3, snap.t3, s))
 
 
 @dataclass(frozen=True)
@@ -442,13 +446,10 @@ def _slope_terms(channel: _Channel, t):
     few significant bits) the closed-form log-derivative replaces the
     quotient; every other point keeps it.  The scaled xi' is checked against
     tiny max(1, tscale), which covers both the scaled and the unscaled value.
+    t is an array of at least one dimension.
     """
     x, d = channel.value(t), channel.derivative(t)
     floor = _NORMAL_MIN * max(1.0, channel.tscale)
-    if np.ndim(t) == 0:
-        if abs(x) >= _NORMAL_MIN and abs(d) >= floor:
-            return d, x
-        return channel.log_derivative(t), 1.0
     under = (np.abs(x) < _NORMAL_MIN) | (np.abs(d) < floor)
     if under.any():  # value and derivative return fresh arrays
         d[under] = channel.log_derivative(t[under])
@@ -493,4 +494,5 @@ def tcl_rate_arrays(kind, p: MapParams, taus) -> tuple[np.ndarray, np.ndarray, n
             f"population decay profile first crosses zero; got tau = "
             f"{float(np.max(taus)):.9g}"
         )
-    return _rate_pieces(*_channels(kind, p.R), p, taus)
+    rates = _rate_pieces(*_channels(kind, p.R), p, taus.reshape(-1))
+    return tuple(_shaped(taus, rate.reshape(taus.shape)) for rate in rates)

@@ -183,19 +183,15 @@ def _positive_intervals(
         return float(brentq(numerator, lo, hi, xtol=1e-14))
 
     pos = num > 0.0
-    intervals = []
-    inside = False
-    start = 0.0
-    for i in range(len(taus)):
-        if pos[i] and not inside:
-            start = taus[0] if i == 0 else crossing(taus[i - 1], taus[i])
-            inside = True
-        elif inside and not pos[i]:
-            end = crossing(taus[i - 1], taus[i])
-            intervals.append((float(start), float(end)))
-            inside = False
-    if inside:
-        intervals.append((float(start), float(taus[-1])))
+    # a crossing between each two neighbours of opposite sign, and each end
+    # of the grid where num > 0: alternately the intervals' starts and ends
+    flips = np.flatnonzero(pos[1:] != pos[:-1]) + 1
+    bounds = [float(crossing(taus[i - 1], taus[i])) for i in flips]
+    if pos[0]:
+        bounds.insert(0, float(taus[0]))
+    if pos[-1]:
+        bounds.append(float(taus[-1]))
+    intervals = zip(bounds[::2], bounds[1::2])
     return tuple((lo, hi, float(distance(hi) - distance(lo))) for lo, hi in intervals)
 
 

@@ -566,7 +566,11 @@ def _threshold_by_bisection(kind, r, tau):
 
 @pytest.mark.parametrize(
     "kind,r,tau",
-    [("mem", 0.2, 5.0), ("mem", 0.25, 5.0), ("mem", 0.1, 2.0), ("post", 0.4, 3.0)],
+    [
+        ("mem", 0.2, 5.0), ("mem", 0.25, 5.0), ("mem", 0.1, 2.0), ("post", 0.4, 3.0),
+        # the identity map, CP at N = 0
+        ("mem", 0.2, 0.0), ("post", 0.2, 0.0), ("mem", 0.0, 5.0), ("post", 0.0, 5.0),
+    ],
 )
 def test_cp_temperature_threshold_matches_bisection(kind, r, tau):
     closed = cp_temperature_threshold(kind, r, tau)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinflow import analysis, cli
+from spinflow import analysis, cli, maps
 from spinflow.analysis import MAX_GRID, choi_eigenvalues, divisibility_scan
 from spinflow.cli import TRIG_WARNING, main
 from spinflow.maps import (
@@ -851,7 +851,7 @@ def _per_row_reference(command):
     if command == "tcl-rates":
         return list(zip(taus, *tcl_rate_arrays("mem", p, taus)))
     if command == "solve":
-        pe, b = cli._closed_form("mem", p, PAIR.first, taus)
+        pe, b = maps._affine_action(*snapshot_arrays("mem", p, taus), PAIR.first)
         return list(zip(taus, pe, b.real, b.imag))
     if command == "sigma":
         return list(zip(taus, sigma_analytic("mem", p, PAIR, taus)))
@@ -1458,7 +1458,7 @@ def test_sweep_with_every_point_failed_keeps_every_header(fmt, monkeypatch, tmp_
     def fails(*args, **kwargs):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(cli, "classify", fails)
+    monkeypatch.setattr(cli, "_PointScans", fails)
     cfg = _write_config(tmp_path, ALL_ANALYSES_CONFIG.format(fmt=fmt))
     out_dir = tmp_path / "run"
     code, _, err = run_cli(["sweep", "--config", cfg, "--out-dir", str(out_dir)], capsys)

@@ -441,6 +441,31 @@ def test_rates_exact_where_the_derivative_is_subnormal(kind, r, taus, full):
     assert tcl_rates(kind, p, taus[-1]) == TclRates(g1[-1], g2[-1], g3[-1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    r=st.one_of(
+        st.sampled_from([0.0, 1e-20, 0.2, 0.25, 0.5, 1.0, 3.0, 1e150]),
+        st.floats(min_value=1e-300, max_value=1e6),
+    ),
+    n=st.floats(min_value=0.0, max_value=10.0),
+    # xi leaves the normal floats from tau ~ 700 on, xi' at R = 1e-20 near 7e22
+    span=st.sampled_from([1.0, 50.0, 800.0, 8000.0, 7e22, 1e300]),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+)
+def test_scalar_rates_equal_their_row_of_the_array_rates(kind, r, n, span, fractions):
+    p = MapParams.from_ratio(r, n)
+    horizon = rate_divergence_time(kind, p)
+    taus = [t for t in (f * span for f in fractions) if t < horizon]
+    if not taus:
+        taus = [0.0]
+    rows = np.transpose(tcl_rate_arrays(kind, p, np.array(taus)))
+    for tau, row in zip(taus, rows):
+        rates = tcl_rates(kind, p, tau)
+        scalar = (rates.gamma1, rates.gamma2, rates.gamma3)
+        assert [x.hex() for x in scalar] == [float(x).hex() for x in row], tau
+
+
 @pytest.mark.parametrize(
     "kind,r,tau_end",
     [

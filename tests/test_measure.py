@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinflow.maps import (
     MapParams,
+    parse_kind,
     apply_map,
     snapshot,
     snapshot_arrays,
@@ -312,6 +313,72 @@ def test_measure_past_a_crossing_the_old_search_could_not_polish():
     assert result.argmax_pair.first.bloch() == (0.0, 0.0, 1.0)
     assert result.argmax_pair.second.bloch() == (0.0, 0.0, -1.0)
     assert result.evaluations == 1
+
+
+def _per_index_intervals(kind, r, a2, b2, taus, num):
+    """The inflow intervals as a loop over the grid found them, one index at a time."""
+    m = MEASURE_MODULE
+    full, half = m._channels(kind, r)
+
+    def numerator(t):
+        return m._numerator(
+            a2, b2, full.value(t), full.derivative(t), half.value(t), half.derivative(t)
+        )
+
+    def crossing(lo, hi):
+        flo, fhi = numerator(lo), numerator(hi)
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        return float(m.brentq(numerator, lo, hi, xtol=1e-14))
+
+    pos = num > 0.0
+    intervals = []
+    inside = False
+    start = 0.0
+    for i in range(len(taus)):
+        if pos[i] and not inside:
+            start = taus[0] if i == 0 else crossing(taus[i - 1], taus[i])
+            inside = True
+        elif inside and not pos[i]:
+            end = crossing(taus[i - 1], taus[i])
+            intervals.append((float(start), float(end)))
+            inside = False
+    if inside:
+        intervals.append((float(start), float(taus[-1])))
+
+    def distance(t):
+        return m._distance(a2, b2, full.value(t), half.value(t))
+
+    return tuple((lo, hi, float(distance(hi) - distance(lo))) for lo, hi in intervals)
+
+
+@pytest.mark.parametrize(
+    "kind, r, pair, t_start, t_end, first, last, some, every",
+    [
+        # at mem R = 3 the pole pair's |xi| rises on (1.124, 1.895), then falls
+        ("mem", 3.0, POLE_PAIR, 1.3, 3.0, True, False, True, False),
+        ("mem", 3.0, POLE_PAIR, 0.0, 1.5, False, True, True, False),
+        ("mem", 3.0, POLE_PAIR, 1.3, 1.8, True, True, True, True),
+        ("post", 3.0, GENERIC_PAIR, 0.0, 20.0, False, False, False, False),
+        ("mem", 3.0, GENERIC_PAIR, 0.0, 25.0, False, False, True, False),
+        ("mem", 1.0, GENERIC_PAIR, 0.0, 1000.0, False, False, True, False),
+    ],
+)
+def test_inflow_intervals_equal_the_per_index_bracketing(
+    kind, r, pair, t_start, t_end, first, last, some, every
+):
+    kind, p = parse_kind(kind), MapParams.from_ratio(r, 1.0)
+    a2, b2 = MEASURE_MODULE._pair_weights(pair)
+    taus = np.linspace(t_start, t_end, 400)
+    num = MEASURE_MODULE._paths(kind, p, a2, b2, taus)[1]
+    pos = num > 0.0
+    assert (pos[0], pos[-1], pos.any(), pos.all()) == (first, last, some, every)
+    expected = _per_index_intervals(kind, p.R, a2, b2, taus, num)
+    assert MEASURE_MODULE._positive_intervals(kind, p.R, a2, b2, taus, num) == expected
+    if t_start == 0.0:
+        assert flow_report(kind, p, pair, t_end).positive_intervals == expected
 
 
 def test_measure_tends_to_the_infinite_sum():

@@ -1,5 +1,7 @@
+import ast
 import inspect
 import sys
+from pathlib import Path
 
 import spinflow
 from spinflow import analysis, maps, states, volterra
@@ -18,3 +20,37 @@ def test_package_exports_each_layers_public_names():
     assert spinflow.__version__
     assert inspect.isfunction(spinflow.measure)
     assert spinflow.measure is LAYERS[-1].measure
+
+
+def _names_used(tree: ast.AST) -> set:
+    """Every name a module loads, its string annotations and __all__ included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= _names_used(ast.parse(annotation.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {sub.value for sub in ast.walk(node.value) if isinstance(sub, ast.Constant)}
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(Path(spinflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {bound}")
+    assert unused == []
