@@ -62,9 +62,8 @@ POSITIVITY_TOL = 1e-10
 DIVISIBILITY_TOL = 1e-9
 #: damping factors smaller than this make the earlier map non-invertible
 INVERSION_FLOOR = 1e-12
-#: cells per block of rows in the positivity and divisibility screens, which
-#: bounds their memory: 2**16 cells keep divisibility grids up to 256 in one
-#: block
+#: cells per block of rows in the divisibility screen, which bounds its
+#: memory: 2**16 cells keep grids up to 256 in one block
 _SCREEN_CELLS = 2**16
 
 
@@ -86,17 +85,21 @@ def choi_of(snap: MapSnapshot) -> np.ndarray:
     )
 
 
-def choi_eigenvalues(snap: MapSnapshot) -> np.ndarray:
-    """Spectrum of choi_of(snap) in closed form, ascending.
+def _choi_spectrum(lam1, lam3, t3):
+    """The four Choi eigenvalues in closed form, over floats or arrays: v, 1 - u, then the pair.
 
     The two population entries v and 1-u sit on the diagonal; the coherence
-    block 2x2 has trace 1 + lambda3 and off-diagonal lambda1, giving
+    block 2x2 has trace 1 + lambda3 and off-diagonal lambda1, giving the pair
     ((1 + lambda3) +- sqrt(t3**2 + 4 lambda1**2)) / 2.
     """
-    root = math.sqrt(snap.t3 * snap.t3 + 4.0 * snap.lambda1 * snap.lambda1)
-    outer = 0.5 * (1.0 + snap.lambda3)
-    eigs = np.array([snap.v, 1.0 - snap.u, outer - 0.5 * root, outer + 0.5 * root])
-    return np.sort(eigs)
+    outer = 0.5 * (1.0 + lam3)
+    half_root = 0.5 * np.sqrt(t3 * t3 + 4.0 * lam1 * lam1)
+    return 0.5 * (1.0 + t3 - lam3), 0.5 * (1.0 - t3 - lam3), outer - half_root, outer + half_root
+
+
+def choi_eigenvalues(snap: MapSnapshot) -> np.ndarray:
+    """Spectrum of choi_of(snap) in closed form, ascending."""
+    return np.sort(np.array(_choi_spectrum(snap.lambda1, snap.lambda3, snap.t3)))
 
 
 @dataclass(frozen=True)
@@ -182,51 +185,36 @@ def _scan_times(taus) -> np.ndarray:
     return taus
 
 
-@functools.lru_cache(maxsize=8)
-def _screen_columns(samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct heights z of sphere_grid(samples), and the largest x² + y² at each.
+def _max_bloch_norm2(lam1, lam3, t3):
+    """Largest squared output Bloch norm over pure inputs, in closed form, over arrays.
 
-    A screen value lambda1² (x² + y²) + (lambda3 z + t3)² does not decrease
-    with x² + y² in rounded arithmetic either, so at equal z this one column
-    has the group's largest value, bit for bit.  Read-only (planar, z).
+    The input at height z maps to squared norm lambda1² (1 - z²) + (lambda3 z + t3)²,
+    a quadratic in z alone.  When lambda1² > lambda3² it is concave, and if its
+    vertex z* = lambda3 t3 / (lambda1² - lambda3²) lies in [-1, 1] the maximum
+    over [-1, 1] is there, lambda1² + t3² lambda1² / (lambda1² - lambda3²).
+    Otherwise it sits at an end, (|lambda3| + |t3|)².
     """
-    verts = sphere_grid(samples)
-    planar = verts[:, 0] ** 2 + verts[:, 1] ** 2
-    order = np.lexsort((planar, verts[:, 2]))
-    z = verts[order, 2]
-    starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
-    columns = np.maximum.reduceat(planar[order], starts), z[starts]
-    for column in columns:
-        column.setflags(write=False)
-    return columns
+    l1 = lam1 * lam1
+    gap = l1 - lam3 * lam3
+    ends = (np.abs(lam3) + np.abs(t3)) ** 2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vertex = l1 + t3 * t3 * l1 / gap
+    return np.where((gap > 0.0) & (np.abs(lam3 * t3) <= gap), vertex, ends)
 
 
 def positivity_scan(kind, p: MapParams, taus, samples: int = 1000) -> ScanResult:
-    """Vectorized icosphere positivity check over a tau grid.
+    """Positivity of the one-time map over a tau grid.
 
-    Screens every grid time for its largest squared output Bloch norm over
-    the vertices of sphere_grid(samples), then refines the worst time (the
-    first, on a tie) with the full is_positive machinery.  The screen reads a
-    vertex only through its height z and x² + y², so it runs on the grid's
-    distinct heights, each with its widest vertex (655 of the 2562 vertices
-    at samples = 1000), and returns the maxima of the full vertex screen bit
-    for bit.  It runs in blocks of rows of at most 2**16 cells, so it never
-    holds a whole table of times by heights.
+    Screens every grid time for its largest squared output Bloch norm in
+    closed form, then refines the worst time (the first, on a tie) with
+    is_positive, which gives the reported norm and the witness.
 
     Raises ValueError unless taus is a non-empty 1-D grid.
     """
     kind = parse_kind(kind)
     taus = _scan_times(taus)
-    planar, heights = _screen_columns(samples)
     lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
-    rows = max(1, _SCREEN_CELLS // heights.size)
-    row_max = np.empty(taus.size)
-    for start in range(0, taus.size, rows):
-        block = slice(start, start + rows)
-        zz = lam3[block, None] * heights + t3[block, None]
-        norms2 = lam1[block, None] ** 2 * planar + zz * zz
-        row_max[block] = np.max(norms2, axis=1)
-    worst_idx = int(np.argmax(row_max))
+    worst_idx = int(np.argmax(_max_bloch_norm2(lam1, lam3, t3)))
     verdict = is_positive(
         MapSnapshot(float(lam1[worst_idx]), float(lam3[worst_idx]), float(t3[worst_idx])),
         samples=samples,
@@ -241,10 +229,8 @@ def positivity_scan(kind, p: MapParams, taus, samples: int = 1000) -> ScanResult
 
 def _snapshot_min_eigs(lam1: np.ndarray, lam3: np.ndarray, t3: np.ndarray) -> np.ndarray:
     """Closed-form smallest Choi eigenvalue, vectorized over snapshot arrays."""
-    v = 0.5 * (1.0 + t3 - lam3)
-    one_minus_u = 0.5 * (1.0 - t3 - lam3)
-    outer = 0.5 * (1.0 + lam3) - 0.5 * np.sqrt(t3 * t3 + 4.0 * lam1 * lam1)
-    return np.minimum(np.minimum(v, one_minus_u), outer)
+    v, one_minus_u, low, _ = _choi_spectrum(lam1, lam3, t3)
+    return np.minimum(np.minimum(v, one_minus_u), low)
 
 
 def cp_scan(kind, p: MapParams, taus) -> ScanResult:

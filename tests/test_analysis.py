@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinflow import analysis
@@ -211,11 +211,9 @@ def _full_vertex_scan(kind, p, taus, samples):
     [(1000, (1, 2, 7, 100, 101, 201)), (2563, (100, 201)), (10243, (1, 26)),
      (MAX_VERTICES, (1, 9))],
 )
-# 2**16 cells: blocks of 100 rows at samples = 1000; 64 cells: one row a block;
-# 3 * 655 cells: blocks of 3 rows at samples = 1000, with a short last block
-@pytest.mark.parametrize("cells", [2**16, 64, 3 * 655])
-def test_positivity_scan_equals_full_vertex_screen(monkeypatch, samples, points, cells):
-    monkeypatch.setattr(analysis, "_SCREEN_CELLS", cells)
+def test_positivity_scan_equals_full_vertex_screen(samples, points):
+    # on these grids the closed-form screen picks the worst time that a screen
+    # over every icosphere vertex picks, so the bytes are that screen's
     cases = [
         ("mem", 0.2, 1.0, 20.0),
         ("mem", 5.0, 0.0, 10.0),  # 4R > 1: positivity breaks
@@ -240,21 +238,28 @@ def test_positivity_scan_equals_full_vertex_screen(monkeypatch, samples, points,
     assert repr(got) == repr(_full_vertex_scan("mem", p, taus, samples))
 
 
-@pytest.mark.parametrize("samples,count", [(1000, 655), (10243, 10303), (MAX_VERTICES, 41087)])
-def test_screen_columns_keep_every_row_maximum(rng, samples, count):
-    planar, heights = analysis._screen_columns(samples)
-    assert planar.size == heights.size == count
-    verts = sphere_grid(samples)
-    # lambda1 >> lambda3 puts the maxima at the equator, where up to 512
-    # vertices share z = 0 and differ in x² + y² by rounding alone
-    lam1 = np.r_[rng.uniform(-1.0, 1.0, 20), rng.uniform(0.9, 1.0, 20)]
-    lam3 = np.r_[rng.uniform(-1.0, 1.0, 20), rng.uniform(-1e-3, 1e-3, 20)]
-    t3 = np.r_[rng.uniform(-0.6, 0.6, 20), rng.uniform(-1e-4, 1e-4, 20)]
-    zz = lam3[:, None] * verts[:, 2] + t3[:, None]
-    full = lam1[:, None] ** 2 * (verts[:, 0] ** 2 + verts[:, 1] ** 2) + zz * zz
-    zz = lam3[:, None] * heights + t3[:, None]
-    reduced = lam1[:, None] ** 2 * planar + zz * zz
-    np.testing.assert_array_equal(reduced.max(axis=1), full.max(axis=1))
+#: mem just above its low-temperature edge, where the worst map (tau = 51.2 on
+#: classify's grid) peaks between two heights of the 1000-sample icosphere
+BAND_POINT = ("mem", 0.01, 5.88e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["mem", "post"]),
+    r=st.floats(min_value=1e-4, max_value=50.0),
+    n=st.floats(min_value=0.0, max_value=10.0),
+)
+@example(*BAND_POINT)
+def test_positivity_scan_verdict_is_the_closed_form_one(kind, r, n):
+    p = MapParams.from_ratio(r, n_occ=n)
+    taus = np.linspace(0.0, certified_horizon(kind, p), analysis.CLASSIFY_POINTS)
+    grid_max = max(
+        _bloch_image_max(MapSnapshot(*map(float, entries)))
+        for entries in zip(*snapshot_arrays(kind, p, taus))
+    )
+    bound = 1.0 + analysis.POSITIVITY_TOL
+    assume(abs(grid_max - bound) > 1e-12)
+    assert positivity_scan(kind, p, taus).ok == (grid_max <= bound)
 
 
 def test_positivity_screen_memory_is_bounded():
@@ -626,6 +631,11 @@ def test_classify_post_markovian_divisible():
     assert report.verdict == "TimeDependentMarkovian-Divisible"
     assert report.divisibility.divisible
     assert report.positivity.ok
+
+
+def test_classify_flags_the_band_point_unphysical():
+    kind, r, n = BAND_POINT
+    assert classify(kind, MapParams.from_ratio(r, n)).verdict == "Unphysical(positivity broken)"
 
 
 def test_classify_unphysical_zero_occupation():

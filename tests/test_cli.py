@@ -649,6 +649,21 @@ def test_positivity_row(capsys):
     assert float(rows[0][2]) <= 1.0 + 1e-10
 
 
+def test_positivity_finds_the_band_point_violation(capsys):
+    # mem near its low-temperature edge, on classify's horizon and grid: the
+    # worst map peaks between two icosphere heights
+    code, out, _ = run_cli(
+        ["positivity", "--kind", "mem", "--r", "0.01", "--n", "5.88e-6",
+         "--tau-end", "5120", "--points", "201"],
+        capsys,
+    )
+    assert code == 0
+    _, (row,) = rows_of(out)
+    assert row[0] == "false"
+    assert float(row[1]) == 51.2
+    assert float(row[2]) > 1.0 + 1e-10
+
+
 def test_classify_row(capsys):
     code, out, _ = run_cli(
         ["classify", "--kind", "post", "--r", "0.6", "--n", "1",
