@@ -63,8 +63,9 @@ DIVISIBILITY_TOL = 1e-9
 #: damping factors smaller than this make the earlier map non-invertible
 INVERSION_FLOOR = 1e-12
 #: cells per block of rows in the divisibility screen, which bounds its
-#: memory: 2**16 cells keep grids up to 256 in one block
-_SCREEN_CELLS = 2**16
+#: memory: 2**14 cells keep each temporary in cache and below glibc's
+#: 128 KiB mmap threshold
+_SCREEN_CELLS = 2**14
 
 
 class MapInversionError(RuntimeError):
@@ -296,9 +297,9 @@ class DivisibilityReport:
     grid: int
 
 
-#: largest divisibility grid: a block holds at least one row of `grid` cells,
-#: so above this the screen's memory would grow with the grid
-MAX_GRID = _SCREEN_CELLS
+#: largest divisibility grid: a block of the screen holds at least one row
+#: of up to `grid` - 1 cells, so this bounds its memory
+MAX_GRID = 2**16
 
 
 def _pair_min_eigs(early, late) -> np.ndarray:
@@ -324,9 +325,10 @@ def divisibility_scan(
     two-time map:
 
     1. a uniform `grid` x `grid` screen of the pairs t1 < t2, skipping times
-       where the one-time map is not invertible, in blocks of rows of at
-       most 2**16 cells, which bounds its memory for every grid up to
-       MAX_GRID;
+       where the one-time map is not invertible, in blocks of rows that
+       hold only the columns after the block's first row, at most 2**14
+       cells each (one row of up to MAX_GRID - 1 cells above that), which
+       bounds its memory;
     2. with `refine`, a stencil search from the grid winner: each step
        evaluates a 9 x 9 stencil of half-width `step` around the current
        pair (clipped to [0, tau_end] and ordered) in one vectorized call,
@@ -343,16 +345,21 @@ def divisibility_scan(
         raise ValueError(f"grid must lie in [2, {MAX_GRID}], got {grid}")
     taus = np.linspace(0.0, tau_end, grid)
     late = snapshot_arrays(kind, p, taus)
-    rows = max(1, _SCREEN_CELLS // grid)
-    # the first minimum in row-major order, as one argmin over the full grid
+    # the first minimum in row-major order, as one argmin over the full grid;
+    # the columns up to a block's first row are t2 <= t1 on every row
     screened, i, j = np.inf, 0, 0
-    for start in range(0, grid, rows):
-        t1s = taus[start : start + rows, None]
-        mins = _pair_min_eigs(snapshot_arrays(kind, p, t1s), late)
-        mins = np.where(taus[None, :] > t1s, mins, np.inf)
+    start = 0
+    while start < grid - 1:
+        width = grid - 1 - start
+        stop = min(grid, start + max(1, _SCREEN_CELLS // width))
+        t1s = taus[start:stop, None]
+        early = tuple(a[start:stop, None] for a in late)
+        mins = _pair_min_eigs(early, tuple(a[start + 1 :] for a in late))
+        mins = np.where(taus[None, start + 1 :] > t1s, mins, np.inf)
         k = int(np.argmin(mins))
         if mins.flat[k] < screened:
-            screened, i, j = mins.flat[k], start + k // grid, k % grid
+            screened, i, j = mins.flat[k], start + k // width, start + 1 + k % width
+        start = stop
     t1, t2 = float(taus[i]), float(taus[j])
 
     if refine and np.isfinite(screened):

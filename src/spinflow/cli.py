@@ -105,6 +105,25 @@ def _probe_out(out: str) -> None:
         os.remove(out)
 
 
+#: separator bytes that stand for the JSON text between a table's floats, one
+#: per float column: no JSON text or float holds one, since json.dumps escapes
+#: what is not ASCII
+_MARKS = bytes(range(0x80, 0x100))
+#: a float field in a record's JSON text, which holds no control character
+_SLOT = "\x01"
+
+
+def _float_texts(rows, columns, seps, shortest: bool):
+    """The text of rows[:, columns], floatcsv.BLOCK values at a time, each
+    value after its separator byte: value k of a TABLE_CHUNK-row chunk after
+    seps[k]; see floatcsv.format_fields."""
+    for start in range(0, len(rows), TABLE_CHUNK):
+        values = np.asarray(rows[start : start + TABLE_CHUNK, columns], dtype=float).ravel()
+        for at in range(0, len(values), floatcsv.BLOCK):
+            block = slice(at, min(at + floatcsv.BLOCK, len(values)))
+            yield floatcsv.format_fields(values[block], seps[block], shortest)
+
+
 def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
     """The text of a table's rows, TABLE_CHUNK rows at a time.
 
@@ -113,46 +132,50 @@ def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
     of headers, the same on every row.  The text of a row starts with its
     separator: a newline in CSV; in JSON "[\n" before the first record of
     the table (first) and ",\n" before any other.  CSV prints floats as
-    ``%.17g`` byte for byte (an array's in bulk, see floatcsv), JSON as their
-    shortest round-trip repr and non-finite ones as null, in records laid
-    out as by ``json.dumps(records, indent=2, sort_keys=True)``.
+    ``%.17g`` byte for byte, JSON as their shortest round-trip repr and
+    non-finite ones as null, in records laid out as by
+    ``json.dumps(records, indent=2, sort_keys=True)``; a float array's floats
+    are formatted in bulk (see floatcsv).
     """
     floats = isinstance(rows, np.ndarray)
+    width = len(headers) - len(prefix)
     if fmt == "csv":
         lead = "\n" + "".join(_fmt(v) + "," for v in prefix)
         if not floats:
             yield "".join(lead + ",".join(map(_fmt, row)) for row in rows)
             return
-        width = len(headers) - len(prefix)
-        size = min(len(rows), TABLE_CHUNK) * width
-        newline = (np.arange(size) % width == 0).astype(np.intp)
-        for start in range(0, len(rows), TABLE_CHUNK):
-            values = np.asarray(rows[start : start + TABLE_CHUNK], dtype=float).ravel()
-            for at in range(0, len(values), floatcsv.BLOCK):
-                block = slice(at, min(at + floatcsv.BLOCK, len(values)))
-                text = floatcsv.format_fields(values[block], newline[block])
-                yield text if lead == "\n" else text.replace("\n", lead)
+        newline = np.arange(min(len(rows), TABLE_CHUNK) * width) % width == 0
+        seps = np.frombuffer(b",\n", np.uint8).take(newline)
+        for text in _float_texts(rows, slice(None), seps, False):
+            yield text if lead == "\n" else text.replace("\n", lead)
         return
-    # the record template: the JSON text of each prefix value, %s for the others
-    fields = [_json(v).replace("%", "%%") for v in prefix]
-    fields += ["%s"] * (len(headers) - len(prefix))
     order = sorted(range(len(headers)), key=headers.__getitem__)
-    record = ",\n".join(f"    {json.dumps(headers[c])}: {fields[c]}" for c in order)
+    record = ",\n".join(
+        f"    {json.dumps(headers[c])}: {_json(prefix[c]) if c < len(prefix) else _SLOT}"
+        for c in order
+    )
     record = "  {\n" + record + "\n  }"
     columns = [c - len(prefix) for c in order if c >= len(prefix)]
+    lead = "[\n" if first else ",\n"
+    if floats and len(rows) and 0 < width <= len(_MARKS):
+        # the text around the floats of a record; the text before its first
+        # float follows the end of the record before
+        ends = record.split(_SLOT)
+        glue = [ends[-1] + ",\n" + ends[0], *ends[1:-1]]
+        marks = _MARKS[:width]
+        seps = np.tile(np.frombuffer(marks, np.uint8), min(len(rows), TABLE_CHUNK))
+        for k, text in enumerate(_float_texts(rows, columns, seps, True)):
+            for mark, piece in zip(marks.decode("latin-1"), glue):
+                text = text.replace(mark, piece)
+            yield lead + ends[0] + text[len(glue[0]) :] if k == 0 else text
+        yield ends[-1]
+        return
+    # the record template: the JSON text of each prefix value, %s for the others
+    record = record.replace("%", "%%").replace(_SLOT, "%s")
     for start in range(0, len(rows), TABLE_CHUNK):
         chunk = rows[start : start + TABLE_CHUNK]
-        if floats:
-            # the floats of a chunk written by the C encoder, which json.dumps
-            # runs without indent
-            chunk = chunk[:, columns]
-            finite = np.isfinite(chunk)
-            values = (chunk if finite.all() else np.where(finite, chunk, None)).ravel().tolist()
-            tokens = json.dumps(values, allow_nan=False)[1:-1].split(", ")
-        else:
-            tokens = [_json(row[c]) for row in chunk for c in columns]
-        lead = "[\n" if first and start == 0 else ",\n"
-        yield lead + ",\n".join([record] * len(chunk)) % tuple(tokens)
+        tokens = [_json(row[c]) for row in chunk for c in columns]
+        yield (lead if start == 0 else ",\n") + ",\n".join([record] * len(chunk)) % tuple(tokens)
 
 
 class _Table:

@@ -1,21 +1,37 @@
-"""``%.17g`` of many floats at once, byte for byte, with numpy.
+"""``%.17g`` and ``repr`` of many floats at once, byte for byte, with numpy.
 
-A float x with 1e-4 <= |x| < 1e17 prints in fixed notation from its 17
-correctly rounded significant digits d = round_half_even(|x| * 10**(16 - e)),
-10**16 <= d < 10**17, where e is its decimal exponent.  d is computed exactly
-in float64: x * 2**n is exact, and Dekker's two-product (Numer. Math. 18,
-1971) splits (x * 2**n) * 5**n into a float and its exact error, with 5**n
-exact for n <= 22.
+Digits.  A float x with 1e-4 <= |x| < 1e17 has the decimal exponent e and the
+17 correctly rounded significant digits d = round_half_even(X), where
+X = |x| * 10**(16 - e) and 10**16 <= d < 10**17.  X is split exactly into
+float64s as X = p + err: x * 2**n is exact, and Dekker's two-product (Numer.
+Math. 18, 1971) splits (x * 2**n) * 5**n into the float p, an even integer
+here, and its exact error err, with 5**n exact for n <= 22.
 
-Each value gets a 40-byte template, five words:
+Shortest digits.  ``repr`` prints the fewest digits that read back as x,
+and of those the ones nearest to x (Steele and White, PLDI 1990).  For
+1e-4 <= |x| < 1e16, where repr prints fixed-point digits, the numbers that
+read back as x form the interval X +- h, h = ulp(x)/2 * 10**(16 - e), an
+exact float between 0.55 and 11.1, so at most one multiple of 100 lies in
+it.  The digits are that multiple if it fits, else the nearest multiple of
+10 if it fits, else d.  Each distance X - m = (p - m) + err is computed to
+within 1e-14.  A value is left to ``repr`` where this cannot decide it: where
+x's significand is a power of two (its interval is only h/2 wide below),
+where a candidate lies within 1e-9 of an end of the interval (which reads
+back as x only for an even significand), and where X is within 1e-9 of
+halfway between two multiples of 10, or of two integers (a tie).
+
+Layout.  Each value gets a 40-byte template, five words:
 
     sep "-" "0.000" d0 | "." d1 "." d2 "." d3 "." d4 | ... | "." d16
 
 Digit k sits at byte 7 + 2k and the byte after it is a slot for the decimal
 point.  One mask row per (e, significant digits, sign) keeps the bytes of
-the text and turns the others to NUL, which are then deleted.  Zero,
-non-finite values and |x| outside the window get a ``%.17g`` placeholder
-instead and are formatted by ``%``.
+the text and turns the others to NUL, which are then deleted.  There is a
+mask table for each layout: ``%.17g`` prints an integral value without a
+point, ``repr`` with ".0".  Zero, non-finite values, values outside the
+window and values left to ``repr`` get a placeholder instead and are
+formatted by ``%``: ``%.17g`` or ``%r``, and "null" for a non-finite value
+in the ``repr`` layout, as JSON tables print it.
 """
 
 from __future__ import annotations
@@ -27,9 +43,11 @@ import numpy as np
 #: values formatted per call: their work arrays, 40 bytes of text per value
 #: and less for the rest, stay in cache and below malloc's mmap threshold
 BLOCK = 2048
-SEPARATORS = ",\n"
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant
+#: slack of the shortest-digit interval test: a distance within this of a
+#: decision boundary leaves the value to repr
+_SLACK = 1e-9
 
 
 def _halves(a):
@@ -46,10 +64,11 @@ def _words(texts) -> np.ndarray:
 _POW2 = np.ldexp(1.0, np.arange(21))
 _POW5 = np.array([5**n for n in range(21)], dtype=float)  # exact: 5**20 < 2**53
 _POW5_HI, _POW5_LO = _halves(_POW5)
-#: word 0 of a value: its separator, "-", "0.000" and its leading digit
-_HEADS = _words(f"{sep}-0.000{d}" for sep in SEPARATORS for d in range(10))
-#: word 0 of a value that ``%`` formats
-_PLACEHOLDERS = _words(f"{sep}%.17g\0\0" for sep in SEPARATORS)
+#: word 0 of a value, its separator byte left 0: "-", "0.000" and its leading digit
+_HEADS = _words(f"\0-0.000{d}" for d in range(10))
+#: word 0 of a value that ``%`` formats as %.17g and as repr, and of a
+#: non-finite value in the repr layout
+_PERCENT_G, _PERCENT_R, _NULL = _words(["\0%.17g\0\0", "\0%r\0\0\0\0\0", "\0null\0\0\0"])
 
 
 @functools.cache
@@ -57,7 +76,7 @@ def _tables():
     """The digit-group words, last nonzero digits and masks of format_fields.
 
     Built at its first call, so a process that writes no float table never
-    pays for them.
+    pays for them.  masks[shortest] is the mask table of a layout.
     """
     k = np.arange(10000)  # the groups of four digits
     digits = k[:, None] // np.array([1000, 100, 10, 1]) % 10
@@ -72,22 +91,25 @@ def _tables():
     neg = np.arange(2)[None, None, :, None]
     col = np.arange(40)
     digit, dot = (col - 7) // 2, (col - 8) // 2
-    keep = (
-        (col == 0)
-        | ((col == 1) & (neg == 1))
-        | ((col >= 2) & (col < 3 - e) & (e < 0))
-        | ((col >= 7) & (col % 2 == 1) & (digit < np.maximum(sig, e + 1)))
-        | ((col >= 8) & (col % 2 == 0) & (dot == e) & (sig > e + 1))
-    )
-    masks = np.vstack([keep.reshape(-1, 40), col < 8])  # last row: a placeholder
-    return quad.view("<u8").ravel(), last, (masks * np.uint8(0xFF)).view("<u8")
+    head = (col == 0) | ((col == 1) & (neg == 1)) | ((col >= 2) & (col < 3 - e) & (e < 0))
+    digits_at = (col >= 7) & (col % 2 == 1)
+    dot_at = (col >= 8) & (col % 2 == 0) & (dot == e)
+    masks = []
+    for keep in (
+        # %.17g: an integral value is printed without its point
+        head | (digits_at & (digit < np.maximum(sig, e + 1))) | (dot_at & (sig > e + 1)),
+        # repr: an integral value keeps its point and one zero after it
+        head | (digits_at & (digit < np.maximum(sig, e + 2))) | dot_at,
+    ):
+        rows = np.vstack([keep.reshape(-1, 40), col < 8])  # last row: a placeholder
+        masks.append((rows * np.uint8(0xFF)).view("<u8"))
+    return quad.view("<u8").ravel(), last, masks
 
 
-def _round17(ax: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """round_half_even(ax * 10**(16 - e)) as int64, for 0 <= 16 - e <= 20.
+def _scaled(ax: np.ndarray, e: np.ndarray):
+    """(p, err) with ax * 10**(16 - e) == p + err exactly, for 0 <= 16 - e <= 20.
 
-    Exact when the float product p >= 2**53, where p is an even integer;
-    below that only good enough to tell that the result is below 10**16.
+    p is the float product, an even integer when p >= 2**53.
     """
     n = 16 - e
     y = ax * _POW2.take(n)
@@ -95,52 +117,103 @@ def _round17(ax: np.ndarray, e: np.ndarray) -> np.ndarray:
     y_hi, y_lo = _halves(y)
     five_hi, five_lo = _POW5_HI.take(n), _POW5_LO.take(n)
     err = ((y_hi * five_hi - p) + y_hi * five_lo + y_lo * five_hi) + y_lo * five_lo
+    return p, err
+
+
+def _round(p: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """round_half_even(p + err) as int64.
+
+    Exact when p >= 2**53; below that only good enough to tell that the
+    result is below 10**16.
+    """
     whole = np.rint(p)
     return whole.astype(np.int64) + np.rint((p - whole) + err).astype(np.int64)
 
 
-def _digits(ax: np.ndarray):
-    """(e, lead, quads) of each ax in [1e-4, 1e17): its decimal exponent, the
-    first of its 17 correctly rounded significant digits, and the other
-    sixteen as four groups of four."""
+def _exponents(ax: np.ndarray):
+    """(e, p, err, d) of each ax in [1e-4, 1e17): its decimal exponent e,
+    ax * 10**(16 - e) == p + err exactly, and its rounding d, 17 digits."""
     e = np.log10(ax)
-    e = np.clip(np.floor(e, out=e).astype(np.int64), -4, 16)
-    d = _round17(ax, e)
-    # log10 may be one off next to a power of ten: correct e, and round ax
+    e = np.floor(e, out=e).astype(np.int64)
+    np.minimum(e, 16, out=e)
+    np.maximum(e, -4, out=e)
+    p, err = _scaled(ax, e)
+    d = _round(p, err)
+    # log10 may be one off next to a power of ten: correct e, and scale ax
     # again, not d, which would round twice
     off = (d < 10**16) | (d >= 10**17)
     if off.any():
         e[off] += np.where(d[off] < 10**16, -1, 1)
-        d[off] = _round17(ax[off], e[off])
+        p[off], err[off] = _scaled(ax[off], e[off])
+        d[off] = _round(p[off], err[off])
+    return e, p, err, d
+
+
+def _shortest(ax, e, p, err, d):
+    """(d, undecided): the shortest round-trip digits of each ax, as a
+    17-digit integer padded with zeros, and where the interval test cannot
+    decide them (see the module docstring); d is the rounding of p + err."""
+    whole = p.astype(np.int64)
+    mantissa, exponent = np.frexp(ax)
+    n = 16 - e
+    h = np.ldexp(_POW5.take(n), exponent - 54 + n)
+
+    def nearest(unit):
+        """The multiple m of unit nearest to X, whether it fits in the
+        interval, and where it may lie on an end of it or X halfway between
+        two multiples."""
+        m = (d + unit // 2) // unit * unit
+        dist = (whole - m) + err  # X - m, within unit / 2 + 1/2 of 0
+        step = np.where(dist > unit / 2, unit, np.where(dist < -unit / 2, -unit, 0))
+        tie = np.abs(np.abs(dist) - unit / 2) <= _SLACK
+        m, dist = m + step, dist - step
+        return m, np.abs(dist) < h, np.abs(np.abs(dist) - h) <= _SLACK, tie
+
+    m100, fit100, edge100, _ = nearest(100)
+    m10, fit10, edge10, tie10 = nearest(10)
+    tie1 = np.abs(np.abs((whole - d) + err) - 0.5) <= _SLACK
+    d = np.where(fit100, m100, np.where(fit10, m10, d))
+    undecided = (mantissa == 0.5) | edge100
+    undecided |= np.where(fit100, False, edge10 | np.where(fit10, tie10, tie1))
+    # the multiple 10**17 would take one digit more; it never fits, since in
+    # the window the double nearest a power of ten is never below it, but repr
+    # would decide one that did
+    return d, undecided | (d >= 10**17)
+
+
+def format_fields(values: np.ndarray, seps: np.ndarray, shortest: bool = False) -> str:
+    """``"".join(chr(s) + f(v) for s, v in zip(seps, values))``.
+
+    f is ``"%.17g".__mod__``, or with shortest ``repr`` and "null" for a
+    non-finite value.  values is a 1-D float64 array, seps a uint8 array of
+    the same length: the separator byte before each value, neither NUL nor
+    "%".
+    """
+    quad_words, last_digit, masks = _tables()
+    ax = np.abs(values)
+    placeholder = ~((ax >= 1e-4) & (ax < (1e16 if shortest else 1e17)))
+    ax[placeholder] = 1.0
+    e, p, err, d = _exponents(ax)
+    if shortest:
+        d, undecided = _shortest(ax, e, p, err, d)
+        placeholder |= undecided
     lead, rest = np.divmod(d, 10**16)
     high, low = np.divmod(rest, 10**8)
     quads = np.empty((len(d), 4), np.intp)
     np.divmod(high, 10**4, out=(quads[:, 0], quads[:, 1]))
     np.divmod(low, 10**4, out=(quads[:, 2], quads[:, 3]))
-    return e, lead, quads
-
-
-def format_fields(values: np.ndarray, newline: np.ndarray) -> str:
-    """``"".join(SEPARATORS[n] + "%.17g" % v for n, v in zip(newline, values))``.
-
-    values is a 1-D float64 array, newline a 0/1 integer array of the same
-    length: 1 where a value starts a line.
-    """
-    quad_words, last_digit, masks = _tables()
-    ax = np.abs(values)
-    placeholder = ~((ax >= 1e-4) & (ax < 1e17))
-    ax[placeholder] = 1.0
-    e, lead, quads = _digits(ax)
     text = np.empty((len(values), 5), "<u8")
-    text[:, 0] = _HEADS.take(newline * 10 + lead)
+    np.bitwise_or(_HEADS.take(lead), seps, out=text[:, 0])
     text[:, 1:] = quad_words.take(quads)
     # index of the last nonzero digit, 0 for the leading one
     last = [last_digit[j].take(quads[:, j]) for j in range(4)]
     last = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3]))
     row = ((e + 4) * 17 + last) * 2 + np.signbit(values)
+    formatted = placeholder & np.isfinite(values) if shortest else placeholder
     if placeholder.any():
         row[placeholder] = -1  # the mask row that keeps word 0 alone
-        text[placeholder, 0] = _PLACEHOLDERS.take(newline[placeholder])
-    text &= masks.take(row, axis=0)
-    out = text.tobytes().translate(None, b"\0").decode("ascii")
-    return out % tuple(values[placeholder].tolist()) if placeholder.any() else out
+        word = np.where(formatted, _PERCENT_R if shortest else _PERCENT_G, _NULL)
+        text[placeholder, 0] = word[placeholder] | seps[placeholder]
+    text &= masks[shortest].take(row, axis=0)
+    out = text.tobytes().translate(None, b"\0").decode("latin-1")
+    return out % tuple(values[formatted].tolist()) if formatted.any() else out

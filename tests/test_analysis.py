@@ -454,9 +454,17 @@ def _full_screen_pair(kind, p, tau_end, grid):
 
 @pytest.mark.parametrize(
     "cells,grids",
-    # 2**16 cells: one block up to grid 256, two at 257; 64 cells: blocks of
-    # 9, 8 and 7 rows at grids 7, 8 and 9, and of one row from grid 33 on
-    [(analysis._SCREEN_CELLS, (256, 257)), (64, (7, 8, 9, 33, 64, 65))],
+    # a block of rows from start on holds the columns after start, cells //
+    # (grid - 1 - start) rows of them and at least one: with 2**16 cells one
+    # block up to grid 257, two at 258, and with 2**14 one block up to grid
+    # 129, two at 130; with 64 cells one block up to grid 9, two at 10, a
+    # first block of two rows at 33, of one row of 63 and 64 cells at 64 and
+    # 65, and of one row longer than 64 cells at 66
+    [
+        (2**16, (257, 258)),
+        (64, (7, 8, 9, 10, 33, 64, 65, 66)),
+        (analysis._SCREEN_CELLS, (129, 130, 300)),
+    ],
 )
 def test_blocked_screen_equals_full_grid(monkeypatch, cells, grids):
     monkeypatch.setattr(analysis, "_SCREEN_CELLS", cells)

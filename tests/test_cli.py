@@ -788,22 +788,46 @@ _FLOAT64_BITS = st.builds(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+_POOL_TABLES = given(
     width=st.integers(1, 4),
     rows=st.sampled_from([1, 2, cli.TABLE_CHUNK - 1, cli.TABLE_CHUNK, cli.TABLE_CHUNK + 1]),
     pool=st.lists(_FLOAT64_BITS, min_size=1, max_size=32),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_emit_csv_of_any_float64_matches_per_value_emitter(width, rows, pool, seed):
+
+
+def _assert_emits_pool_table(fmt, width, rows, pool, seed):
     # the table is drawn from a pool of arbitrary bit patterns, so that a
     # table longer than a chunk is still cheap for hypothesis to generate
     table = np.random.default_rng(seed).choice(np.array(pool), size=(rows, width))
-    headers = tuple(f"c{k}" for k in range(width))
+    headers = tuple(f"c{k}" for k in range(width))[::-1]  # not in sorted order
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(headers, table, "csv", None)
-    _assert_same_lines(out.getvalue(), _emit_per_value(headers, table.tolist(), "csv"))
+        cli._emit(headers, table, fmt, None)
+    _assert_same_lines(out.getvalue(), _emit_per_value(headers, table.tolist(), fmt))
+
+
+@settings(max_examples=40, deadline=None)
+@_POOL_TABLES
+def test_emit_csv_of_any_float64_matches_per_value_emitter(width, rows, pool, seed):
+    _assert_emits_pool_table("csv", width, rows, pool, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@_POOL_TABLES
+def test_emit_json_of_any_float64_matches_per_value_emitter(width, rows, pool, seed):
+    _assert_emits_pool_table("json", width, rows, pool, seed)
+
+
+def test_emit_json_wider_than_its_separator_bytes_matches_per_value_emitter(tmp_path):
+    # a table with more float columns than separator bytes is formatted value
+    # by value
+    width = len(cli._MARKS) + 1
+    table = np.random.default_rng(2).random((3, width))
+    table[1, 5] = np.nan
+    headers = tuple(f"c{k:03d}" for k in range(width))
+    got = _emitted(tmp_path, headers, table, "json")
+    _assert_same_lines(got, _emit_per_value(headers, table.tolist(), "json"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
