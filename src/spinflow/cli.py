@@ -105,27 +105,8 @@ def _probe_out(out: str) -> None:
         os.remove(out)
 
 
-#: separator bytes that stand for the JSON text between a table's floats, one
-#: per float column: no JSON text or float holds one, since json.dumps escapes
-#: what is not ASCII
-_MARKS = bytes(range(0x80, 0x100))
-#: a float field in a record's JSON text, which holds no control character
-_SLOT = "\x01"
-
-
-def _float_texts(rows, columns, seps, shortest: bool):
-    """The text of rows[:, columns], floatcsv.BLOCK values at a time, each
-    value after its separator byte: value k of a TABLE_CHUNK-row chunk after
-    seps[k]; see floatcsv.format_fields."""
-    for start in range(0, len(rows), TABLE_CHUNK):
-        values = np.asarray(rows[start : start + TABLE_CHUNK, columns], dtype=float).ravel()
-        for at in range(0, len(values), floatcsv.BLOCK):
-            block = slice(at, min(at + floatcsv.BLOCK, len(values)))
-            yield floatcsv.format_fields(values[block], seps[block], shortest)
-
-
 def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
-    """The text of a table's rows, TABLE_CHUNK rows at a time.
+    """The text of a table's rows, at most TABLE_CHUNK rows at a time.
 
     rows is a 2-D float array, or a short list of rows that mix int, bool,
     str and float; prefix holds the values of the first len(prefix) columns
@@ -138,44 +119,43 @@ def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
     are formatted in bulk (see floatcsv).
     """
     floats = isinstance(rows, np.ndarray)
-    width = len(headers) - len(prefix)
     if fmt == "csv":
         lead = "\n" + "".join(_fmt(v) + "," for v in prefix)
         if not floats:
             yield "".join(lead + ",".join(map(_fmt, row)) for row in rows)
             return
-        newline = np.arange(min(len(rows), TABLE_CHUNK) * width) % width == 0
-        seps = np.frombuffer(b",\n", np.uint8).take(newline)
-        for text in _float_texts(rows, slice(None), seps, False):
-            yield text if lead == "\n" else text.replace("\n", lead)
-        return
-    order = sorted(range(len(headers)), key=headers.__getitem__)
-    record = ",\n".join(
-        f"    {json.dumps(headers[c])}: {_json(prefix[c]) if c < len(prefix) else _SLOT}"
-        for c in order
-    )
-    record = "  {\n" + record + "\n  }"
-    columns = [c - len(prefix) for c in order if c >= len(prefix)]
-    lead = "[\n" if first else ",\n"
-    if floats and len(rows) and 0 < width <= len(_MARKS):
-        # the text around the floats of a record; the text before its first
-        # float follows the end of the record before
-        ends = record.split(_SLOT)
-        glue = [ends[-1] + ",\n" + ends[0], *ends[1:-1]]
-        marks = _MARKS[:width]
-        seps = np.tile(np.frombuffer(marks, np.uint8), min(len(rows), TABLE_CHUNK))
-        for k, text in enumerate(_float_texts(rows, columns, seps, True)):
-            for mark, piece in zip(marks.decode("latin-1"), glue):
-                text = text.replace(mark, piece)
-            yield lead + ends[0] + text[len(glue[0]) :] if k == 0 else text
-        yield ends[-1]
+        width = len(headers) - len(prefix)
+        size = min(len(rows), TABLE_CHUNK) * width
+        newline = (np.arange(size) % width == 0).astype(np.intp)
+        for start in range(0, len(rows), TABLE_CHUNK):
+            values = np.asarray(rows[start : start + TABLE_CHUNK], dtype=float).ravel()
+            for at in range(0, len(values), floatcsv.BLOCK):
+                block = slice(at, min(at + floatcsv.BLOCK, len(values)))
+                text = floatcsv.format_fields(values[block], newline[block])
+                yield text if lead == "\n" else text.replace("\n", lead)
         return
     # the record template: the JSON text of each prefix value, %s for the others
-    record = record.replace("%", "%%").replace(_SLOT, "%s")
-    for start in range(0, len(rows), TABLE_CHUNK):
-        chunk = rows[start : start + TABLE_CHUNK]
-        tokens = [_json(row[c]) for row in chunk for c in columns]
-        yield (lead if start == 0 else ",\n") + ",\n".join([record] * len(chunk)) % tuple(tokens)
+    fields = [_json(v).replace("%", "%%") for v in prefix]
+    fields += ["%s"] * (len(headers) - len(prefix))
+    order = sorted(range(len(headers)), key=headers.__getitem__)
+    record = ",\n".join(f"    {json.dumps(headers[c])}: {fields[c]}" for c in order)
+    record = "  {\n" + record + "\n  }"
+    columns = [c - len(prefix) for c in order if c >= len(prefix)]
+    step = TABLE_CHUNK
+    if floats:
+        # a float array's rows go a block of floats at a time, each float
+        # after a comma, so that the block's text splits into its tokens
+        step = max(1, floatcsv.BLOCK // max(1, len(columns)))
+        comma = np.zeros(step * len(columns), np.intp)
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        if floats:
+            values = np.asarray(chunk[:, columns], dtype=float).ravel()
+            tokens = floatcsv.format_fields(values, comma[: len(values)], True).split(",")[1:]
+        else:
+            tokens = [_json(row[c]) for row in chunk for c in columns]
+        lead = "[\n" if first and start == 0 else ",\n"
+        yield lead + ",\n".join([record] * len(chunk)) % tuple(tokens)
 
 
 class _Table:
@@ -198,8 +178,8 @@ class _Table:
 def _emit(headers, rows, fmt: str, out: str | None) -> None:
     """Write rows to out (stdout if None) as CSV, or as a JSON list of records.
 
-    rows is a 2-D float array, formatted and written TABLE_CHUNK rows at a
-    time so that the text in memory does not grow with the table, or a short
+    rows is a 2-D float array, formatted and written at most TABLE_CHUNK rows
+    at a time so that the text in memory does not grow with the table, or a short
     list of mixed rows; see _table_pieces.  out is opened before anything is
     formatted; UsageError if it cannot be.
     """

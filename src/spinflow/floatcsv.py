@@ -43,6 +43,7 @@ import numpy as np
 #: values formatted per call: their work arrays, 40 bytes of text per value
 #: and less for the rest, stay in cache and below malloc's mmap threshold
 BLOCK = 2048
+SEPARATORS = ",\n"
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant
 #: slack of the shortest-digit interval test: a distance within this of a
@@ -64,11 +65,13 @@ def _words(texts) -> np.ndarray:
 _POW2 = np.ldexp(1.0, np.arange(21))
 _POW5 = np.array([5**n for n in range(21)], dtype=float)  # exact: 5**20 < 2**53
 _POW5_HI, _POW5_LO = _halves(_POW5)
-#: word 0 of a value, its separator byte left 0: "-", "0.000" and its leading digit
-_HEADS = _words(f"\0-0.000{d}" for d in range(10))
+#: word 0 of a value: its separator, "-", "0.000" and its leading digit
+_HEADS = _words(f"{sep}-0.000{d}" for sep in SEPARATORS for d in range(10))
 #: word 0 of a value that ``%`` formats as %.17g and as repr, and of a
-#: non-finite value in the repr layout
-_PERCENT_G, _PERCENT_R, _NULL = _words(["\0%.17g\0\0", "\0%r\0\0\0\0\0", "\0null\0\0\0"])
+#: non-finite value in the repr layout, after each separator
+_PLACEHOLDERS = _words(
+    f"{sep}{word}" for word in ("%.17g\0\0", "%r\0\0\0\0\0", "null\0\0\0") for sep in SEPARATORS
+)
 
 
 @functools.cache
@@ -181,13 +184,12 @@ def _shortest(ax, e, p, err, d):
     return d, undecided | (d >= 10**17)
 
 
-def format_fields(values: np.ndarray, seps: np.ndarray, shortest: bool = False) -> str:
-    """``"".join(chr(s) + f(v) for s, v in zip(seps, values))``.
+def format_fields(values: np.ndarray, newline: np.ndarray, shortest: bool = False) -> str:
+    """``"".join(SEPARATORS[n] + f(v) for n, v in zip(newline, values))``.
 
     f is ``"%.17g".__mod__``, or with shortest ``repr`` and "null" for a
-    non-finite value.  values is a 1-D float64 array, seps a uint8 array of
-    the same length: the separator byte before each value, neither NUL nor
-    "%".
+    non-finite value.  values is a 1-D float64 array, newline a 0/1 integer
+    array of the same length: 1 where a value starts a line.
     """
     quad_words, last_digit, masks = _tables()
     ax = np.abs(values)
@@ -203,7 +205,7 @@ def format_fields(values: np.ndarray, seps: np.ndarray, shortest: bool = False) 
     np.divmod(high, 10**4, out=(quads[:, 0], quads[:, 1]))
     np.divmod(low, 10**4, out=(quads[:, 2], quads[:, 3]))
     text = np.empty((len(values), 5), "<u8")
-    np.bitwise_or(_HEADS.take(lead), seps, out=text[:, 0])
+    text[:, 0] = _HEADS.take(newline * 10 + lead)
     text[:, 1:] = quad_words.take(quads)
     # index of the last nonzero digit, 0 for the leading one
     last = [last_digit[j].take(quads[:, j]) for j in range(4)]
@@ -212,8 +214,8 @@ def format_fields(values: np.ndarray, seps: np.ndarray, shortest: bool = False) 
     formatted = placeholder & np.isfinite(values) if shortest else placeholder
     if placeholder.any():
         row[placeholder] = -1  # the mask row that keeps word 0 alone
-        word = np.where(formatted, _PERCENT_R if shortest else _PERCENT_G, _NULL)
-        text[placeholder, 0] = word[placeholder] | seps[placeholder]
+        kind = np.where(formatted[placeholder], int(shortest), 2)
+        text[placeholder, 0] = _PLACEHOLDERS.take(kind * 2 + newline[placeholder])
     text &= masks[shortest].take(row, axis=0)
-    out = text.tobytes().translate(None, b"\0").decode("latin-1")
+    out = text.tobytes().translate(None, b"\0").decode("ascii")
     return out % tuple(values[formatted].tolist()) if formatted.any() else out

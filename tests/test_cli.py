@@ -819,17 +819,6 @@ def test_emit_json_of_any_float64_matches_per_value_emitter(width, rows, pool, s
     _assert_emits_pool_table("json", width, rows, pool, seed)
 
 
-def test_emit_json_wider_than_its_separator_bytes_matches_per_value_emitter(tmp_path):
-    # a table with more float columns than separator bytes is formatted value
-    # by value
-    width = len(cli._MARKS) + 1
-    table = np.random.default_rng(2).random((3, width))
-    table[1, 5] = np.nan
-    headers = tuple(f"c{k:03d}" for k in range(width))
-    got = _emitted(tmp_path, headers, table, "json")
-    _assert_same_lines(got, _emit_per_value(headers, table.tolist(), "json"))
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_float_table_memory_does_not_grow_with_the_table(fmt, tmp_path):
     table = np.random.default_rng(0).random((200_001, 4))

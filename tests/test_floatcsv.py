@@ -11,7 +11,7 @@ from spinflow import floatcsv
 
 def _formatted(values, shortest):
     values = np.asarray(values, dtype=float)
-    return floatcsv.format_fields(values, np.full(len(values), ord(","), np.uint8), shortest)
+    return floatcsv.format_fields(values, np.zeros(len(values), np.intp), shortest)
 
 
 def _assert_formats_as_python(values):
@@ -86,10 +86,10 @@ def test_any_bit_pattern_formats_as_python(patterns):
     _assert_formats_as_python(np.array(patterns, np.uint64).view(np.float64))
 
 
-def test_separators_are_kept_byte_for_byte():
+def test_separators_come_before_their_values():
     values = np.array([1.5, -2.0, math.nan, 1e300, 0.1])
-    seps = np.array([0x80, ord("\n"), 0xFF, ord(","), 1], np.uint8)
-    got = floatcsv.format_fields(values, seps, shortest=True)
-    assert got == "\x801.5\n-2.0\xffnull,1e+300\x010.1"
-    got = floatcsv.format_fields(values, seps)
-    assert got == "\x801.5\n-2\xffnan,1.0000000000000001e+300\x010.10000000000000001"
+    newline = np.array([1, 0, 1, 1, 0], np.intp)
+    got = floatcsv.format_fields(values, newline, shortest=True)
+    assert got == "\n1.5,-2.0\nnull\n1e+300,0.1"
+    got = floatcsv.format_fields(values, newline)
+    assert got == "\n1.5,-2\nnan\n1.0000000000000001e+300,0.10000000000000001"
