@@ -41,7 +41,7 @@ from .maps import (
     xi,
     xi_derivative,
 )
-from .measure import DegeneratePairError, measure, sigma_analytic
+from .measure import DegeneratePairError, _require_distinct, measure, sigma_analytic
 from .sphere import MAX_VERTICES
 from .states import QubitState, StatePair
 from .volterra import (
@@ -106,7 +106,7 @@ def _probe_out(out: str) -> None:
 
 
 def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
-    """The text of a table's rows, at most TABLE_CHUNK rows at a time.
+    """The text of a table's rows, at most TABLE_CHUNK of them.
 
     rows is a 2-D float array, or a short list of rows that mix int, bool,
     str and float; prefix holds the values of the first len(prefix) columns
@@ -124,15 +124,13 @@ def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
         if not floats:
             yield "".join(lead + ",".join(map(_fmt, row)) for row in rows)
             return
-        width = len(headers) - len(prefix)
-        size = min(len(rows), TABLE_CHUNK) * width
-        newline = (np.arange(size) % width == 0).astype(np.intp)
-        for start in range(0, len(rows), TABLE_CHUNK):
-            values = np.asarray(rows[start : start + TABLE_CHUNK], dtype=float).ravel()
-            for at in range(0, len(values), floatcsv.BLOCK):
-                block = slice(at, min(at + floatcsv.BLOCK, len(values)))
-                text = floatcsv.format_fields(values[block], newline[block])
-                yield text if lead == "\n" else text.replace("\n", lead)
+        values = np.asarray(rows, dtype=float).ravel()
+        newline = np.zeros(len(values), np.intp)
+        newline[:: len(headers) - len(prefix)] = 1
+        for at in range(0, len(values), floatcsv.BLOCK):
+            block = slice(at, at + floatcsv.BLOCK)
+            text = floatcsv.format_fields(values[block], newline[block])
+            yield text if lead == "\n" else text.replace("\n", lead)
         return
     # the record template: the JSON text of each prefix value, %s for the others
     fields = [_json(v).replace("%", "%%") for v in prefix]
@@ -158,6 +156,25 @@ def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
         yield lead + ",\n".join([record] * len(chunk)) % tuple(tokens)
 
 
+class _Grid:
+    """A float table over a tau grid whose rows are computed as they are sliced.
+
+    rows_of(t) is the 2-D float array of the rows at the taus t, one row per
+    tau, each row the same whatever slice of the grid t is; so a table
+    written TABLE_CHUNK rows at a time holds the grid and one chunk of rows,
+    never the whole table.
+    """
+
+    def __init__(self, taus: np.ndarray, rows_of):
+        self.taus, self.rows_of = taus, rows_of
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self.rows_of(self.taus[part])
+
+
 class _Table:
     """A table written to stream: its header, then rows as they come, then its tail."""
 
@@ -167,9 +184,13 @@ class _Table:
             stream.write(",".join(headers))
 
     def write(self, rows, prefix=()) -> None:
-        """Write rows, see _table_pieces."""
-        self.stream.writelines(_table_pieces(self.headers, rows, self.fmt, prefix, not self.rows))
-        self.rows += len(rows)
+        """Write rows TABLE_CHUNK at a time, computing a _Grid's just before; see _table_pieces."""
+        for start in range(0, len(rows), TABLE_CHUNK):
+            part = rows[start : start + TABLE_CHUNK]
+            self.stream.writelines(
+                _table_pieces(self.headers, part, self.fmt, prefix, not self.rows)
+            )
+            self.rows += len(part)
 
     def close(self) -> None:
         self.stream.write("\n" if self.fmt == "csv" else "\n]\n" if self.rows else "[]\n")
@@ -178,10 +199,12 @@ class _Table:
 def _emit(headers, rows, fmt: str, out: str | None) -> None:
     """Write rows to out (stdout if None) as CSV, or as a JSON list of records.
 
-    rows is a 2-D float array, formatted and written at most TABLE_CHUNK rows
-    at a time so that the text in memory does not grow with the table, or a short
-    list of mixed rows; see _table_pieces.  out is opened before anything is
-    formatted; UsageError if it cannot be.
+    rows is a 2-D float array or a _Grid, written at most TABLE_CHUNK rows at
+    a time so that the text in memory does not grow with the table (nor, for
+    a _Grid, the rows), or a short list of mixed rows; see _table_pieces.
+    out is opened, and truncated, before any row is computed or formatted, so
+    a command refuses its flags before it calls _emit.  UsageError if out
+    cannot be opened.
     """
     with _open_out(out) as stream:
         table = _Table(stream, headers, fmt)
@@ -295,21 +318,25 @@ def _warn_trig(kind: EquationKind, r: float) -> None:
 
 def cmd_xi(args) -> int:
     kind, p = _params(args)
-    taus = _grid(args)
     _warn_trig(kind, p.R)
-    x = xi(kind, p.R, taus)
-    d = xi_derivative(kind, p.R, taus)
-    _emit(("tau", "xi", "dxi"), np.column_stack((taus, x, d)), args.format, args.out)
+
+    def rows_of(t):
+        return np.column_stack((t, xi(kind, p.R, t), xi_derivative(kind, p.R, t)))
+
+    _emit(("tau", "xi", "dxi"), _Grid(_grid(args), rows_of), args.format, args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
     kind, p = _params(args)
-    taus = _grid(args)
     headers = ("tau", "pe", "re_b", "im_b")
     if args.method == "closed":
-        pe, b = _affine_action(*snapshot_arrays(kind, p, taus), args.state)
-        rows = np.column_stack((taus, pe, b.real, b.imag))
+
+        def rows_of(t):
+            pe, b = _affine_action(*snapshot_arrays(kind, p, t), args.state)
+            return np.column_stack((t, pe, b.real, b.imag))
+
+        rows = _Grid(_grid(args), rows_of)
     else:
         try:
             traj = _integrate(args.method, kind, p, args)
@@ -356,35 +383,35 @@ def _integrate(method, kind, p, args):
 
 def cmd_trace_distance(args) -> int:
     kind, p = _params(args)
-    taus = _grid(args)
-    snap = snapshot_arrays(kind, p, taus)
-    # the arithmetic of trace_distance(apply_map(snap, s1), apply_map(snap, s2))
-    # at every point, bit for bit: np.hypot equals abs(complex) where np.abs
-    # does not, and math.hypot, which np.hypot does not reproduce, runs per
-    # point, on TABLE_CHUNK points at a time
-    (a, db), (pe2, b2) = _affine_action(*snap, args.state1), _affine_action(*snap, args.state2)
-    a -= pe2
-    db -= b2
-    del pe2, b2
-    rows = np.empty((len(taus), 2))
-    rows[:, 0] = taus
-    for start in range(0, len(taus), TABLE_CHUNK):
-        part = slice(start, start + TABLE_CHUNK)
-        modulus = np.hypot(db[part].real, db[part].imag)
-        rows[part, 1] = list(map(math.hypot, a[part].tolist(), modulus.tolist()))
-    _emit(("tau", "distance"), rows, args.format, args.out)
+
+    def rows_of(t):
+        # the arithmetic of trace_distance(apply_map(snap, s1), apply_map(snap, s2))
+        # at every point, bit for bit: np.hypot equals abs(complex) where np.abs
+        # does not, and math.hypot, which np.hypot does not reproduce, runs per point
+        snap = snapshot_arrays(kind, p, t)
+        (a, db), (pe2, b2) = _affine_action(*snap, args.state1), _affine_action(*snap, args.state2)
+        a -= pe2
+        db -= b2
+        modulus = np.hypot(db.real, db.imag)
+        return np.column_stack((t, list(map(math.hypot, a.tolist(), modulus.tolist()))))
+
+    _emit(("tau", "distance"), _Grid(_grid(args), rows_of), args.format, args.out)
     return 0
 
 
 def cmd_sigma(args) -> int:
     kind, p = _params(args)
-    taus = _grid(args)
+    pair = StatePair(args.state1, args.state2)
     try:
-        values = sigma_analytic(kind, p, StatePair(args.state1, args.state2), taus)
+        _require_distinct(pair)
     except DegeneratePairError as exc:
         raise UsageError(str(exc)) from None
     _warn_trig(kind, p.R)
-    _emit(("tau", "sigma"), np.column_stack((taus, values)), args.format, args.out)
+
+    def rows_of(t):
+        return np.column_stack((t, sigma_analytic(kind, p, pair, t)))
+
+    _emit(("tau", "sigma"), _Grid(_grid(args), rows_of), args.format, args.out)
     return 0
 
 
@@ -416,11 +443,15 @@ def _bloch_fields(prefix: str, state: QubitState) -> dict:
     return dict(zip((f"{prefix}_x", f"{prefix}_y", f"{prefix}_z"), state.bloch()))
 
 
-def _rate_rows(kind, p, taus):
-    """The rates columns on the taus before the rates diverge, and that time (inf if never)."""
+def _rate_taus(kind, p, taus):
+    """The prefix of the ascending taus before the rates diverge, and that time (inf if never)."""
     horizon = rate_divergence_time(kind, p)
-    kept = taus[taus < horizon] if np.isfinite(horizon) else taus
-    return np.column_stack((kept, *tcl_rate_arrays(kind, p, kept))), horizon
+    return taus[: np.searchsorted(taus, horizon)], horizon
+
+
+def _rate_rows(kind, p, taus):
+    """The rates columns at taus, all before the rates diverge."""
+    return np.column_stack((taus, *tcl_rate_arrays(kind, p, taus)))
 
 
 def cmd_measure(args) -> int:
@@ -437,12 +468,13 @@ def cmd_measure(args) -> int:
 def cmd_tcl_rates(args) -> int:
     kind, p = _params(args)
     taus = _grid(args)
-    rows, horizon = _rate_rows(kind, p, taus)
+    kept, horizon = _rate_taus(kind, p, taus)
     if np.isfinite(horizon):
         _diag(
             f"rates diverge at tau = {_fmt(horizon)}; "
-            f"emitting {len(rows)} of {len(taus)} grid rows"
+            f"emitting {len(kept)} of {len(taus)} grid rows"
         )
+    rows = _Grid(kept, functools.partial(_rate_rows, kind, p))
     _emit(_COLUMNS["rates"], rows, args.format, args.out)
     return 0
 
@@ -643,7 +675,7 @@ def _sweep_point(kind, p, cfg: dict):
     if "measure" in analyses:
         tables["measure"] = [_measure_row(scans.measure)]
     if "rates" in analyses:
-        tables["rates"] = _rate_rows(kind, p, taus)[0]
+        tables["rates"] = _rate_rows(kind, p, _rate_taus(kind, p, taus)[0])
     if "choi" in analyses:
         eigs = _snapshot_min_eigs(*snapshot_arrays(kind, p, taus))
         tables["choi"] = np.column_stack((taus, eigs))

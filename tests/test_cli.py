@@ -245,14 +245,20 @@ def test_out_is_checked_before_any_work(monkeypatch, capsys, tmp_path):
     code, out, err = run_cli([*argv, str(tmp_path / "missing" / "x.csv")], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("spinflow: error: cannot write")
-    # a command that fails after the check neither truncates nor creates --out
+    # a command refused after the check neither truncates nor creates --out
     kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
     kept.write_text("keep\n")
-    late = ["choi", "--kind", "mem", "--r", "0.2", "--tau", "1", "--tau-start", "2", "--out"]
-    for target in (kept, fresh):
-        code, _, err = run_cli([*late, str(target)], capsys)
-        assert code == 2
-        assert "--tau-start" in err
+    for late, reason in (
+        (["choi", "--kind", "mem", "--r", "0.2", "--tau", "1", "--tau-start", "2"],
+         "--tau-start"),
+        # sigma computes its rows as it writes them, after --out is opened
+        (["sigma", "--kind", "mem", "--r", "0.2", "--tau-end", "1",
+          "--state1", "0,0,0", "--state2", "0,0,0"], "identical initial states"),
+    ):
+        for target in (kept, fresh):
+            code, out, err = run_cli([*late, "--out", str(target)], capsys)
+            assert (code, out) == (2, "")
+            assert reason in err and err.count("\n") == 1, err
     assert kept.read_text() == "keep\n"
     assert not fresh.exists()
 
@@ -868,15 +874,19 @@ def test_emit_mixed_rows_match_per_value_emitter(fmt, tmp_path):
 
 S1, S2 = "0.7,0.12,-0.21", "0.3,-0.05,0.17"
 PAIR = StatePair(QubitState(0.7, 0.12 - 0.21j), QubitState(0.3, -0.05 + 0.17j))
-GRID = ["--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "20", "--points", "1001"]
+ROWS = 2 * cli.TABLE_CHUNK + 1
+GRID = ["--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "20", "--points", str(ROWS)]
+# the rates diverge at tau = 2.418 of 4: rows from 4953 on are cut, inside the second chunk
+HORIZON_GRID = ["--kind", "mem", "--r", "1", "--n", "1", "--tau-end", "4", "--points", str(ROWS)]
 
 
-def _per_row_reference(command):
-    """Rows of a float-table command as the CLI built them, one tuple per tau."""
-    p, taus = MapParams.from_ratio(0.2, 1.0), np.linspace(0.0, 20.0, 1001)
+def _per_row_reference(command, r, tau_end):
+    """Rows of a float-table command, one tuple per tau, from whole-grid arrays."""
+    p, taus = MapParams.from_ratio(r, 1.0), np.linspace(0.0, tau_end, ROWS)
     if command == "xi":
-        return list(zip(taus, xi("mem", 0.2, taus), xi_derivative("mem", 0.2, taus)))
+        return list(zip(taus, xi("mem", r, taus), xi_derivative("mem", r, taus)))
     if command == "tcl-rates":
+        taus = taus[taus < maps.rate_divergence_time("mem", p)]
         return list(zip(taus, *tcl_rate_arrays("mem", p, taus)))
     if command == "solve":
         pe, b = maps._affine_action(*snapshot_arrays("mem", p, taus), PAIR.first)
@@ -893,37 +903,72 @@ def _per_row_reference(command):
     return rows
 
 
+RATES = ("tau", "gamma1", "gamma2", "gamma3")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "argv, headers",
     [
-        (["xi"], ("tau", "xi", "dxi")),
-        (["tcl-rates"], ("tau", "gamma1", "gamma2", "gamma3")),
-        (["solve", "--method", "closed", "--state", S1], ("tau", "pe", "re_b", "im_b")),
-        (["sigma", "--state1", S1, "--state2", S2], ("tau", "sigma")),
-        (["trace-distance", "--state1", S1, "--state2", S2], ("tau", "distance")),
+        (["xi", *GRID], ("tau", "xi", "dxi")),
+        (["tcl-rates", *GRID], RATES),
+        (["solve", *GRID, "--method", "closed", "--state", S1], ("tau", "pe", "re_b", "im_b")),
+        (["sigma", *GRID, "--state1", S1, "--state2", S2], ("tau", "sigma")),
+        (["trace-distance", *GRID, "--state1", S1, "--state2", S2], ("tau", "distance")),
+        (["tcl-rates", *HORIZON_GRID], RATES),
     ],
-    ids=["xi", "tcl-rates", "solve", "sigma", "trace-distance"],
+    ids=["xi", "tcl-rates", "solve", "sigma", "trace-distance", "tcl-rates-horizon"],
 )
 def test_float_tables_match_per_row_output(argv, headers, fmt, capsys):
-    code, out, _ = run_cli([argv[0], *GRID, *argv[1:], "--format", fmt], capsys)
+    """The rows a grid command computes chunk by chunk equal those of whole-grid arrays."""
+    code, out, _ = run_cli([*argv, "--format", fmt], capsys)
     assert code == 0
-    _assert_same_lines(out, _emit_per_value(headers, _per_row_reference(argv[0]), fmt))
+    r, tau_end = (float(argv[argv.index(flag) + 1]) for flag in ("--r", "--tau-end"))
+    rows = _per_row_reference(argv[0], r, tau_end)
+    assert len(rows) > cli.TABLE_CHUNK
+    _assert_same_lines(out, _emit_per_value(headers, rows, fmt))
 
 
-LONG_GRID = [*GRID[:-1], str(2 * cli.TABLE_CHUNK + 1)]
+MEMORY_GRID = [*GRID[:-1], "200001"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["xi", *LONG_GRID],
-        ["tcl-rates", *LONG_GRID],
-        ["solve", *LONG_GRID, "--method", "closed", "--state", S1],
-        ["sigma", *LONG_GRID, "--state1", S1, "--state2", S2],
-        ["trace-distance", *LONG_GRID, "--state1", S1, "--state2", S2],
+        ["xi", *MEMORY_GRID],
+        ["tcl-rates", *MEMORY_GRID],
+        ["solve", *MEMORY_GRID, "--method", "closed", "--state", S1],
+        ["sigma", *MEMORY_GRID, "--state1", S1, "--state2", S2],
+        ["trace-distance", *MEMORY_GRID, "--state1", S1, "--state2", S2],
+    ],
+    ids=["xi", "tcl-rates", "solve", "sigma", "trace-distance"],
+)
+def test_grid_command_memory_is_the_grid_and_one_chunk(argv, tmp_path):
+    """A grid command computes its rows a chunk at a time, as it writes them.
+
+    The 200001-point grid is 1.6 MB; the whole table of any of these
+    commands would be 3.2 MB or more on top of it.
+    """
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "table.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", *GRID],
+        ["tcl-rates", *GRID],
+        ["solve", *GRID, "--method", "closed", "--state", S1],
+        ["sigma", *GRID, "--state1", S1, "--state2", S2],
+        ["trace-distance", *GRID, "--state1", S1, "--state2", S2],
         # tau past 1e17 and dxi below 1e-4, outside the bulk formatter's window
-        ["xi", "--kind", "post", "--r", "1e-300", "--tau-end", "1e300", *LONG_GRID[-2:]],
+        ["xi", "--kind", "post", "--r", "1e-300", "--tau-end", "1e300", *GRID[-2:]],
     ],
     ids=["xi", "tcl-rates", "solve", "sigma", "trace-distance", "xi-out-of-window"],
 )
