@@ -368,8 +368,11 @@ def divisibility_scan(
         min_step = 1e-7 * max(tau_end, 1.0)
         stencil = np.linspace(-1.0, 1.0, 9)
         while step >= min_step:
-            a = np.clip(t1 + step * stencil[:, None], 0.0, tau_end)
-            b = np.clip(t2 + step * stencil[None, :], 0.0, tau_end)
+            # near the float range a stencil time overflows to inf, which
+            # clips to tau_end like any time past it
+            with np.errstate(over="ignore"):
+                a = np.clip(t1 + step * stencil[:, None], 0.0, tau_end)
+                b = np.clip(t2 + step * stencil[None, :], 0.0, tau_end)
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             values = _pair_min_eigs(
                 snapshot_arrays(kind, p, lo), snapshot_arrays(kind, p, hi)

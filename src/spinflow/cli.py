@@ -139,17 +139,18 @@ def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
     record = ",\n".join(f"    {json.dumps(headers[c])}: {fields[c]}" for c in order)
     record = "  {\n" + record + "\n  }"
     columns = [c - len(prefix) for c in order if c >= len(prefix)]
-    step = TABLE_CHUNK
+    pieces = min(len(rows), 1)
     if floats:
-        # a float array's rows go a block of floats at a time, each float
-        # after a comma, so that the block's text splits into its tokens
-        step = max(1, floatcsv.BLOCK // max(1, len(columns)))
-        comma = np.zeros(step * len(columns), np.intp)
-    for start in range(0, len(rows), step):
-        chunk = rows[start : start + step]
+        # a float array's rows go in even blocks of about BLOCK floats, each
+        # float after a comma, so that a block's text splits into its tokens
+        pieces = min(len(rows), -(-len(rows) * max(1, len(columns)) // floatcsv.BLOCK))
+    for piece in range(pieces):
+        start = len(rows) * piece // pieces
+        chunk = rows[start : len(rows) * (piece + 1) // pieces]
         if floats:
             values = np.asarray(chunk[:, columns], dtype=float).ravel()
-            tokens = floatcsv.format_fields(values, comma[: len(values)], True).split(",")[1:]
+            comma = np.zeros(len(values), np.intp)
+            tokens = floatcsv.format_fields(values, comma, True).split(",")[1:]
         else:
             tokens = [_json(row[c]) for row in chunk for c in columns]
         lead = "[\n" if first and start == 0 else ",\n"

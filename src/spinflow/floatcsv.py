@@ -199,17 +199,25 @@ def format_fields(values: np.ndarray, newline: np.ndarray, shortest: bool = Fals
     if shortest:
         d, undecided = _shortest(ax, e, p, err, d)
         placeholder |= undecided
-    lead, rest = np.divmod(d, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    quads = np.empty((len(d), 4), np.intp)
-    np.divmod(high, 10**4, out=(quads[:, 0], quads[:, 1]))
-    np.divmod(low, 10**4, out=(quads[:, 2], quads[:, 3]))
+    # d's leading digit and its four groups of four; floor division of a
+    # contiguous array by a constant is several times faster than divmod
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    first, third = high // 10**4, low // 10**4
+    quads = (first, high - first * 10**4, third, low - third * 10**4)
     text = np.empty((len(values), 5), "<u8")
     text[:, 0] = _HEADS.take(newline * 10 + lead)
-    text[:, 1:] = quad_words.take(quads)
-    # index of the last nonzero digit, 0 for the leading one
-    last = [last_digit[j].take(quads[:, j]) for j in range(4)]
-    last = np.maximum(np.maximum(last[0], last[1]), np.maximum(last[2], last[3]))
+    for j, quad in enumerate(quads):
+        text[:, j + 1] = quad_words.take(quad)
+    # index of the last nonzero digit, 0 for the leading one: in the last
+    # group unless that group is 0000
+    last = last_digit[3].take(quads[3])
+    zero = quads[3] == 0
+    if zero.any():
+        earlier = [last_digit[j].take(quads[j][zero]) for j in range(3)]
+        last[zero] = np.maximum(np.maximum(earlier[0], earlier[1]), earlier[2])
     row = ((e + 4) * 17 + last) * 2 + np.signbit(values)
     formatted = placeholder & np.isfinite(values) if shortest else placeholder
     if placeholder.any():

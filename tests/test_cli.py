@@ -642,6 +642,20 @@ def test_time_scales_past_the_float_range_warn_nothing(argv, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "Warning" not in err
 
+
+def test_divisibility_refinement_at_the_largest_float_warns_nothing(capsys):
+    # the refinement stencil around t2 = tau_end = DBL_MAX overflows to inf,
+    # which clips back to tau_end
+    argv = ["divisibility", "--kind", "mem", "--r", "0", "--tau-end", "1.7976931348623157e308",
+            "--grid", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert out.splitlines()[1] == "true,0,0,1.7976931348623157e+308,1.7976931348623157e+308,2"
+
+
 def test_positivity_row(capsys):
     code, out, _ = run_cli(
         ["positivity", "--kind", "mem", "--r", "0.2", "--n", "1",

@@ -1,7 +1,11 @@
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import spinflow
 from spinflow import analysis, maps, states, volterra
@@ -54,3 +58,32 @@ def test_no_module_imports_a_name_it_never_uses():
                     if bound not in used:
                         unused.append(f"{path.name}:{node.lineno}: {bound}")
     assert unused == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted in /proc")
+@pytest.mark.parametrize("given", [None, "2"])
+def test_spinflow_loads_numpy_with_one_blas_thread_unless_the_caller_sets_one(given):
+    # a process that imports spinflow before numpy; a matmul large enough
+    # for OpenBLAS to split would wake every thread it has
+    script = """
+import os
+import spinflow.cli
+import numpy as np
+a = np.ones((400, 400))
+a @ a
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(spinflow.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    threads, variable = result.stdout.split()
+    assert variable == str(given)
+    if given is None:
+        assert threads == "1"
