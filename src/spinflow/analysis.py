@@ -2,8 +2,9 @@
 
 Choi matrices and complete positivity, positivity on the Bloch ball,
 two-time intermediate maps and divisibility, and a regime classifier that
-combines those scans with the information-flow measure (classify, with
-every result, or regime_verdict, the verdict alone).
+combines those scans with the information-flow measure (classify, a report
+whose scans run as they are read, so that its verdict runs only the scans
+that decide it).
 
 Convention fixed project-wide: the Choi matrix is built with the input index
 on the first tensor factor and is unnormalized,
@@ -24,9 +25,9 @@ import numpy as np
 
 from . import measure as measure_mod
 from .maps import (
-    EquationKind,
     MapParams,
     MapSnapshot,
+    _check_horizon,
     parse_kind,
     snapshot_arrays,
     xi,
@@ -50,7 +51,6 @@ __all__ = [
     "intermediate_map",
     "divisibility_scan",
     "cp_temperature_threshold",
-    "regime_verdict",
     "classify",
 ]
 
@@ -109,13 +109,13 @@ class CpVerdict:
     min_eigenvalue: float
 
 
-def is_completely_positive(c: np.ndarray, tol: float = CP_TOL) -> CpVerdict:
-    """Hermitian-eigenvalue test of the Choi matrix."""
+def is_completely_positive(c: np.ndarray) -> CpVerdict:
+    """Hermitian-eigenvalue test of the Choi matrix, with slack CP_TOL."""
     c = np.asarray(c)
     if not np.allclose(c, c.conj().T, atol=1e-12, rtol=0.0):
         raise ValueError("Choi matrix must be Hermitian")
     smallest = float(np.linalg.eigvalsh(c)[0])
-    return CpVerdict(ok=smallest >= -tol, min_eigenvalue=smallest)
+    return CpVerdict(ok=smallest >= -CP_TOL, min_eigenvalue=smallest)
 
 
 @dataclass(frozen=True)
@@ -235,25 +235,20 @@ def _snapshot_min_eigs(lam1: np.ndarray, lam3: np.ndarray, t3: np.ndarray) -> np
 
 
 def cp_scan(kind, p: MapParams, taus) -> ScanResult:
-    """Smallest Choi eigenvalue of the one-time map over a tau grid.
+    """Smallest Choi eigenvalue of the one-time map over a tau grid, in closed form.
 
-    The grid is screened with the closed-form spectrum; the reported worst
-    value is recomputed with a numerical eigensolver as an independent check.
+    Reports the first grid time where it is smallest, and its value there.
 
     Raises ValueError unless taus is a non-empty 1-D grid.
     """
     kind = parse_kind(kind)
     taus = _scan_times(taus)
-    lam1, lam3, t3 = snapshot_arrays(kind, p, taus)
-    mins = _snapshot_min_eigs(lam1, lam3, t3)
+    mins = _snapshot_min_eigs(*snapshot_arrays(kind, p, taus))
     worst = int(np.argmin(mins))
-    verdict = is_completely_positive(
-        choi_of(MapSnapshot(float(lam1[worst]), float(lam3[worst]), float(t3[worst])))
-    )
     return ScanResult(
-        ok=bool(np.all(mins >= -CP_TOL)) and verdict.ok,
+        ok=bool(mins[worst] >= -CP_TOL),
         worst_tau=float(taus[worst]),
-        worst_value=verdict.min_eigenvalue,
+        worst_value=float(mins[worst]),
     )
 
 
@@ -339,8 +334,7 @@ def divisibility_scan(
     Raises ValueError unless tau_end is finite and > 0 and 2 <= grid <= MAX_GRID.
     """
     kind = parse_kind(kind)
-    if not (math.isfinite(tau_end) and tau_end > 0.0):
-        raise ValueError(f"tau_end must be finite and > 0, got {tau_end}")
+    _check_horizon("tau_end", tau_end)
     if not 2 <= grid <= MAX_GRID:
         raise ValueError(f"grid must lie in [2, {MAX_GRID}], got {grid}")
     taus = np.linspace(0.0, tau_end, grid)
@@ -385,8 +379,7 @@ def divisibility_scan(
 
     try:
         worst = intermediate_map(kind, p, t1, t2)
-        verdict = is_completely_positive(choi_of(worst), tol=DIVISIBILITY_TOL)
-        min_eig = verdict.min_eigenvalue
+        min_eig = is_completely_positive(choi_of(worst)).min_eigenvalue
     except MapInversionError:
         min_eig = float(screened) if np.isfinite(screened) else 0.0
     return DivisibilityReport(
@@ -430,34 +423,30 @@ CLASSIFY_POINTS = 201
 CLASSIFY_DIVISIBILITY_GRID = 100
 
 
-@dataclass(frozen=True)
 class RegimeReport:
-    """Combined verdict of the positivity, CP and divisibility scans and the measure."""
+    """The regime of the dynamics generated by (kind, p), each scan run at its first read.
 
-    kind: EquationKind
-    params: MapParams
-    verdict: str
-    params_physical: bool
-    positivity: ScanResult
-    cp: ScanResult
-    divisibility: DivisibilityReport
-    measure: "measure_mod.MeasureResult"
-    tau_end: float
-
-
-class _PointScans:
-    """classify's scans of one parameter point, each run at its first use.
+    Order of precedence: a positivity defect (or an inherently unsafe
+    parameter regime) makes the family unphysical; otherwise information
+    backflow makes it non-Markovian; otherwise divisibility separates the
+    two time-dependent Markovian classes.  A CP defect alone (low
+    temperature) is reported but does not change the verdict.
 
     Every scan and the measure run up to the certified horizon, the scans on
-    CLASSIFY_POINTS times and a CLASSIFY_DIVISIBILITY_GRID-sided pair grid.
+    CLASSIFY_POINTS times and a CLASSIFY_DIVISIBILITY_GRID-sided pair grid,
+    each once, when it is first read.
     """
 
-    def __init__(self, kind: EquationKind, p: MapParams):
-        self.kind, self.p = kind, p
+    def __init__(self, kind, p: MapParams):
+        self.kind, self.params = parse_kind(kind), p
+
+    @property
+    def params_physical(self) -> bool:
+        return self.params.physical_for(self.kind)
 
     @functools.cached_property
     def tau_end(self) -> float:
-        return measure_mod.certified_horizon(self.kind, self.p)
+        return measure_mod.certified_horizon(self.kind, self.params)
 
     @functools.cached_property
     def taus(self) -> np.ndarray:
@@ -465,25 +454,32 @@ class _PointScans:
 
     @functools.cached_property
     def positivity(self) -> ScanResult:
-        return positivity_scan(self.kind, self.p, self.taus)
+        return positivity_scan(self.kind, self.params, self.taus)
 
     @functools.cached_property
     def cp(self) -> ScanResult:
-        return cp_scan(self.kind, self.p, self.taus)
+        return cp_scan(self.kind, self.params, self.taus)
 
     @functools.cached_property
     def measure(self) -> "measure_mod.MeasureResult":
-        return measure_mod.measure(self.kind, self.p, t_end=self.tau_end)
+        return measure_mod.measure(self.kind, self.params, t_end=self.tau_end)
 
     @functools.cached_property
     def divisibility(self) -> DivisibilityReport:
         return divisibility_scan(
-            self.kind, self.p, tau_end=self.tau_end, grid=CLASSIFY_DIVISIBILITY_GRID
+            self.kind, self.params, tau_end=self.tau_end, grid=CLASSIFY_DIVISIBILITY_GRID
         )
 
+    @functools.cached_property
     def verdict(self) -> str:
-        """The verdict by order of precedence, running only the scans that decide it."""
-        if not self.p.physical_for(self.kind) or not self.positivity.ok:
+        """The verdict by order of precedence, reading only the scans that decide it.
+
+        params_physical, then the positivity scan, then the measure above
+        MEASURE_TOL, then the divisibility scan: a scan is read only when
+        the rules before it have not decided, and the CP scan, which never
+        decides, is not read.
+        """
+        if not self.params_physical or not self.positivity.ok:
             return _VERDICT_UNPHYSICAL
         if self.measure.value > MEASURE_TOL:
             return _VERDICT_NONMARKOVIAN
@@ -492,42 +488,6 @@ class _PointScans:
         return _VERDICT_DIVISIBLE
 
 
-def regime_verdict(kind, p: MapParams) -> str:
-    """classify(kind, p).verdict, running only the scans that decide it.
-
-    The rules apply in classify's order, each with classify's settings:
-    params_physical, then the positivity scan, then the measure above
-    MEASURE_TOL, then the divisibility scan.  A scan runs only when the
-    rules before it have not decided, and the CP scan, which never decides,
-    does not run.
-    """
-    return _PointScans(parse_kind(kind), p).verdict()
-
-
 def classify(kind, p: MapParams) -> RegimeReport:
-    """Classify the dynamics generated by (kind, p), with every scan's result.
-
-    Order of precedence: a positivity defect (or an inherently unsafe
-    parameter regime) makes the family unphysical; otherwise information
-    backflow makes it non-Markovian; otherwise divisibility separates the
-    two time-dependent Markovian classes.  A CP defect alone (low
-    temperature) is reported but does not change the verdict.
-
-    Every scan and the measure run, whether or not they decide the verdict,
-    up to the certified horizon, the scans on CLASSIFY_POINTS times and a
-    CLASSIFY_DIVISIBILITY_GRID-sided pair grid.  regime_verdict gives the
-    same verdict from the deciding scans alone.
-    """
-    kind = parse_kind(kind)
-    scans = _PointScans(kind, p)
-    return RegimeReport(
-        kind=kind,
-        params=p,
-        params_physical=p.physical_for(kind),
-        positivity=scans.positivity,
-        cp=scans.cp,
-        measure=scans.measure,
-        divisibility=scans.divisibility,
-        verdict=scans.verdict(),
-        tau_end=scans.tau_end,
-    )
+    """The regime report of (kind, p); a scan runs when its field is first read."""
+    return RegimeReport(kind, p)

@@ -18,7 +18,6 @@ from . import __version__, floatcsv
 from .analysis import (
     MAX_GRID,
     MapInversionError,
-    _PointScans,
     _snapshot_min_eigs,
     choi_eigenvalues,
     choi_of,
@@ -26,7 +25,6 @@ from .analysis import (
     divisibility_scan,
     intermediate_map,
     positivity_scan,
-    regime_verdict,
 )
 from .maps import (
     EquationKind,
@@ -459,7 +457,7 @@ def cmd_measure(args) -> int:
     kind, p = _params(args)
     result = measure(kind, p, t_end=args.tau_end)
     record = dict(zip(_COLUMNS["measure"], _measure_row(result)))
-    record["classification"] = regime_verdict(kind, p)
+    record["classification"] = classify(kind, p).verdict
     pair = result.argmax_pair
     record |= _bloch_fields("first", pair.first) | _bloch_fields("second", pair.second)
     _emit_record(record, args.format, args.out)
@@ -670,11 +668,11 @@ def _sweep_point(kind, p, cfg: dict):
     """
     taus = np.linspace(0.0, cfg["tau_end"], cfg["tau_points"])
     analyses = cfg["analyses"]
-    scans = _PointScans(kind, p)
-    summary = {"classification": scans.verdict(), "measure_value": scans.measure.value}
+    report = classify(kind, p)
+    summary = {"classification": report.verdict, "measure_value": report.measure.value}
     tables = {}
     if "measure" in analyses:
-        tables["measure"] = [_measure_row(scans.measure)]
+        tables["measure"] = [_measure_row(report.measure)]
     if "rates" in analyses:
         tables["rates"] = _rate_rows(kind, p, _rate_taus(kind, p, taus)[0])
     if "choi" in analyses:
@@ -854,6 +852,9 @@ def main(argv=None) -> int:
         return code
     except UsageError as exc:
         parser.error(str(exc))
+    except MemoryError as exc:  # one line: numpy's message names the allocation
+        _diag(str(exc) or "out of memory")
+        return 1
     except BrokenPipeError:  # stdout's reader left early (| head): signal's "Note on SIGPIPE"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet exit flush
         return 1

@@ -188,6 +188,12 @@ def _check_times(tau) -> np.ndarray:
     return t
 
 
+def _check_horizon(name: str, t_end) -> None:
+    """ValueError, naming the argument name, unless the horizon t_end is finite and > 0."""
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {t_end}")
+
+
 def _check_args(kind, r, tau):
     kind = parse_kind(kind)
     r = float(r)

@@ -33,7 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import EquationKind, MapParams, _channels, _check_times, parse_kind, xi_envelope
+from .maps import (
+    EquationKind,
+    MapParams,
+    _channels,
+    _check_horizon,
+    _check_times,
+    parse_kind,
+    xi_envelope,
+)
 from .states import StatePair, state_from_bloch
 
 __all__ = [
@@ -203,8 +211,7 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
     """
     if grid_points < 100:
         raise ValueError(f"grid_points must be >= 100, got {grid_points}")
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    _check_horizon("t_end", t_end)
     taus = np.linspace(0.0, t_end, grid_points)
     a2, b2 = _pair_weights(pair)
     kind = parse_kind(kind)
@@ -292,8 +299,8 @@ def measure(kind, p: MapParams, t_end: float | None = None) -> MeasureResult:
     kind = parse_kind(kind)
     if t_end is None:
         t_end = certified_horizon(kind, p)
-    elif not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    else:
+        _check_horizon("t_end", t_end)
     value = 0.0
     if kind is EquationKind.MEMORY_KERNEL and 4.0 * p.R > 1.0:
         omega = 0.5 * math.sqrt(4.0 * p.R - 1.0)

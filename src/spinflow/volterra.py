@@ -54,6 +54,7 @@ from .maps import (
     MapParams,
     SingularRateError,
     _channels,
+    _check_horizon,
     _rate_pieces,
     parse_kind,
     rate_divergence_time,
@@ -141,8 +142,7 @@ def _initial_vector(s0: QubitState) -> np.ndarray:
 
 def _grid(t_end: float, points: int) -> np.ndarray:
     """linspace(0, t_end, points), the output grid of every route, once checked."""
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end}")
+    _check_horizon("t_end", t_end)
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     return np.linspace(0.0, t_end, points)

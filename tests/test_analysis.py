@@ -21,7 +21,6 @@ from spinflow.analysis import (
     is_completely_positive,
     is_positive,
     positivity_scan,
-    regime_verdict,
 )
 from spinflow.maps import (
     IDENTITY_SNAPSHOT,
@@ -362,9 +361,7 @@ def test_divisibility_scan_memory_kernel_breaks():
     t1, t2 = report.worst_pair
     assert 0.0 <= t1 < t2 <= 20.0
     # the winner must reproduce under a direct eigensolve
-    direct = is_completely_positive(
-        choi_of(intermediate_map("mem", p, t1, t2)), tol=1e-9
-    )
+    direct = is_completely_positive(choi_of(intermediate_map("mem", p, t1, t2)))
     assert direct.min_eigenvalue == pytest.approx(report.min_eigenvalue, rel=1e-12)
 
 
@@ -691,7 +688,58 @@ _QUARTER = (
     n_occ=st.one_of(st.sampled_from([0.0, 1.0, 1e300]), st.floats(0.0, 1e300)),
 )
 def test_regime_verdict_is_the_classify_verdict(kind, r, n_occ):
+    # the lazy verdict, which reads only the deciding scans, is the verdict
+    # of a report whose every scan was read first
     p = _outcome(MapParams.from_ratio, r, n_occ)
     assume(isinstance(p, MapParams))
-    expected = _outcome(lambda k, q: classify(k, q).verdict, kind, p)
-    assert _outcome(regime_verdict, kind, p) == expected
+    expected = _outcome(_verdict_after_every_scan, kind, p)
+    assert _outcome(lambda k, q: classify(k, q).verdict, kind, p) == expected
+
+
+def _verdict_after_every_scan(kind, p):
+    report = classify(kind, p)
+    for field in ("params_physical", "positivity", "cp", "measure", "divisibility"):
+        getattr(report, field)
+    return report.verdict
+
+
+def _spy_on_scans(monkeypatch) -> dict:
+    """The number of runs of each scan a report reads, by field name, counted from now."""
+    calls = {}
+    for field, module, name in (
+        ("positivity", analysis, "positivity_scan"),
+        ("cp", analysis, "cp_scan"),
+        ("measure", analysis.measure_mod, "measure"),
+        ("divisibility", analysis, "divisibility_scan"),
+    ):
+        calls[field] = 0
+
+        def spy(*args, _field=field, _real=getattr(module, name), **kwargs):
+            calls[_field] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_classify_runs_no_scan_until_one_is_read(monkeypatch):
+    calls = _spy_on_scans(monkeypatch)
+    classify("mem", MapParams.from_ratio(0.2, n_occ=1.0))
+    assert calls == {"positivity": 0, "cp": 0, "measure": 0, "divisibility": 0}
+
+
+def test_classify_verdict_runs_only_the_deciding_scans(monkeypatch):
+    calls = _spy_on_scans(monkeypatch)
+    # 4R > 1 decides before any scan
+    assert classify("mem", MapParams.from_ratio(5.0, n_occ=0.0)).verdict == (
+        "Unphysical(positivity broken)"
+    )
+    assert calls == {"positivity": 0, "cp": 0, "measure": 0, "divisibility": 0}
+    # a physical point needs every scan but the CP scan, which never decides
+    report = classify("mem", MapParams.from_ratio(0.2, n_occ=1.0))
+    assert report.verdict == "TimeDependentMarkovian-Nondivisible"
+    assert calls == {"positivity": 1, "cp": 0, "measure": 1, "divisibility": 1}
+    # each scan runs once, however often it is read
+    assert report.cp is report.cp
+    assert report.verdict == "TimeDependentMarkovian-Nondivisible"
+    assert calls == {"positivity": 1, "cp": 1, "measure": 1, "divisibility": 1}

@@ -1545,7 +1545,7 @@ def test_sweep_with_every_point_failed_keeps_every_header(fmt, monkeypatch, tmp_
     def fails(*args, **kwargs):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(cli, "_PointScans", fails)
+    monkeypatch.setattr(cli, "classify", fails)
     cfg = _write_config(tmp_path, ALL_ANALYSES_CONFIG.format(fmt=fmt))
     out_dir = tmp_path / "run"
     code, _, err = run_cli(["sweep", "--config", cfg, "--out-dir", str(out_dir)], capsys)
@@ -1647,3 +1647,34 @@ def test_reader_closing_stdout_early_exits_1_without_traceback(argv):
         proc.stdout.close()  # as `| head -1` and `| head -0` do
         err = proc.stderr.read()
     assert (proc.returncode, err) == (1, "")
+
+
+#: the address space a child gets in the out-of-memory test: less than the
+#: integrators need at the --points cap, more than importing spinflow does
+_CHILD_ADDRESS_SPACE = 512 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
+@pytest.mark.parametrize(
+    "command", [["oracle"], ["solve", "--method", "quadrature"]], ids=["oracle", "quadrature"]
+)
+def test_out_of_memory_is_one_stderr_line(command):
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "spinflow.cli", *command, "--kind", "mem", "--r", "0.2",
+         "--n", "1", "--tau-end", "20", "--points", str(cli._MAX_POINTS)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=limit_address_space, timeout=300,
+    )
+    if result.returncode != 0:
+        assert result.returncode == 1, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert "Traceback" not in result.stderr
