@@ -37,14 +37,12 @@ from .states import QubitState, state_from_bloch
 
 __all__ = [
     "MapInversionError",
-    "CpVerdict",
     "PositivityVerdict",
     "DivisibilityReport",
     "RegimeReport",
     "ScanResult",
     "choi_of",
     "choi_eigenvalues",
-    "is_completely_positive",
     "is_positive",
     "cp_scan",
     "positivity_scan",
@@ -104,33 +102,10 @@ def choi_eigenvalues(snap: MapSnapshot) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CpVerdict:
-    ok: bool
-    min_eigenvalue: float
-
-
-def is_completely_positive(c: np.ndarray) -> CpVerdict:
-    """Hermitian-eigenvalue test of the Choi matrix, with slack CP_TOL."""
-    c = np.asarray(c)
-    if not np.allclose(c, c.conj().T, atol=1e-12, rtol=0.0):
-        raise ValueError("Choi matrix must be Hermitian")
-    smallest = float(np.linalg.eigvalsh(c)[0])
-    return CpVerdict(ok=smallest >= -CP_TOL, min_eigenvalue=smallest)
-
-
-@dataclass(frozen=True)
 class PositivityVerdict:
     ok: bool
     max_norm: float
     witness: QubitState
-
-
-def _image_norm(snap: MapSnapshot, direction: np.ndarray) -> float:
-    x, y, z = direction
-    tx = snap.lambda1 * x
-    ty = snap.lambda1 * y
-    tz = snap.lambda3 * z + snap.t3
-    return math.sqrt(tx * tx + ty * ty + tz * tz)
 
 
 def is_positive(snap: MapSnapshot, samples: int = 1000) -> PositivityVerdict:
@@ -154,7 +129,10 @@ def is_positive(snap: MapSnapshot, samples: int = 1000) -> PositivityVerdict:
     best = int(np.argmax(norms))
 
     def objective(vec):
-        return _image_norm(snap, vec)
+        x, y, z = vec
+        tx, ty = snap.lambda1 * x, snap.lambda1 * y
+        tz = snap.lambda3 * z + snap.t3
+        return math.sqrt(tx * tx + ty * ty + tz * tz)
 
     def project(vec):
         norm = np.linalg.norm(vec)
@@ -379,7 +357,7 @@ def divisibility_scan(
 
     try:
         worst = intermediate_map(kind, p, t1, t2)
-        min_eig = is_completely_positive(choi_of(worst)).min_eigenvalue
+        min_eig = float(np.linalg.eigvalsh(choi_of(worst))[0])
     except MapInversionError:
         min_eig = float(screened) if np.isfinite(screened) else 0.0
     return DivisibilityReport(

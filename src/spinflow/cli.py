@@ -33,7 +33,6 @@ from .maps import (
     _affine_action,
     parse_kind,
     rate_divergence_time,
-    snapshot,
     snapshot_arrays,
     tcl_rate_arrays,
     xi,
@@ -337,14 +336,7 @@ def cmd_solve(args) -> int:
 
         rows = _Grid(_grid(args), rows_of)
     else:
-        try:
-            traj = _integrate(args.method, kind, p, args)
-        except IntegrationDivergenceError as exc:
-            _diag(f"integrator diverged: {exc}")
-            return 1
-        except SingularRateError as exc:
-            _diag(f"time-local rates unusable: {exc}")
-            return 1
+        traj = _integrate(args.method, kind, p, args)
         _diag(f"max trace residual = {_fmt(traj.max_residual)}")
         rows = np.column_stack((traj.times, traj.states))
     _emit(headers, rows, args.format, args.out)
@@ -482,14 +474,7 @@ def cmd_choi(args) -> int:
     kind, p = _params(args)
     if args.tau_start > args.tau:
         raise UsageError(f"--tau-start {args.tau_start:g} is after --tau {args.tau:g}")
-    try:
-        if args.tau_start > 0.0:
-            snap = intermediate_map(kind, p, args.tau_start, args.tau)
-        else:
-            snap = snapshot(kind, p, args.tau)
-    except MapInversionError as exc:
-        _diag(str(exc))
-        return 1
+    snap = intermediate_map(kind, p, args.tau_start, args.tau)
     c = choi_of(snap)
     _diag(f"min eigenvalue = {_fmt(choi_eigenvalues(snap)[0])}")
     rows = [
@@ -524,12 +509,7 @@ def cmd_oracle(args) -> int:
     pe_closed, b_closed = _affine_action(*snapshot_arrays(kind, p, taus), args.state)
     # the quadrature runs first: a --steps too coarse for it is a usage error
     quad = _integrate("quadrature", kind, p, args)
-    try:
-        ode = _integrate("ode", kind, p, args)
-    except IntegrationDivergenceError as exc:
-        _diag(f"integrator diverged: {exc}")
-        return 1
-
+    ode = _integrate("ode", kind, p, args)
     closed = np.column_stack((pe_closed, b_closed.real, b_closed.imag))
     rows = np.column_stack((taus, closed, ode.states, quad.states))
     deltas = {
@@ -841,6 +821,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the prefix of main's one stderr line for a library failure in any command;
+#: a MapInversionError or a MemoryError has none
+_FAILURE_PREFIX = {
+    IntegrationDivergenceError: "integrator diverged: ",
+    SingularRateError: "time-local rates unusable: ",
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -852,8 +840,9 @@ def main(argv=None) -> int:
         return code
     except UsageError as exc:
         parser.error(str(exc))
-    except MemoryError as exc:  # one line: numpy's message names the allocation
-        _diag(str(exc) or "out of memory")
+    except (IntegrationDivergenceError, SingularRateError, MapInversionError, MemoryError) as exc:
+        # one line: numpy's MemoryError message names the allocation
+        _diag(_FAILURE_PREFIX.get(type(exc), "") + (str(exc) or "out of memory"))
         return 1
     except BrokenPipeError:  # stdout's reader left early (| head): signal's "Note on SIGPIPE"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet exit flush

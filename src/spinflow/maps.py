@@ -373,11 +373,6 @@ class MapSnapshot:
         """Ground-to-excited feeding factor."""
         return 0.5 * (1.0 + self.t3 - self.lambda3)
 
-    @property
-    def z(self) -> float:
-        """Coherence damping factor (equals lambda1)."""
-        return self.lambda1
-
 
 IDENTITY_SNAPSHOT = MapSnapshot(1.0, 1.0, 0.0)
 

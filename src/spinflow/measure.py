@@ -246,19 +246,21 @@ class MeasureResult:
 def certified_horizon(kind, p: MapParams) -> float:
     """Smallest doubling of HORIZON_START at which both xi envelopes fall below TAIL_TOL.
 
-    With R = 0 the map is frozen (xi identically 1, sigma identically 0) and
-    no horizon can be certified; HORIZON_START is returned unchanged.
+    The doublings go on while the next one is finite, which certifies every
+    R >= 3e-307 (R = 1e-300 at about 5.4e301).  Only an R too small for any
+    finite horizon gets the largest finite doubling, 20 * 2**1019 (about
+    1.12e308), uncertified.  With R = 0 the map is frozen (xi identically 1,
+    sigma identically 0) and no horizon can be certified; HORIZON_START is
+    returned unchanged.
     """
     kind = parse_kind(kind)
     t_end = HORIZON_START
     if p.R == 0.0:
         return t_end
-    for _ in range(60):
-        if (
-            xi_envelope(kind, p.R, t_end) <= TAIL_TOL
-            and xi_envelope(kind, 0.5 * p.R, t_end) <= TAIL_TOL
-        ):
-            return t_end
+    while math.isfinite(2.0 * t_end) and not (
+        xi_envelope(kind, p.R, t_end) <= TAIL_TOL
+        and xi_envelope(kind, 0.5 * p.R, t_end) <= TAIL_TOL
+    ):
         t_end *= 2.0
     return t_end
 

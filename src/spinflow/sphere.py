@@ -91,19 +91,17 @@ def pattern_search(
     objective,
     x0: np.ndarray,
     *,
-    project=None,
+    project,
     step: float = 0.25,
     min_step: float = 1e-6,
 ):
     """Coordinate-wise +- probing that maximizes `objective`.
 
-    Returns (best_x, best_value, evaluations).  `project` maps trial points
-    back into the feasible set.  The step halves after a sweep that finds
-    nothing better.  Deterministic probe order.
+    Returns (best_x, best_value, evaluations).  `project` maps x0 and every
+    trial point back into the feasible set.  The step halves after a sweep
+    that finds nothing better.  Deterministic probe order.
     """
-    x = np.array(x0, dtype=float)
-    if project is not None:
-        x = project(x)
+    x = project(np.array(x0, dtype=float))
     best = objective(x)
     evals = 1
     while step >= min_step:
@@ -112,8 +110,7 @@ def pattern_search(
             for sign in (1.0, -1.0):
                 trial = x.copy()
                 trial[i] += sign * step
-                if project is not None:
-                    trial = project(trial)
+                trial = project(trial)
                 val = objective(trial)
                 evals += 1
                 if val > best:

@@ -115,9 +115,10 @@ def trace_distance(
         Input states.
     validate:
         When True (default) reject inputs that violate positivity or
-        normalization beyond ``tol``.  Internal callers that evolve
-        states through deliberately non-positive maps disable this;
-        the formula is well defined for any Hermitian pair.
+        normalization beyond ``tol``.  No program code disables it; the
+        tests' per-row references, which evolve states through
+        deliberately non-positive maps, do.  The formula is well defined
+        for any Hermitian pair.
     """
     if validate:
         for name, s in (("s1", s1), ("s2", s2)):

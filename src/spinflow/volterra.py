@@ -133,6 +133,17 @@ class AugmentedTrajectory:
     max_residual: float
 
 
+def _trajectory(grid, rho, aux, steps: int) -> AugmentedTrajectory:
+    """The trajectory of the affine rows rho = (pe, Re b, Im b, trace) on the grid."""
+    return AugmentedTrajectory(
+        times=grid,
+        states=rho[:, :3],
+        auxiliary=aux,
+        steps=steps,
+        max_residual=float(np.max(np.abs(rho[:, 3] - 1.0))),
+    )
+
+
 def _initial_vector(s0: QubitState) -> np.ndarray:
     if not s0.is_valid():
         raise ValueError(f"initial state is not a valid qubit state: {s0!r}")
@@ -245,14 +256,7 @@ def _integrate_augmented(system, p: MapParams, s0: QubitState, t_end, points):
         )
     rho = rows[:, :4] + np.outer(rows[:, 3], fixed)
     aux = rows[:, 4:] + np.outer(rows[:, 7], fixed)
-    residual = float(np.max(np.abs(rho[:, 3] - 1.0)))
-    return AugmentedTrajectory(
-        times=grid,
-        states=rho[:, :3],
-        auxiliary=aux,
-        steps=products + more,
-        max_residual=residual,
-    )
+    return _trajectory(grid, rho, aux, products + more)
 
 
 def _memory_kernel_system(ghat):
@@ -345,15 +349,7 @@ def integrate_quadrature(
     rho, aux = states[:, :4], states[:, 4:]
     if not dressed:
         aux = aux @ ghat.T
-
-    residual = float(np.max(np.abs(rho[:, 3] - 1.0)))
-    return AugmentedTrajectory(
-        times=grid,
-        states=rho[:, :3],
-        auxiliary=aux,
-        steps=steps,
-        max_residual=residual,
-    )
+    return _trajectory(grid, rho, aux, steps)
 
 
 def _rate_integrals(rates, grid: np.ndarray, tol: float, scale: float):

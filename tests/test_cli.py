@@ -263,6 +263,31 @@ def test_out_is_checked_before_any_work(monkeypatch, capsys, tmp_path):
     assert not fresh.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        ("choi --kind mem --r 0.5 --n 1 --tau 10 --tau-start 4.7123889803846897", "lambda3("),
+        ("solve --kind mem --r 0.5 --tau-end 10 --method tcl", "time-local rates unusable: "),
+        ("solve --kind mem --r 1e20 --n 1 --tau-end 20 --points 3 --method ode",
+         "integrator diverged: "),
+        ("oracle --kind mem --r 1e20 --n 1 --tau-end 20 --points 11", "integrator diverged: "),
+    ],
+    ids=["choi", "solve-tcl", "solve-ode", "oracle"],
+)
+def test_tool_failure_writes_nothing(capsys, tmp_path, argv, prefix):
+    # main reports each library failure as one stderr line and exit 1, and
+    # --out, checked before any work, is neither truncated nor created
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("keep\n")
+    for target in (kept, fresh):
+        assert run_cli([*argv.split(), "--out", str(target)], capsys) == (1, "", err)
+    assert kept.read_text() == "keep\n"
+    assert not fresh.exists()
+
+
 def test_solve_methods_agree(capsys):
     base = ["solve", "--kind", "post", "--r", "0.3", "--n", "1",
             "--tau-end", "6", "--points", "13", "--state", "0.9,0.2,0.1"]

@@ -292,7 +292,6 @@ def test_snapshot_structure():
         assert snap.t3 == pytest.approx((snap.lambda3 - 1.0) / 3.0, abs=1e-16)
         assert snap.u - snap.v == pytest.approx(snap.lambda3, abs=1e-15)
         assert snap.u + snap.v == pytest.approx(1.0 + snap.t3, abs=1e-15)
-        assert snap.z == snap.lambda1
 
 
 def test_snapshot_arrays_match_scalar():

@@ -18,6 +18,8 @@ from spinflow.maps import (
     xi_envelope,
 )
 from spinflow.measure import (
+    HORIZON_START,
+    TAIL_TOL,
     DegeneratePairError,
     certified_horizon,
     flow_report,
@@ -201,6 +203,26 @@ def test_frozen_map_has_zero_measure():
 def test_certified_horizon_doubles_until_tail_decays():
     assert certified_horizon("mem", OSCILLATORY) == 40.0
     assert certified_horizon("post", MapParams.from_ratio(0.2, n_occ=1.0)) == 160.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("mem", "post")),
+    exponent=st.floats(min_value=-300.0, max_value=0.0),
+    n=st.floats(min_value=0.0, max_value=10.0),
+)
+@example(kind="mem", exponent=-19.0, n=1.0)  # past 60 doublings: 3.7e20
+@example(kind="post", exponent=-300.0, n=0.0)
+def test_certified_horizon_is_the_first_certified_doubling(kind, exponent, n):
+    r = 10.0**exponent
+    horizon = certified_horizon(kind, MapParams.from_ratio(r, n_occ=n))
+
+    def tail(t):
+        return max(xi_envelope(kind, r, t), xi_envelope(kind, 0.5 * r, t))
+
+    assert tail(horizon) <= TAIL_TOL, (r, horizon)
+    if horizon != HORIZON_START:
+        assert tail(0.5 * horizon) > TAIL_TOL, (r, horizon)
 
 
 def test_measure_zero_in_physical_regime():
