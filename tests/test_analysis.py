@@ -200,7 +200,11 @@ def _full_vertex_scan(kind, p, taus, samples):
     [(1000, (1, 2, 7, 100, 101, 201)), (2563, (100, 201)), (10243, (1, 26)),
      (MAX_VERTICES, (1, 9))],
 )
-def test_positivity_scan_equals_full_vertex_screen(samples, points):
+# the row-blocked screens' block size (2**16 cells, 64, and 3 * 655 with a short
+# last block at samples = 1000) must not reach the closed-form positivity screen
+@pytest.mark.parametrize("cells", [2**16, 64, 3 * 655])
+def test_positivity_scan_equals_full_vertex_screen(monkeypatch, samples, points, cells):
+    monkeypatch.setattr(analysis, "_SCREEN_CELLS", cells)
     # on these grids the closed-form screen picks the worst time that a screen
     # over every icosphere vertex picks, so the bytes are that screen's
     cases = [
