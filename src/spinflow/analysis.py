@@ -28,6 +28,7 @@ from .maps import (
     MapParams,
     MapSnapshot,
     _check_horizon,
+    _time_grid,
     parse_kind,
     snapshot_arrays,
     xi,
@@ -315,7 +316,7 @@ def divisibility_scan(
     _check_horizon("tau_end", tau_end)
     if not 2 <= grid <= MAX_GRID:
         raise ValueError(f"grid must lie in [2, {MAX_GRID}], got {grid}")
-    taus = np.linspace(0.0, tau_end, grid)
+    taus = _time_grid(tau_end, grid)
     late = snapshot_arrays(kind, p, taus)
     # the first minimum in row-major order, as one argmin over the full grid;
     # the columns up to a block's first row are t2 <= t1 on every row
@@ -346,9 +347,8 @@ def divisibility_scan(
                 a = np.clip(t1 + step * stencil[:, None], 0.0, tau_end)
                 b = np.clip(t2 + step * stencil[None, :], 0.0, tau_end)
             lo, hi = np.minimum(a, b), np.maximum(a, b)
-            values = _pair_min_eigs(
-                snapshot_arrays(kind, p, lo), snapshot_arrays(kind, p, hi)
-            )
+            # one checked call for both ends of every pair, split into lo's maps and hi's
+            values = _pair_min_eigs(*zip(*snapshot_arrays(kind, p, np.stack((lo, hi)))))
             k = np.unravel_index(int(np.argmin(values)), values.shape)
             if values[k] < best:
                 best, t1, t2 = values[k], float(lo[k]), float(hi[k])
@@ -428,7 +428,7 @@ class RegimeReport:
 
     @functools.cached_property
     def taus(self) -> np.ndarray:
-        return np.linspace(0.0, self.tau_end, CLASSIFY_POINTS)
+        return _time_grid(self.tau_end, CLASSIFY_POINTS)
 
     @functools.cached_property
     def positivity(self) -> ScanResult:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, floatcsv
+from . import __version__
 from .analysis import (
     MAX_GRID,
     MapInversionError,
@@ -31,6 +31,7 @@ from .maps import (
     MapParams,
     SingularRateError,
     _affine_action,
+    _time_grid,
     parse_kind,
     rate_divergence_time,
     snapshot_arrays,
@@ -41,6 +42,7 @@ from .maps import (
 from .measure import DegeneratePairError, _require_distinct, measure, sigma_analytic
 from .sphere import MAX_VERTICES
 from .states import QubitState, StatePair
+from .tables import FORMATS, _fmt, _Grid, _Table
 from .volterra import (
     TOL_RANGE,
     IntegrationDivergenceError,
@@ -52,27 +54,9 @@ from .volterra import (
 
 TRIG_WARNING = "regime: trigonometric (4R>1), positivity not guaranteed"
 ANALYSES = ("measure", "rates", "choi", "divisibility", "positivity")
-FORMATS = ("csv", "json")
 #: the most grid rows --points or a sweep's tau_points may ask for, checked
 #: before the grid is allocated
 _MAX_POINTS = 2**22
-#: rows of a float table formatted and written per step: the formatting
-#: memory is set by this, not by the size of the table
-TABLE_CHUNK = 4096
-
-
-def _fmt(value) -> str:
-    """The CSV text of a table value."""
-    value = value.item() if isinstance(value, np.generic) else value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value) if isinstance(value, (int, str)) else "%.17g" % value
-
-
-def _json(value) -> str:
-    """The JSON text of a table value, null for a non-finite float."""
-    value = value.item() if isinstance(value, np.generic) else value
-    return "null" if isinstance(value, float) and not math.isfinite(value) else json.dumps(value)
 
 
 class UsageError(Exception):
@@ -102,104 +86,12 @@ def _probe_out(out: str) -> None:
         os.remove(out)
 
 
-def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
-    """The text of a table's rows, at most TABLE_CHUNK of them.
-
-    rows is a 2-D float array, or a short list of rows that mix int, bool,
-    str and float; prefix holds the values of the first len(prefix) columns
-    of headers, the same on every row.  The text of a row starts with its
-    separator: a newline in CSV; in JSON "[\n" before the first record of
-    the table (first) and ",\n" before any other.  CSV prints floats as
-    ``%.17g`` byte for byte, JSON as their shortest round-trip repr and
-    non-finite ones as null, in records laid out as by
-    ``json.dumps(records, indent=2, sort_keys=True)``; a float array's floats
-    are formatted in bulk (see floatcsv).
-    """
-    floats = isinstance(rows, np.ndarray)
-    if fmt == "csv":
-        lead = "\n" + "".join(_fmt(v) + "," for v in prefix)
-        if not floats:
-            yield "".join(lead + ",".join(map(_fmt, row)) for row in rows)
-            return
-        values = np.asarray(rows, dtype=float).ravel()
-        newline = np.zeros(len(values), np.intp)
-        newline[:: len(headers) - len(prefix)] = 1
-        for at in range(0, len(values), floatcsv.BLOCK):
-            block = slice(at, at + floatcsv.BLOCK)
-            text = floatcsv.format_fields(values[block], newline[block])
-            yield text if lead == "\n" else text.replace("\n", lead)
-        return
-    # the record template: the JSON text of each prefix value, %s for the others
-    fields = [_json(v).replace("%", "%%") for v in prefix]
-    fields += ["%s"] * (len(headers) - len(prefix))
-    order = sorted(range(len(headers)), key=headers.__getitem__)
-    record = ",\n".join(f"    {json.dumps(headers[c])}: {fields[c]}" for c in order)
-    record = "  {\n" + record + "\n  }"
-    columns = [c - len(prefix) for c in order if c >= len(prefix)]
-    pieces = min(len(rows), 1)
-    if floats:
-        # a float array's rows go in even blocks of about BLOCK floats, each
-        # float after a comma, so that a block's text splits into its tokens
-        pieces = min(len(rows), -(-len(rows) * max(1, len(columns)) // floatcsv.BLOCK))
-    for piece in range(pieces):
-        start = len(rows) * piece // pieces
-        chunk = rows[start : len(rows) * (piece + 1) // pieces]
-        if floats:
-            values = np.asarray(chunk[:, columns], dtype=float).ravel()
-            comma = np.zeros(len(values), np.intp)
-            tokens = floatcsv.format_fields(values, comma, True).split(",")[1:]
-        else:
-            tokens = [_json(row[c]) for row in chunk for c in columns]
-        lead = "[\n" if first and start == 0 else ",\n"
-        yield lead + ",\n".join([record] * len(chunk)) % tuple(tokens)
-
-
-class _Grid:
-    """A float table over a tau grid whose rows are computed as they are sliced.
-
-    rows_of(t) is the 2-D float array of the rows at the taus t, one row per
-    tau, each row the same whatever slice of the grid t is; so a table
-    written TABLE_CHUNK rows at a time holds the grid and one chunk of rows,
-    never the whole table.
-    """
-
-    def __init__(self, taus: np.ndarray, rows_of):
-        self.taus, self.rows_of = taus, rows_of
-
-    def __len__(self) -> int:
-        return len(self.taus)
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        return self.rows_of(self.taus[part])
-
-
-class _Table:
-    """A table written to stream: its header, then rows as they come, then its tail."""
-
-    def __init__(self, stream, headers, fmt: str):
-        self.stream, self.headers, self.fmt, self.rows = stream, headers, fmt, 0
-        if fmt == "csv":
-            stream.write(",".join(headers))
-
-    def write(self, rows, prefix=()) -> None:
-        """Write rows TABLE_CHUNK at a time, computing a _Grid's just before; see _table_pieces."""
-        for start in range(0, len(rows), TABLE_CHUNK):
-            part = rows[start : start + TABLE_CHUNK]
-            self.stream.writelines(
-                _table_pieces(self.headers, part, self.fmt, prefix, not self.rows)
-            )
-            self.rows += len(part)
-
-    def close(self) -> None:
-        self.stream.write("\n" if self.fmt == "csv" else "\n]\n" if self.rows else "[]\n")
-
-
 def _emit(headers, rows, fmt: str, out: str | None) -> None:
     """Write rows to out (stdout if None) as CSV, or as a JSON list of records.
 
     rows is a 2-D float array or a _Grid, written at most TABLE_CHUNK rows at
     a time so that the text in memory does not grow with the table (nor, for
-    a _Grid, the rows), or a short list of mixed rows; see _table_pieces.
+    a _Grid, the rows), or a short list of mixed rows; see tables.
     out is opened, and truncated, before any row is computed or formatted, so
     a command refuses its flags before it calls _emit.  UsageError if out
     cannot be opened.
@@ -291,7 +183,7 @@ def _params(args) -> tuple[EquationKind, MapParams]:
 
 
 def _grid(args) -> np.ndarray:
-    return np.linspace(0.0, args.tau_end, args.points)
+    return _time_grid(args.tau_end, args.points)
 
 
 def _state(text: str) -> QubitState:
@@ -646,7 +538,7 @@ def _sweep_point(kind, p, cfg: dict):
 
     The verdict comes by precedence, as measure's does: only the scans that decide it run.
     """
-    taus = np.linspace(0.0, cfg["tau_end"], cfg["tau_points"])
+    taus = _time_grid(cfg["tau_end"], cfg["tau_points"])
     analyses = cfg["analyses"]
     report = classify(kind, p)
     summary = {"classification": report.verdict, "measure_value": report.measure.value}

@@ -194,6 +194,11 @@ def _check_horizon(name: str, t_end) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {t_end}")
 
 
+@np.errstate(over="ignore")  # near the float range the last time overflows; numpy sets it to t_end
+def _time_grid(t_end: float, points: int) -> np.ndarray:
+    return np.linspace(0.0, t_end, points)
+
+
 def _check_args(kind, r, tau):
     kind = parse_kind(kind)
     r = float(r)

@@ -39,6 +39,7 @@ from .maps import (
     _channels,
     _check_horizon,
     _check_times,
+    _time_grid,
     parse_kind,
     xi_envelope,
 )
@@ -212,7 +213,7 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
     if grid_points < 100:
         raise ValueError(f"grid_points must be >= 100, got {grid_points}")
     _check_horizon("t_end", t_end)
-    taus = np.linspace(0.0, t_end, grid_points)
+    taus = _time_grid(t_end, grid_points)
     a2, b2 = _pair_weights(pair)
     kind = parse_kind(kind)
     if a2 == 0.0 and b2 == 0.0:

@@ -1,4 +1,4 @@
-"""``%.17g`` and ``repr`` of many floats at once, byte for byte, with numpy.
+"""CSV and JSON tables, written as they come; ``%.17g`` and ``repr`` of many floats at once.
 
 Digits.  A float x with 1e-4 <= |x| < 1e17 has the decimal exponent e and the
 17 correctly rounded significant digits d = round_half_even(X), where
@@ -37,9 +37,15 @@ in the ``repr`` layout, as JSON tables print it.
 from __future__ import annotations
 
 import functools
+import json
+import math
 
 import numpy as np
 
+FORMATS = ("csv", "json")
+#: rows of a float table formatted and written per step: the formatting
+#: memory is set by this, not by the size of the table
+TABLE_CHUNK = 4096
 #: values formatted per call: their work arrays, 40 bytes of text per value
 #: and less for the rest, stay in cache and below malloc's mmap threshold
 BLOCK = 2048
@@ -227,3 +233,101 @@ def format_fields(values: np.ndarray, newline: np.ndarray, shortest: bool = Fals
     text &= masks[shortest].take(row, axis=0)
     out = text.tobytes().translate(None, b"\0").decode("ascii")
     return out % tuple(values[formatted].tolist()) if formatted.any() else out
+
+
+def _fmt(value) -> str:
+    """The CSV text of a table value."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, (int, str)) else "%.17g" % value
+
+
+def _json(value) -> str:
+    """The JSON text of a table value, null for a non-finite float."""
+    value = value.item() if isinstance(value, np.generic) else value
+    return "null" if isinstance(value, float) and not math.isfinite(value) else json.dumps(value)
+
+
+def _table_pieces(headers, rows, fmt: str, prefix=(), first: bool = True):
+    """The text of a table's rows, at most TABLE_CHUNK of them.
+
+    rows is a 2-D float array, or a short list of rows that mix int, bool,
+    str and float; prefix holds the values of the first len(prefix) columns
+    of headers, the same on every row.  The text of a row starts with its
+    separator: a newline in CSV; in JSON "[\n" before the first record of
+    the table (first) and ",\n" before any other.  CSV prints floats as
+    ``%.17g`` byte for byte, JSON as their shortest round-trip repr and
+    non-finite ones as null, in records laid out as by
+    ``json.dumps(records, indent=2, sort_keys=True)``; a float array's floats
+    are formatted in bulk by format_fields.
+    """
+    floats, csv = isinstance(rows, np.ndarray), fmt == "csv"
+    order = range(len(headers)) if csv else sorted(range(len(headers)), key=headers.__getitem__)
+    columns = [c - len(prefix) for c in order if c >= len(prefix)]
+    if csv:
+        lead = "\n" + "".join(_fmt(v) + "," for v in prefix)
+    else:
+        # the record template: the JSON text of each prefix value, %s for the others
+        fields = [_json(v).replace("%", "%%") for v in prefix]
+        fields += ["%s"] * (len(headers) - len(prefix))
+        record = ",\n".join(f"    {json.dumps(headers[c])}: {fields[c]}" for c in order)
+        record = "  {\n" + record + "\n  }"
+    # a float array's rows go in even pieces of about BLOCK floats, each float
+    # after its separator, so that a piece's text splits into its rows
+    pieces = min(len(rows), -(-len(rows) * max(1, len(columns)) // BLOCK) if floats else 1)
+    for piece in range(pieces):
+        start = len(rows) * piece // pieces
+        part = rows[start : len(rows) * (piece + 1) // pieces]
+        if floats:
+            values = np.asarray(part if csv else part[:, columns], dtype=float).ravel()
+            newline = np.zeros((len(part), len(columns)), np.intp)
+            newline[:, :1] = csv  # CSV starts each row on a new line, JSON after a comma
+            text = format_fields(values, newline.ravel(), not csv)
+        if csv and floats:
+            yield text if lead == "\n" else text.replace("\n", lead)
+        elif csv:
+            yield "".join(lead + ",".join(map(_fmt, row)) for row in part)
+        else:
+            tokens = text.split(",")[1:] if floats else [_json(r[c]) for r in part for c in columns]
+            lead = "[\n" if first and start == 0 else ",\n"
+            yield lead + ",\n".join([record] * len(part)) % tuple(tokens)
+
+
+class _Grid:
+    """A float table over a tau grid whose rows are computed as they are sliced.
+
+    rows_of(t) is the 2-D float array of the rows at the taus t, one row per
+    tau, each row the same whatever slice of the grid t is; so a table
+    written TABLE_CHUNK rows at a time holds the grid and one chunk of rows,
+    never the whole table.
+    """
+
+    def __init__(self, taus: np.ndarray, rows_of):
+        self.taus, self.rows_of = taus, rows_of
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self.rows_of(self.taus[part])
+
+
+class _Table:
+    """A table written to stream: its header, then rows as they come, then its tail."""
+
+    def __init__(self, stream, headers, fmt: str):
+        self.stream, self.headers, self.fmt, self.rows = stream, headers, fmt, 0
+        if fmt == "csv":
+            stream.write(",".join(headers))
+
+    def write(self, rows, prefix=()) -> None:
+        """Write rows TABLE_CHUNK at a time, computing a _Grid's just before; see _table_pieces."""
+        for start in range(0, len(rows), TABLE_CHUNK):
+            part = rows[start : start + TABLE_CHUNK]
+            pieces = _table_pieces(self.headers, part, self.fmt, prefix, not self.rows)
+            self.stream.writelines(pieces)
+            self.rows += len(part)
+
+    def close(self) -> None:
+        self.stream.write("\n" if self.fmt == "csv" else "\n]\n" if self.rows else "[]\n")

@@ -56,6 +56,7 @@ from .maps import (
     _channels,
     _check_horizon,
     _rate_pieces,
+    _time_grid,
     parse_kind,
     rate_divergence_time,
 )
@@ -156,7 +157,7 @@ def _grid(t_end: float, points: int) -> np.ndarray:
     _check_horizon("t_end", t_end)
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    return np.linspace(0.0, t_end, points)
+    return _time_grid(t_end, points)
 
 
 def _expm(a: np.ndarray, t: float = 1.0) -> tuple[np.ndarray, int]:

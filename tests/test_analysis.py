@@ -418,6 +418,23 @@ def test_divisibility_scan_builds_one_intermediate_map(monkeypatch):
         assert len(calls) == 1
 
 
+def test_divisibility_refinement_evaluates_each_stencil_in_one_call(monkeypatch):
+    # one checked snapshot_arrays call for the screen, then one per stencil
+    # step for both corners of every pair; two per step would be about 73
+    calls = []
+    real = analysis.snapshot_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "snapshot_arrays", counting)
+    p = MapParams.from_ratio(0.05, n_occ=1.0)
+    assert certified_horizon("mem", p) == 640.0
+    divisibility_scan("mem", p, tau_end=640.0, grid=100)
+    assert len(calls) <= 40
+
+
 @pytest.mark.parametrize(
     "tau_end,grid",
     [(20.0, 1), (20.0, 0), (-1.0, 100), (0.0, 100), (math.nan, 100), (math.inf, 100)],

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinflow import analysis, cli, maps
+from spinflow import analysis, cli, maps, tables
 from spinflow.analysis import MAX_GRID, choi_eigenvalues, divisibility_scan
 from spinflow.cli import TRIG_WARNING, main
 from spinflow.maps import (
@@ -681,6 +681,60 @@ def test_divisibility_refinement_at_the_largest_float_warns_nothing(capsys):
     assert out.splitlines()[1] == "true,0,0,1.7976931348623157e+308,1.7976931348623157e+308,2"
 
 
+_DBL_MAX = "1.7976931348623157e308"
+
+
+@pytest.mark.parametrize("size", ["4", "10"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", "--points"],
+        ["tcl-rates", "--points"],
+        ["sigma", "--points"],
+        ["trace-distance", "--points"],
+        ["solve", "--points"],
+        ["positivity", "--points"],
+        ["divisibility", "--grid"],
+        ["sweep"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_grid_at_the_largest_float_warns_nothing(argv, size, tmp_path, capsys):
+    # linspace(0, DBL_MAX, size) overflows in its last time before numpy sets
+    # that time to DBL_MAX itself; the grid is right, and says nothing
+    if argv == ["sweep"]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": ["mem", "post"], "r": 0.2, "n": 1, "tau_end": float(_DBL_MAX),
+            "tau_points": int(size), "analyses": ["rates", "choi", "positivity"],
+        }))
+        argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]
+    else:
+        argv = [argv[0], "--kind", "mem", "--r", "0.2", "--tau-end", _DBL_MAX, *argv[1:], size]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if argv[0] == "sweep":
+        assert err == f"sweep complete: 2 points, 0 failures -> {tmp_path / 'run'}\n"
+        # each point's last time is the largest float
+        assert (tmp_path / "run" / "choi.csv").read_text().count("1.7976931348623157e+308,") == 2
+    else:
+        assert err == "" and out
+
+
+def test_quadrature_step_at_the_largest_float_is_one_usage_line(capsys):
+    argv = ["solve", "--method", "quadrature", "--kind", "mem", "--r", "0.2",
+            "--tau-end", _DBL_MAX, "--points", "4"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(err.splitlines()) == 1 and "is too long" in err
+
+
 def test_positivity_row(capsys):
     code, out, _ = run_cli(
         ["positivity", "--kind", "mem", "--r", "0.2", "--n", "1",
@@ -808,7 +862,7 @@ def test_emit_float_table_matches_per_value_emitter(fmt, tmp_path):
         _powers_of_ten_and_neighbours(),
         _exact_ties(),
     ])
-    chunk = cli.TABLE_CHUNK
+    chunk = tables.TABLE_CHUNK
     headers = ("tau", "b", "a")  # not in sorted order
     for n in (0, 1, len(values), chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         column = np.resize(values, n)
@@ -835,33 +889,49 @@ _FLOAT64_BITS = st.builds(
 
 _POOL_TABLES = given(
     width=st.integers(1, 4),
-    rows=st.sampled_from([1, 2, cli.TABLE_CHUNK - 1, cli.TABLE_CHUNK, cli.TABLE_CHUNK + 1]),
+    rows=st.sampled_from(
+        [1, 2, tables.TABLE_CHUNK - 1, tables.TABLE_CHUNK, tables.TABLE_CHUNK + 1]
+    ),
     pool=st.lists(_FLOAT64_BITS, min_size=1, max_size=32),
     seed=st.integers(0, 2**32 - 1),
+    # a sweep point's constant columns: any mix of int, str (with a %), bool and float
+    prefix=st.lists(
+        st.one_of(
+            st.integers(),
+            st.tuples(st.text(max_size=4), st.text(max_size=4)).map("%".join),
+            st.booleans(),
+            _FLOAT64_BITS,
+        ),
+        max_size=4,
+    ),
 )
 
 
-def _assert_emits_pool_table(fmt, width, rows, pool, seed):
+def _assert_emits_pool_table(fmt, width, rows, pool, seed, prefix):
     # the table is drawn from a pool of arbitrary bit patterns, so that a
     # table longer than a chunk is still cheap for hypothesis to generate
-    table = np.random.default_rng(seed).choice(np.array(pool), size=(rows, width))
-    headers = tuple(f"c{k}" for k in range(width))[::-1]  # not in sorted order
+    rng = np.random.default_rng(seed)
+    table = rng.choice(np.array(pool), size=(rows, width))
+    # the prefix columns fall anywhere in the JSON records' sorted order
+    headers = tuple(f"c{k}" for k in rng.permutation(len(prefix) + width))
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._emit(headers, table, fmt, None)
-    _assert_same_lines(out.getvalue(), _emit_per_value(headers, table.tolist(), fmt))
+    writer = tables._Table(out, headers, fmt)
+    writer.write(table, prefix)
+    writer.close()
+    every_row = [(*prefix, *row) for row in table.tolist()]
+    _assert_same_lines(out.getvalue(), _emit_per_value(headers, every_row, fmt))
 
 
 @settings(max_examples=40, deadline=None)
 @_POOL_TABLES
-def test_emit_csv_of_any_float64_matches_per_value_emitter(width, rows, pool, seed):
-    _assert_emits_pool_table("csv", width, rows, pool, seed)
+def test_emit_csv_of_any_float64_matches_per_value_emitter(width, rows, pool, seed, prefix):
+    _assert_emits_pool_table("csv", width, rows, pool, seed, prefix)
 
 
 @settings(max_examples=40, deadline=None)
 @_POOL_TABLES
-def test_emit_json_of_any_float64_matches_per_value_emitter(width, rows, pool, seed):
-    _assert_emits_pool_table("json", width, rows, pool, seed)
+def test_emit_json_of_any_float64_matches_per_value_emitter(width, rows, pool, seed, prefix):
+    _assert_emits_pool_table("json", width, rows, pool, seed, prefix)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -894,7 +964,7 @@ def test_emit_float_table_memory_does_not_grow_with_the_table(fmt, tmp_path):
     ],
 )
 def test_fmt_renders_each_value_type(value, text):
-    assert cli._fmt(value) == text == _fmt_per_value(value)
+    assert tables._fmt(value) == text == _fmt_per_value(value)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -913,7 +983,7 @@ def test_emit_mixed_rows_match_per_value_emitter(fmt, tmp_path):
 
 S1, S2 = "0.7,0.12,-0.21", "0.3,-0.05,0.17"
 PAIR = StatePair(QubitState(0.7, 0.12 - 0.21j), QubitState(0.3, -0.05 + 0.17j))
-ROWS = 2 * cli.TABLE_CHUNK + 1
+ROWS = 2 * tables.TABLE_CHUNK + 1
 GRID = ["--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "20", "--points", str(ROWS)]
 # the rates diverge at tau = 2.418 of 4: rows from 4953 on are cut, inside the second chunk
 HORIZON_GRID = ["--kind", "mem", "--r", "1", "--n", "1", "--tau-end", "4", "--points", str(ROWS)]
@@ -964,7 +1034,7 @@ def test_float_tables_match_per_row_output(argv, headers, fmt, capsys):
     assert code == 0
     r, tau_end = (float(argv[argv.index(flag) + 1]) for flag in ("--r", "--tau-end"))
     rows = _per_row_reference(argv[0], r, tau_end)
-    assert len(rows) > cli.TABLE_CHUNK
+    assert len(rows) > tables.TABLE_CHUNK
     _assert_same_lines(out, _emit_per_value(headers, rows, fmt))
 
 
@@ -1021,7 +1091,7 @@ def test_csv_and_json_tables_hold_the_same_doubles(argv, capsys):
     records = json.loads(json_out)
     from_json = np.array([[rec[h] for h in header.split(",")] for rec in records], dtype=float)
     assert from_csv.shape == from_json.shape
-    assert len(from_csv) > cli.TABLE_CHUNK
+    assert len(from_csv) > tables.TABLE_CHUNK
     finite = np.isfinite(from_json)  # JSON writes non-finite values as null
     assert np.array_equal(from_csv[finite].view(np.int64), from_json[finite].view(np.int64))
     assert not np.isfinite(from_csv[~finite]).any()
@@ -1610,7 +1680,7 @@ def test_sweep_table_memory_follows_one_point(fmt, tmp_path, capsys):
 
 def test_sweep_rates_rows_are_the_tcl_rates_table(tmp_path, capsys):
     """A point's rates.csv rows, without their prefix, are tcl-rates' bytes."""
-    points = str(2 * cli.TABLE_CHUNK + 1)
+    points = str(2 * tables.TABLE_CHUNK + 1)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "kind": "mem", "r": [0.2, 0.3], "n": 1, "tau_end": 20, "tau_points": int(points),
@@ -1633,7 +1703,7 @@ def test_sweep_rates_rows_are_the_tcl_rates_table(tmp_path, capsys):
 def test_table_with_prefix_written_in_parts_matches_per_value_emitter(fmt):
     """Constant prefix values, a table written in several parts, floats and mixed rows."""
     headers = ("index", "label", "flag", "r", "tau", "b", "a")
-    floats = np.random.default_rng(1).random((cli.TABLE_CHUNK + 3, 3))
+    floats = np.random.default_rng(1).random((tables.TABLE_CHUNK + 3, 3))
     floats[5] = [np.nan, -np.inf, -0.0]
     parts = [
         ((0, "50% done", True, 0.1), floats),
@@ -1642,7 +1712,7 @@ def test_table_with_prefix_written_in_parts_matches_per_value_emitter(fmt):
         ((3, "%s", True, -2.0), floats[:2]),
     ]
     stream = io.StringIO()
-    table = cli._Table(stream, headers, fmt)
+    table = tables._Table(stream, headers, fmt)
     for prefix, rows in parts:
         table.write(rows, prefix)
     table.close()

@@ -1,4 +1,4 @@
-"""floatcsv's bulk formatters against Python's own ``%.17g`` and ``repr``."""
+"""tables' bulk float formatters against Python's own ``%.17g`` and ``repr``."""
 
 import math
 
@@ -6,12 +6,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinflow import floatcsv
+from spinflow import tables
 
 
 def _formatted(values, shortest):
     values = np.asarray(values, dtype=float)
-    return floatcsv.format_fields(values, np.zeros(len(values), np.intp), shortest)
+    return tables.format_fields(values, np.zeros(len(values), np.intp), shortest)
 
 
 def _assert_formats_as_python(values):
@@ -89,7 +89,7 @@ def test_any_bit_pattern_formats_as_python(patterns):
 def test_separators_come_before_their_values():
     values = np.array([1.5, -2.0, math.nan, 1e300, 0.1])
     newline = np.array([1, 0, 1, 1, 0], np.intp)
-    got = floatcsv.format_fields(values, newline, shortest=True)
+    got = tables.format_fields(values, newline, shortest=True)
     assert got == "\n1.5,-2.0\nnull\n1e+300,0.1"
-    got = floatcsv.format_fields(values, newline)
+    got = tables.format_fields(values, newline)
     assert got == "\n1.5,-2\nnan\n1.0000000000000001e+300,0.10000000000000001"
