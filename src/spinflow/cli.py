@@ -92,9 +92,9 @@ def _emit(headers, rows, fmt: str, out: str | None) -> None:
     rows is a 2-D float array or a _Grid, written at most TABLE_CHUNK rows at
     a time so that the text in memory does not grow with the table (nor, for
     a _Grid, the rows), or a short list of mixed rows; see tables.
-    out is opened, and truncated, before any row is computed or formatted, so
-    a command refuses its flags before it calls _emit.  UsageError if out
-    cannot be opened.
+    out is opened, and truncated, before any row is computed or formatted;
+    main calls _emit once, with the table the command returned, so a command
+    refuses its flags before out is opened.  UsageError if out cannot be opened.
     """
     with _open_out(out) as stream:
         table = _Table(stream, headers, fmt)
@@ -102,9 +102,9 @@ def _emit(headers, rows, fmt: str, out: str | None) -> None:
         table.close()
 
 
-def _emit_record(record: dict, fmt: str, out: str | None) -> None:
-    """Write one row whose column names are the record's keys, in order."""
-    _emit(tuple(record), [tuple(record.values())], fmt, out)
+def _record(record: dict) -> tuple:
+    """The table of one row whose column names are the record's keys, in order."""
+    return tuple(record), [tuple(record.values())]
 
 
 def _diag(message: str) -> None:
@@ -206,20 +206,18 @@ def _warn_trig(kind: EquationKind, r: float) -> None:
         _diag(TRIG_WARNING)
 
 
-def cmd_xi(args) -> int:
-    kind, p = _params(args)
+# every command but sweep returns its table, (headers, rows), and writes
+# nothing; main parses the parameter flags for it and writes the table
+def cmd_xi(args, kind, p) -> tuple:
     _warn_trig(kind, p.R)
 
     def rows_of(t):
         return np.column_stack((t, xi(kind, p.R, t), xi_derivative(kind, p.R, t)))
 
-    _emit(("tau", "xi", "dxi"), _Grid(_grid(args), rows_of), args.format, args.out)
-    return 0
+    return ("tau", "xi", "dxi"), _Grid(_grid(args), rows_of)
 
 
-def cmd_solve(args) -> int:
-    kind, p = _params(args)
-    headers = ("tau", "pe", "re_b", "im_b")
+def cmd_solve(args, kind, p) -> tuple:
     if args.method == "closed":
 
         def rows_of(t):
@@ -231,8 +229,7 @@ def cmd_solve(args) -> int:
         traj = _integrate(args.method, kind, p, args)
         _diag(f"max trace residual = {_fmt(traj.max_residual)}")
         rows = np.column_stack((traj.times, traj.states))
-    _emit(headers, rows, args.format, args.out)
-    return 0
+    return ("tau", "pe", "re_b", "im_b"), rows
 
 
 def _augmented_ode(kind, p, s0, tau_end, points):
@@ -264,9 +261,7 @@ def _integrate(method, kind, p, args):
         raise UsageError(str(exc)) from None
 
 
-def cmd_trace_distance(args) -> int:
-    kind, p = _params(args)
-
+def cmd_trace_distance(args, kind, p) -> tuple:
     def rows_of(t):
         # the arithmetic of trace_distance(apply_map(snap, s1), apply_map(snap, s2))
         # at every point, bit for bit: np.hypot equals abs(complex) where np.abs
@@ -278,12 +273,10 @@ def cmd_trace_distance(args) -> int:
         modulus = np.hypot(db.real, db.imag)
         return np.column_stack((t, list(map(math.hypot, a.tolist(), modulus.tolist()))))
 
-    _emit(("tau", "distance"), _Grid(_grid(args), rows_of), args.format, args.out)
-    return 0
+    return ("tau", "distance"), _Grid(_grid(args), rows_of)
 
 
-def cmd_sigma(args) -> int:
-    kind, p = _params(args)
+def cmd_sigma(args, kind, p) -> tuple:
     pair = StatePair(args.state1, args.state2)
     try:
         _require_distinct(pair)
@@ -294,8 +287,7 @@ def cmd_sigma(args) -> int:
     def rows_of(t):
         return np.column_stack((t, sigma_analytic(kind, p, pair, t)))
 
-    _emit(("tau", "sigma"), _Grid(_grid(args), rows_of), args.format, args.out)
-    return 0
+    return ("tau", "sigma"), _Grid(_grid(args), rows_of)
 
 
 #: the columns of each analysis's record, shared by its command and its sweep
@@ -337,19 +329,16 @@ def _rate_rows(kind, p, taus):
     return np.column_stack((taus, *tcl_rate_arrays(kind, p, taus)))
 
 
-def cmd_measure(args) -> int:
-    kind, p = _params(args)
+def cmd_measure(args, kind, p) -> tuple:
     result = measure(kind, p, t_end=args.tau_end)
     record = dict(zip(_COLUMNS["measure"], _measure_row(result)))
     record["classification"] = classify(kind, p).verdict
     pair = result.argmax_pair
     record |= _bloch_fields("first", pair.first) | _bloch_fields("second", pair.second)
-    _emit_record(record, args.format, args.out)
-    return 0
+    return _record(record)
 
 
-def cmd_tcl_rates(args) -> int:
-    kind, p = _params(args)
+def cmd_tcl_rates(args, kind, p) -> tuple:
     taus = _grid(args)
     kept, horizon = _rate_taus(kind, p, taus)
     if np.isfinite(horizon):
@@ -357,13 +346,10 @@ def cmd_tcl_rates(args) -> int:
             f"rates diverge at tau = {_fmt(horizon)}; "
             f"emitting {len(kept)} of {len(taus)} grid rows"
         )
-    rows = _Grid(kept, functools.partial(_rate_rows, kind, p))
-    _emit(_COLUMNS["rates"], rows, args.format, args.out)
-    return 0
+    return _COLUMNS["rates"], _Grid(kept, functools.partial(_rate_rows, kind, p))
 
 
-def cmd_choi(args) -> int:
-    kind, p = _params(args)
+def cmd_choi(args, kind, p) -> tuple:
     if args.tau_start > args.tau:
         raise UsageError(f"--tau-start {args.tau_start:g} is after --tau {args.tau:g}")
     snap = intermediate_map(kind, p, args.tau_start, args.tau)
@@ -372,31 +358,25 @@ def cmd_choi(args) -> int:
     rows = [
         (i, j, c[i, j].real, c[i, j].imag) for i in range(4) for j in range(4)
     ]
-    _emit(("row", "col", "re", "im"), rows, args.format, args.out)
-    return 0
+    return ("row", "col", "re", "im"), rows
 
 
-def cmd_divisibility(args) -> int:
-    kind, p = _params(args)
+def cmd_divisibility(args, kind, p) -> tuple:
     report = divisibility_scan(kind, p, tau_end=args.tau_end, grid=args.grid)
     record = dict(zip(_COLUMNS["divisibility"], _divisibility_row(report)))
     record |= {"tau_end": report.tau_end, "grid": report.grid}
-    _emit_record(record, args.format, args.out)
-    return 0
+    return _record(record)
 
 
-def cmd_positivity(args) -> int:
-    kind, p = _params(args)
+def cmd_positivity(args, kind, p) -> tuple:
     taus = _grid(args)
     result = positivity_scan(kind, p, taus, samples=args.samples)
     record = dict(zip(_COLUMNS["positivity"], _positivity_row(result)))
     record |= _bloch_fields("witness", result.witness)
-    _emit_record(record, args.format, args.out)
-    return 0
+    return _record(record)
 
 
-def cmd_oracle(args) -> int:
-    kind, p = _params(args)
+def cmd_oracle(args, kind, p) -> tuple:
     taus = _grid(args)
     pe_closed, b_closed = _affine_action(*snapshot_arrays(kind, p, taus), args.state)
     # the quadrature runs first: a --steps too coarse for it is a usage error
@@ -408,13 +388,8 @@ def cmd_oracle(args) -> int:
         route: float(np.max(np.abs(traj.states - closed)))
         for route, traj in (("ode", ode), ("quadrature", quad))
     }
-    headers = (
-        "tau",
-        "pe_closed", "re_b_closed", "im_b_closed",
-        "pe_ode", "re_b_ode", "im_b_ode",
-        "pe_quad", "re_b_quad", "im_b_quad",
-    )
-    _emit(headers, rows, args.format, args.out)
+    columns = ("pe", "re_b", "im_b")
+    headers = ("tau", *(f"{c}_{route}" for route in ("closed", "ode", "quad") for c in columns))
     for route, delta in deltas.items():
         _diag(f"{route}: max|delta| = {delta:.3e}")
     worst = max(deltas, key=deltas.get)
@@ -422,11 +397,10 @@ def cmd_oracle(args) -> int:
         _diag(f"max|delta| = {deltas[worst]:.3e} <= {args.tol:g}: PASS")
     else:
         _diag(f"max|delta| = {deltas[worst]:.3e} ({worst}) > {args.tol:g}: FAIL")
-    return 0
+    return headers, rows
 
 
-def cmd_classify(args) -> int:
-    kind, p = _params(args)
+def cmd_classify(args, kind, p) -> tuple:
     report = classify(kind, p)
     record = {
         "verdict": report.verdict,
@@ -440,8 +414,7 @@ def cmd_classify(args) -> int:
         "measure_value": report.measure.value,
         "tau_end": report.tau_end,
     }
-    _emit_record(record, args.format, args.out)
-    return 0
+    return _record(record)
 
 
 class ConfigError(ValueError):
@@ -458,6 +431,8 @@ def _parse_flat_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in config:
+            raise ConfigError(f"line {lineno}: {key} given twice")
         items = [v.strip() for v in value.split(",")]
         parsed = []
         for item in items:
@@ -467,6 +442,16 @@ def _parse_flat_config(text: str) -> dict:
                 parsed.append(item)
         config[key] = parsed if len(parsed) > 1 else parsed[0]
     return config
+
+
+def _unique_keys(pairs) -> dict:
+    """json.loads's object_pairs_hook: the object, refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{key} given twice")
+        obj[key] = value
+    return obj
 
 
 #: the JSON values a config key takes: numbers (not booleans), or strings
@@ -480,7 +465,8 @@ def _load_sweep_config(path: str) -> dict:
     the flag's check as its repr.
     """
     text = Path(path).read_text()
-    raw = json.loads(text) if text.lstrip().startswith("{") else _parse_flat_config(text)
+    is_json = text.lstrip().startswith("{")
+    raw = json.loads(text, object_pairs_hook=_unique_keys) if is_json else _parse_flat_config(text)
     known = {
         "kind", "r", "gamma0", "gamma", "n", "tau_end", "tau_points",
         "analyses", "format", "seed", "budget", "out_dir",
@@ -526,7 +512,7 @@ def _load_sweep_config(path: str) -> dict:
         "points": points,
         "tau_end": get("tau_end", _positive_time, _NUMBER, 20.0),
         "tau_points": get("tau_points", _points, _NUMBER, 201),
-        "analyses": get("analyses", _analysis, _TEXT, [], many=True),
+        "analyses": get("analyses", _analysis, _TEXT, many=True) or [],
         "format": get("format", _format, _TEXT, "csv"),
         "out_dir": get("out_dir", str, _TEXT),
         "echo": raw,
@@ -725,11 +711,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "out", None) is not None:
+        if args.func is cmd_sweep:  # its tables go to files, none to stdout
+            return cmd_sweep(args)
+        if args.out is not None:
             _probe_out(args.out)
-        code = args.func(args)
+        headers, rows = args.func(args, *_params(args))
+        _emit(headers, rows, args.format, args.out)
         sys.stdout.flush()  # a reader gone early shows here, not at exit
-        return code
+        return 0
     except UsageError as exc:
         parser.error(str(exc))
     except (IntegrationDivergenceError, SingularRateError, MapInversionError, MemoryError) as exc:

@@ -216,10 +216,6 @@ def flow_report(kind, p: MapParams, pair: StatePair, t_end: float, grid_points: 
     taus = _time_grid(t_end, grid_points)
     a2, b2 = _pair_weights(pair)
     kind = parse_kind(kind)
-    if a2 == 0.0 and b2 == 0.0:
-        zeros = np.zeros_like(taus)
-        return FlowReport(pair, taus, zeros, zeros.copy(), zeros.copy(), (), 0.0)
-
     distance, num, sigma = _paths(kind, p, a2, b2, taus)
     sigma_discrete = p.gamma * np.gradient(distance, taus)
 

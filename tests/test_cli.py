@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -20,6 +21,7 @@ from spinflow import analysis, cli, maps, tables
 from spinflow.analysis import MAX_GRID, choi_eigenvalues, divisibility_scan
 from spinflow.cli import TRIG_WARNING, main
 from spinflow.maps import (
+    EquationKind,
     MapParams,
     MapSnapshot,
     apply_map,
@@ -791,6 +793,63 @@ def test_output_file_flag(tmp_path, capsys):
     assert len(rows) == 3
 
 
+_SHORT_GRID = ["--tau-end", "1", "--points", "3"]
+#: the flags that run each table command on a small table, besides its parameters
+_TABLE_FLAGS = {
+    "xi": _SHORT_GRID,
+    "solve": _SHORT_GRID,
+    "trace-distance": _SHORT_GRID,
+    "sigma": _SHORT_GRID,
+    "measure": [],
+    "tcl-rates": _SHORT_GRID,
+    "choi": ["--tau", "1"],
+    "divisibility": ["--grid", "20"],
+    "positivity": ["--tau-end", "5", "--points", "3"],
+    "oracle": _SHORT_GRID,
+    "classify": [],
+}
+
+
+(_SUBCOMMANDS,) = [
+    a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+]
+
+
+@pytest.mark.parametrize("command", [name for name in _SUBCOMMANDS if name != "sweep"])
+def test_main_writes_each_table_in_one_emit_call(command, monkeypatch, tmp_path, capsys):
+    # perfbench's tracer wraps cli._emit and reads rows and out positionally
+    calls, emit = [], cli._emit
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        emit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    target = tmp_path / "table.csv"
+    argv = [command, "--kind", "mem", "--r", "0.2", "--n", "1", *_TABLE_FLAGS[command]]
+    code, out, _ = run_cli([*argv, "--out", str(target)], capsys)
+    assert (code, out) == (0, "")
+    ((args, kwargs),) = calls
+    assert kwargs == {} and len(args) == 4
+    headers, rows, fmt, path = args
+    assert (fmt, path) == ("csv", str(target))
+    header, written = rows_of(target.read_text())
+    assert header == list(headers) and len(written) == len(rows)
+
+
+def test_a_command_returns_its_table_and_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "xi.csv"
+    args = cli.build_parser().parse_args(["xi", "--kind", "mem", *_SHORT_GRID, "--out", str(target)])
+    p = MapParams.from_ratio(0.2, 1.0)
+    headers, rows = cli.cmd_xi(args, EquationKind.MEMORY_KERNEL, p)
+    assert headers == ("tau", "xi", "dxi")
+    taus = np.linspace(0.0, 1.0, 3)
+    expected = np.column_stack((taus, xi("mem", 0.2, taus), xi_derivative("mem", 0.2, taus)))
+    assert len(rows) == 3 and np.array_equal(rows[:], expected)
+    assert not target.exists()
+    assert capsys.readouterr() == ("", "")
+
+
 def _fmt_per_value(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -1345,6 +1404,40 @@ def test_sweep_config_errors_exit_2(text, tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("config error") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_config_without_analyses_writes_only_the_run_record(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": 0.2}))
+    out_dir = tmp_path / "run"
+    code, out, _ = run_cli(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+    assert (code, out) == (0, "")
+    assert [path.name for path in out_dir.iterdir()] == ["run_record.json"]
+    record = json.loads((out_dir / "run_record.json").read_text())
+    jsonschema.validate(record, SCHEMA)
+    (point,) = record["points"]
+    verdict = analysis.classify("mem", MapParams.from_ratio(0.2, 0.0)).verdict
+    assert point["classification"] == verdict, point
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("cfg.txt", "kind = mem\nr = 0.1\nanalyses = rates\nr = 0.2\n",
+         "config error: line 4: r given twice\n"),
+        ("cfg.json", '{"kind": "mem", "r": 0.1, "analyses": "rates", "r": 0.2}',
+         "config error: r given twice\n"),
+    ],
+    ids=["flat", "json"],
+)
+def test_sweep_config_key_given_twice_exits_2(name, text, message, tmp_path, capsys):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, out, err = run_cli(
+        ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "x")], capsys
+    )
+    assert (code, out, err) == (2, "", message)
     assert not (tmp_path / "x").exists()
 
 
