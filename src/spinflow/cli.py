@@ -561,7 +561,10 @@ def cmd_sweep(args) -> int:
     points, fmt = cfg["points"], cfg["format"]
     summaries, failures = [], []
     with contextlib.ExitStack() as stack:
-        # each table is written point by point, as soon as the point is done
+        # the record is opened first, so that an unwritable one stops the sweep
+        # before any point runs; each table is written point by point, as soon
+        # as the point is done
+        record_file = stack.enter_context(_open_out(str(out_dir / "run_record.json")))
         tables = {
             name: _Table(
                 stack.enter_context(_open_out(str(out_dir / f"{name}.{fmt}"))),
@@ -583,18 +586,16 @@ def cmd_sweep(args) -> int:
             summaries.append(dict(zip(("index", "kind", "r", "n"), prefix)) | summary)
         for table in tables.values():
             table.close()
-
-    record = {
-        "tool": "spinflow",
-        "version": __version__,
-        "config": cfg["echo"],
-        "points": summaries,
-        "failures": failures,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    (out_dir / "run_record.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
-    )
+        record = {
+            "tool": "spinflow",
+            "version": __version__,
+            "config": cfg["echo"],
+            "points": summaries,
+            "failures": failures,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        json.dump(record, record_file, indent=2, sort_keys=True)
+        record_file.write("\n")
     _diag(
         f"sweep complete: {len(points)} points, {len(failures)} failures "
         f"-> {out_dir}"
@@ -727,6 +728,11 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:  # stdout's reader left early (| head): signal's "Note on SIGPIPE"
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet exit flush
+        return 1
+    except OSError as exc:  # a table's write failed, on a full disk say
+        if args.func is not cmd_sweep and args.out is None:  # stdout: as above
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _diag(f"write failed: {exc.strerror or exc}")
         return 1
 
 

@@ -38,6 +38,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schemas" / "run_record.schema.json").read_text())
 
 
+def _child_env() -> dict:
+    """This process's environment, with the package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
+
+
 def run_cli(argv, capsys):
     try:
         code = main(argv)
@@ -336,11 +345,11 @@ def test_solve_ode_past_the_system_bound_is_a_tool_failure(kind, r, capsys):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    """No subcommand imports scipy; flow_report still polishes with brentq."""
+    """Neither a subcommand nor flow_report imports scipy; flow_report polishes with brentq."""
     script = f"""
 import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import spinflow.cli
-assert "scipy" not in sys.modules
 from spinflow.cli import main
 params = ["--kind", "mem", "--r", "0.5", "--n", "1", "--tau-end", "4", "--points", "11"]
 out = ["--out", {str(tmp_path / "out.csv")!r}]
@@ -355,7 +364,6 @@ calls = [
 ]
 for argv in calls:
     assert main(argv) == 0, argv
-    assert "scipy" not in sys.modules, argv
     assert "numpy.ma" not in sys.modules, argv
 measure = sys.modules["spinflow.measure"]  # the package exports a function of that name
 from spinflow.maps import MapParams
@@ -368,12 +376,9 @@ def counting(*args, **kwargs):
 measure.brentq = counting
 pair = StatePair(EXCITED, GROUND)
 measure.flow_report("mem", MapParams.from_ratio(2.0, n_occ=1.0), pair, 40.0, 2001)
-assert calls and "scipy.optimize" in sys.modules
+assert calls and sys.modules["scipy"] is None
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
+    env = _child_env()
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
@@ -1223,10 +1228,7 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
         ["xi", *params, "--format", "json", "--out", "{out}"],
         ["xi", *params],
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
+    env = _child_env()
     codes = []
     for k, call in enumerate(calls):
         outputs = []
@@ -1822,10 +1824,7 @@ def test_table_with_prefix_written_in_parts_matches_per_value_emitter(fmt):
     ids=["read-one-line", "read-nothing"],
 )
 def test_reader_closing_stdout_early_exits_1_without_traceback(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
+    env = _child_env()
     with subprocess.Popen(
         [sys.executable, "-m", "spinflow.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
@@ -1852,10 +1851,7 @@ def test_out_of_memory_is_one_stderr_line(command):
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
+    env = _child_env()
     result = subprocess.run(
         [sys.executable, "-m", "spinflow.cli", *command, "--kind", "mem", "--r", "0.2",
          "--n", "1", "--tau-end", "20", "--points", str(cli._MAX_POINTS)],
@@ -1866,3 +1862,40 @@ def test_out_of_memory_is_one_stderr_line(command):
         assert result.returncode == 1, result.stderr
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_unwritable_run_record_exits_2_before_any_point(monkeypatch, tmp_path, capsys):
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_point)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"r": 0.2, "n": 1, "analyses": "rates"}))
+    out_dir = tmp_path / "out"
+    (out_dir / "run_record.json").mkdir(parents=True)
+    (out_dir / "rates.csv").write_text("keep\n")
+    code, out, err = run_cli(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("spinflow: error: cannot write") and err.count("\n") == 1, err
+    assert (out_dir / "rates.csv").read_text() == "keep\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device /dev/full")
+@pytest.mark.parametrize("target", ["--out", "stdout", "sweep"])
+def test_failed_write_is_one_stderr_line_and_exit_1(target, tmp_path):
+    argv = ["xi", "--kind", "mem", "--r", "0.2", "--tau-end", "10", "--points", "100001"]
+    if target == "--out":
+        argv += ["--out", "/dev/full"]
+    elif target == "sweep":  # one table of the sweep on a full disk
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"r": 0.2, "n": 1, "analyses": "rates"}))
+        (tmp_path / "rates.csv").symlink_to("/dev/full")
+        argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]
+    with open("/dev/full" if target == "stdout" else os.devnull, "w") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "spinflow.cli", *argv], stdout=stdout,
+            stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=300,
+        )
+    assert result.returncode == 1, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert "Traceback" not in result.stderr

@@ -307,6 +307,37 @@ def test_no_antipodal_pair_beats_the_pole_pair(r, s):
     assert report.total_gain <= result.value + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.floats(min_value=0.25, max_value=50.0, exclude_min=True),
+    s=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    t_end=st.floats(min_value=1.0, max_value=40.0),
+)
+def test_every_crossing_is_scipys_brentq_root(r, s, t_end):
+    # scipy is the oracle here only; the package bisects in numpy
+    scipy_brentq = pytest.importorskip("scipy.optimize").brentq
+    m, kind, p = MEASURE_MODULE, parse_kind("mem"), MapParams.from_ratio(r)
+    a2, b2 = m._pair_weights(_antipodal_pair(s))
+    taus = np.linspace(0.0, t_end, 400)
+    num = m._paths(kind, p, a2, b2, taus)[1]
+    pos = num > 0.0
+    flips = np.flatnonzero(pos[1:] != pos[:-1]) + 1
+    intervals = m._positive_intervals(kind, p.R, a2, b2, taus, num)
+    ends = [t for lo, hi, _ in intervals for t in (lo, hi)]
+    crossings = ends[int(pos[0]) : len(ends) - int(pos[-1])]
+    full, half = m._channels(kind, p.R)
+
+    def numerator(t):
+        return m._numerator(
+            a2, b2, full.value(t), full.derivative(t), half.value(t), half.derivative(t)
+        )
+
+    assert len(crossings) == len(flips)
+    for i, crossing in zip(flips, crossings):
+        root = scipy_brentq(numerator, taus[i - 1], taus[i], xtol=1e-14)
+        assert abs(crossing - root) <= 1e-13, (taus[i - 1], taus[i])
+
+
 @pytest.mark.parametrize("r", [0.3, 0.5, 1.0, 5.0, 20.0])
 def test_pole_pair_flow_equals_closed_form(r):
     p = MapParams.from_ratio(r)

@@ -60,6 +60,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_the_package_runs_on_numpy_alone():
+    # scipy serves the tests as an oracle only
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "spinflow"
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]
+    for path in sorted(Path(spinflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "scipy" not in {name.split(".")[0] for name in names}, (path.name, node.lineno)
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted in /proc")
 @pytest.mark.parametrize("given", [None, "2"])
 def test_spinflow_loads_numpy_with_one_blas_thread_unless_the_caller_sets_one(given):
