@@ -5,11 +5,17 @@ margin so a failing line carries the forensic detail.  Stated runtime budgets
 are asserted where the guarantee includes one.
 """
 
+import csv
+import io
+import json
 import time
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+from spinflow import cli
 from spinflow.analysis import (
     cp_scan,
     cp_temperature_threshold,
@@ -35,6 +41,7 @@ from spinflow.volterra import (
 
 pytestmark = pytest.mark.acceptance
 
+ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("mem", "post")
 GRID_RS = (0.05, 0.1, 0.2, 0.24)
 GRID_NS = (0.5, 1.0, 10.0)
@@ -307,3 +314,43 @@ def test_criterion_12_small_ratio_reduction():
     )
     assert deviations[2] <= 5e-2
     assert all(a > b for a, b in zip(deviations, deviations[1:]))
+
+
+def test_criterion_13_headline_sweep(tmp_path, capsys):
+    """The shipped acceptance sweep reproduces the headline, as classify and measure do."""
+    started = time.perf_counter()
+    config = ROOT / "configs" / "acceptance_sweep.json"
+    assert cli.main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "run_record.json").read_text())
+    jsonschema.validate(
+        record, json.loads((ROOT / "schemas" / "run_record.schema.json").read_text())
+    )
+    points = record["points"]
+    verdict = {
+        "mem": "TimeDependentMarkovian-Nondivisible",
+        "post": "TimeDependentMarkovian-Divisible",
+    }
+    wrong = [pt for pt in points if pt["classification"] != verdict[pt["kind"]]]
+    zero = all(pt["measure_value"] == 0 for pt in points)
+    disagree = []
+    for command, column in (("classify", "verdict"), ("measure", "classification")):
+        for pt in points:
+            call = [command, "--kind", pt["kind"], "--r", repr(pt["r"]), "--n", repr(pt["n"])]
+            assert cli.main(call) == 0, call
+            (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+            if row[column] != pt["classification"]:
+                disagree.append((command, pt, row))
+    elapsed = time.perf_counter() - started
+    ok = not record["failures"] and len(points) == 24 and not wrong and zero and not disagree
+    _report(
+        "criterion 13",
+        ok,
+        f"{len(points)} points, {len(record['failures'])} failures, "
+        f"{len(wrong)} off the headline verdict, every measure 0 = {zero}, "
+        f"{len(disagree)} classify/measure disagreements, {elapsed:.2f} s",
+    )
+    assert record["failures"] == []
+    assert len(points) == 24
+    assert wrong == []
+    assert zero
+    assert disagree == []

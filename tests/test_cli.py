@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import tracemalloc
 import warnings
@@ -36,6 +38,13 @@ from spinflow.states import QubitState, StatePair, trace_distance
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "schemas" / "run_record.schema.json").read_text())
+#: the command a subprocess test runs: the installed console script beside this
+#: interpreter (after `pip install -e`), else the module; never one from PATH
+SPINFLOW = (
+    [_script]
+    if (_script := shutil.which("spinflow", path=sysconfig.get_path("scripts")))
+    else [sys.executable, "-m", "spinflow.cli"]
+)
 
 
 def _child_env() -> dict:
@@ -375,7 +384,8 @@ def counting(*args, **kwargs):
     return real(*args, **kwargs)
 measure.brentq = counting
 pair = StatePair(EXCITED, GROUND)
-measure.flow_report("mem", MapParams.from_ratio(2.0, n_occ=1.0), pair, 40.0, 2001)
+report = measure.flow_report("mem", MapParams.from_ratio(2.0, n_occ=1.0), pair, 40.0, 2001)
+assert len(report.positive_intervals) == 17, report.positive_intervals
 assert calls and sys.modules["scipy"] is None
 """
     env = _child_env()
@@ -1218,7 +1228,7 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
     """A sequence of main() calls on the shared parser leaves no state behind.
 
     Each call's stdout, stderr and output file equal those of the same call
-    run alone as ``python -m spinflow.cli``.
+    run alone as ``SPINFLOW``, at exit codes 0, 1 and 2.
     """
     params = ["--kind", "mem", "--r", "0.2", "--n", "1", "--tau-end", "5", "--points", "11"]
     calls = [
@@ -1227,6 +1237,8 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
         ["solve", *params, "--method", "quadrature", "--steps", "0"],
         ["xi", *params, "--format", "json", "--out", "{out}"],
         ["xi", *params],
+        ["--version"],
+        ["solve", "--kind", "mem", "--r", "0.5", "--tau-end", "10", "--method", "tcl"],
     ]
     env = _child_env()
     codes = []
@@ -1239,7 +1251,7 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
                 code, out, err = run_cli(argv, capsys)
             else:
                 done = subprocess.run(
-                    [sys.executable, "-m", "spinflow.cli", *argv],
+                    [*SPINFLOW, *argv],
                     capture_output=True, text=True, env=env, cwd=tmp_path,
                 )
                 code, out, err = done.returncode, done.stdout, done.stderr
@@ -1247,7 +1259,7 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
             outputs.append((code, out, err, written))
         assert outputs[0] == outputs[1], call
         codes.append(outputs[0][0])
-    assert codes == [0, 0, 2, 0, 0]
+    assert codes == [0, 0, 2, 0, 0, 0, 1]
 
 
 def test_version_banner(capsys):
@@ -1262,22 +1274,8 @@ def _write_config(tmp_path, text):
     return str(path)
 
 
-SMOKE_CONFIG = """\
-# two memory-kernel points, fast analyses only
-kind = mem
-r = 0.1, 0.2
-n = 1
-tau_end = 10
-tau_points = 101
-analyses = rates, choi
-format = csv
-seed = 20240901
-budget = 150
-"""
-
-
 def test_sweep_smoke_flat_config(tmp_path, capsys):
-    cfg = _write_config(tmp_path, SMOKE_CONFIG)
+    cfg = str(ROOT / "configs" / "smoke_sweep.txt")
     out_dir = tmp_path / "run"
     code, _, err = run_cli(
         ["sweep", "--config", cfg, "--out-dir", str(out_dir)], capsys
@@ -1307,7 +1305,7 @@ def test_sweep_smoke_flat_config(tmp_path, capsys):
 
 
 def test_sweep_byte_deterministic(tmp_path, capsys):
-    cfg = _write_config(tmp_path, SMOKE_CONFIG)
+    cfg = str(ROOT / "configs" / "smoke_sweep.txt")
     dirs = []
     for tag in ("a", "b"):
         out_dir = tmp_path / tag
@@ -1396,6 +1394,8 @@ def test_sweep_json_config_and_json_outputs(tmp_path, capsys):
             for key in ("kind", "r", "n", "analyses")
         ),
         json.dumps({"gamma0": [], "analyses": "rates"}),
+        # JSON's non-standard constants are not numbers
+        '{"r": 0.2, "analyses": "rates", "seed": Infinity}',
         pytest.param('{"r": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested-too-deep"),
     ],
 )
@@ -1826,7 +1826,7 @@ def test_table_with_prefix_written_in_parts_matches_per_value_emitter(fmt):
 def test_reader_closing_stdout_early_exits_1_without_traceback(argv):
     env = _child_env()
     with subprocess.Popen(
-        [sys.executable, "-m", "spinflow.cli", *argv],
+        [*SPINFLOW, *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     ) as proc:
         if argv[0] == "xi":
@@ -1853,7 +1853,7 @@ def test_out_of_memory_is_one_stderr_line(command):
 
     env = _child_env()
     result = subprocess.run(
-        [sys.executable, "-m", "spinflow.cli", *command, "--kind", "mem", "--r", "0.2",
+        [*SPINFLOW, *command, "--kind", "mem", "--r", "0.2",
          "--n", "1", "--tau-end", "20", "--points", str(cli._MAX_POINTS)],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
         preexec_fn=limit_address_space, timeout=300,
@@ -1893,7 +1893,7 @@ def test_failed_write_is_one_stderr_line_and_exit_1(target, tmp_path):
         argv = ["sweep", "--config", str(cfg), "--out-dir", str(tmp_path)]
     with open("/dev/full" if target == "stdout" else os.devnull, "w") as stdout:
         result = subprocess.run(
-            [sys.executable, "-m", "spinflow.cli", *argv], stdout=stdout,
+            [*SPINFLOW, *argv], stdout=stdout,
             stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=300,
         )
     assert result.returncode == 1, result.stderr
