@@ -130,13 +130,15 @@ def is_positive(snap: MapSnapshot, samples: int = 1000) -> PositivityVerdict:
     best = int(np.argmax(norms))
 
     def objective(vec):
-        x, y, z = vec
+        x, y, z = vec.tolist()
         tx, ty = snap.lambda1 * x, snap.lambda1 * y
         tz = snap.lambda3 * z + snap.t3
         return math.sqrt(tx * tx + ty * ty + tz * tz)
 
     def project(vec):
-        norm = np.linalg.norm(vec)
+        # np.linalg.norm's own sum: a Python x*x + y*y + z*z rounds differently
+        # from BLAS ddot, whose multiply-adds are fused
+        norm = math.sqrt(vec.dot(vec))
         return vec / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
 
     direction, max_norm, _ = pattern_search(
@@ -290,6 +292,44 @@ def _pair_min_eigs(early, late) -> np.ndarray:
     return np.where(invertible, mins, np.inf)
 
 
+#: offsets of the refinement's 9 x 9 stencil, in units of its half-width
+_STENCIL = np.linspace(-1.0, 1.0, 9)
+#: factors of the refinement steps evaluated in one call: a step and the
+#: halvings that follow it while no stencil improves
+_HALVINGS = 0.5 ** np.arange(5)
+
+
+def _refine_pair(kind, p: MapParams, tau_end: float, t1, t2, best, step) -> tuple[float, float]:
+    """Stage 2 of divisibility_scan from the screened pair (t1, t2) of value best: the refined pair."""
+    min_step = 1e-7 * max(tau_end, 1.0)
+    while step >= min_step:
+        # the step and its pending halvings down to min_step, each exact:
+        # no step is subnormal
+        steps = step * _HALVINGS
+        steps = steps[steps >= min_step]
+        offsets = steps[:, None] * _STENCIL
+        # near the float range a stencil time overflows to inf, which
+        # clips to tau_end like any time past it
+        with np.errstate(over="ignore"):
+            a = np.clip(t1 + offsets[:, :, None], 0.0, tau_end)
+            b = np.clip(t2 + offsets[:, None, :], 0.0, tau_end)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        # one checked call for both ends of every pair of every level, split
+        # into lo's maps and hi's
+        values = _pair_min_eigs(*zip(*snapshot_arrays(kind, p, np.stack((lo, hi)))))
+        values = values.reshape(len(steps), -1)
+        # the first level whose first row-major argmin improves on best wins
+        # and keeps its step; a level after it was never reached
+        for level, k in enumerate(np.argmin(values, axis=1)):
+            if values[level, k] < best:
+                best, step = values[level, k], steps[level]
+                t1, t2 = float(lo[level].flat[k]), float(hi[level].flat[k])
+                break
+        else:
+            step = steps[-1] * 0.5
+    return t1, t2
+
+
 def divisibility_scan(
     kind, p: MapParams, tau_end: float = 20.0, grid: int = 200, refine: bool = True
 ) -> DivisibilityReport:
@@ -304,10 +344,13 @@ def divisibility_scan(
        cells each (one row of up to MAX_GRID - 1 cells above that), which
        bounds its memory;
     2. with `refine`, a stencil search from the grid winner: each step
-       evaluates a 9 x 9 stencil of half-width `step` around the current
-       pair (clipped to [0, tau_end] and ordered) in one vectorized call,
-       moves to its best point on a strict improvement and halves `step`
-       otherwise, from the grid spacing down to 1e-7 * max(tau_end, 1);
+       takes a 9 x 9 stencil of half-width `step` around the current pair
+       (clipped to [0, tau_end] and ordered), moves to its best point on a
+       strict improvement and halves `step` otherwise, from the grid
+       spacing down to 1e-7 * max(tau_end, 1); the stencils of a step and
+       of its next pending halvings are evaluated in one vectorized call
+       and met in order, so the walk and its stopping rule are those of one
+       stencil per step;
     3. a numerical eigensolver verdict on the intermediate map at the winner.
 
     Raises ValueError unless tau_end is finite and > 0 and 2 <= grid <= MAX_GRID.
@@ -336,24 +379,7 @@ def divisibility_scan(
     t1, t2 = float(taus[i]), float(taus[j])
 
     if refine and np.isfinite(screened):
-        best = screened
-        step = taus[1] - taus[0]
-        min_step = 1e-7 * max(tau_end, 1.0)
-        stencil = np.linspace(-1.0, 1.0, 9)
-        while step >= min_step:
-            # near the float range a stencil time overflows to inf, which
-            # clips to tau_end like any time past it
-            with np.errstate(over="ignore"):
-                a = np.clip(t1 + step * stencil[:, None], 0.0, tau_end)
-                b = np.clip(t2 + step * stencil[None, :], 0.0, tau_end)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            # one checked call for both ends of every pair, split into lo's maps and hi's
-            values = _pair_min_eigs(*zip(*snapshot_arrays(kind, p, np.stack((lo, hi)))))
-            k = np.unravel_index(int(np.argmin(values)), values.shape)
-            if values[k] < best:
-                best, t1, t2 = values[k], float(lo[k]), float(hi[k])
-            else:
-                step *= 0.5
+        t1, t2 = _refine_pair(kind, p, tau_end, t1, t2, screened, taus[1] - taus[0])
 
     try:
         worst = intermediate_map(kind, p, t1, t2)

@@ -10,6 +10,7 @@ from spinflow import analysis
 from spinflow.analysis import (
     DivisibilityReport,
     MapInversionError,
+    PositivityVerdict,
     ScanResult,
     choi_eigenvalues,
     choi_of,
@@ -128,6 +129,52 @@ def test_is_positive_matches_quadratic_oracle(rng):
 def test_is_positive_sample_floor():
     with pytest.raises(ValueError, match="samples"):
         is_positive(IDENTITY_SNAPSHOT, samples=10)
+
+
+def _is_positive_on_numpy_scalars(snap: MapSnapshot) -> PositivityVerdict:
+    """is_positive as first written: its probe on numpy scalars, its projection by np.linalg.norm."""
+    verts = sphere_grid(1000)
+    xy = snap.lambda1 * verts[:, :2]
+    zz = snap.lambda3 * verts[:, 2] + snap.t3
+    best = int(np.argmax(np.sqrt(np.einsum("ij,ij->i", xy, xy) + zz * zz)))
+
+    def objective(vec):
+        x, y, z = vec
+        tx, ty = snap.lambda1 * x, snap.lambda1 * y
+        tz = snap.lambda3 * z + snap.t3
+        return math.sqrt(tx * tx + ty * ty + tz * tz)
+
+    def project(vec):
+        norm = np.linalg.norm(vec)
+        return vec / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
+
+    direction, max_norm, _ = sphere.pattern_search(
+        objective, verts[best], project=project, step=0.2, min_step=1e-8
+    )
+    return PositivityVerdict(
+        ok=max_norm <= 1.0 + analysis.POSITIVITY_TOL,
+        max_norm=float(max_norm),
+        witness=state_from_bloch(*direction),
+    )
+
+
+def test_is_positive_equals_numpy_scalar_probe(rng):
+    kind, r, n = BAND_POINT
+    band = MapParams.from_ratio(r, n_occ=n)
+    band_tau = classify(kind, band).positivity.worst_tau
+    snaps = [
+        IDENTITY_SNAPSHOT,  # tau = 0
+        snapshot("mem", MapParams.from_ratio(0.0, n_occ=1.0), 3.0),  # R = 0
+        snapshot(kind, band, band_tau),
+        *_random_snapshots(rng, count=500),
+    ]
+    for _ in range(500):
+        family = str(rng.choice(["mem", "post"]))
+        # two thirds of the rates with 4R > 1, where mem's positivity can break
+        p = MapParams.from_ratio(float(rng.uniform(0.0, 0.75)), n_occ=float(rng.uniform(0.0, 10.0)))
+        snaps.append(snapshot(family, p, float(rng.uniform(0.0, 50.0))))
+    for snap in snaps:
+        assert repr(is_positive(snap)) == repr(_is_positive_on_numpy_scalars(snap)), snap
 
 
 def test_positivity_scan_physical_regime_ok():
@@ -418,9 +465,63 @@ def test_divisibility_scan_builds_one_intermediate_map(monkeypatch):
         assert len(calls) == 1
 
 
-def test_divisibility_refinement_evaluates_each_stencil_in_one_call(monkeypatch):
-    # one checked snapshot_arrays call for the screen, then one per stencil
-    # step for both corners of every pair; two per step would be about 73
+def _one_stencil_per_step(kind, p, tau_end, t1, t2, best, step):
+    """analysis._refine_pair as first written: one stencil, and one snapshot_arrays call, per step."""
+    min_step = 1e-7 * max(tau_end, 1.0)
+    stencil = np.linspace(-1.0, 1.0, 9)
+    while step >= min_step:
+        with np.errstate(over="ignore"):
+            a = np.clip(t1 + step * stencil[:, None], 0.0, tau_end)
+            b = np.clip(t2 + step * stencil[None, :], 0.0, tau_end)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        values = analysis._pair_min_eigs(*zip(*snapshot_arrays(kind, p, np.stack((lo, hi)))))
+        k = np.unravel_index(int(np.argmin(values)), values.shape)
+        if values[k] < best:
+            best, t1, t2 = values[k], float(lo[k]), float(hi[k])
+        else:
+            step *= 0.5
+    return t1, t2
+
+
+def test_batched_refinement_equals_one_stencil_per_step(monkeypatch, rng):
+    cases = [
+        ("mem", 0.2, 1.0, 20.0, 2),
+        ("post", 0.3, 1.0, 20.0, 2),
+        ("mem", 0.2, 1.0, 0.5, 50),  # tau_end < 1: min_step at its floor 1e-7
+        ("post", 0.1, 2.0, 1e-3, 100),
+        ("mem", 0.2, 1.0, 1.7976931348623157e308, 100),  # stencil times overflow
+        ("post", 0.2, 1.0, 1.7976931348623157e308, 37),
+        ("mem", 0.0, 1.0, 20.0, 60),  # R = 0: every pair ties
+        ("post", 0.0, 0.0, 20.0, 60),
+        # 4R > 1: lambda3 vanishes at 1.5 pi, a grid time here, and the
+        # earlier map is not invertible there
+        ("mem", 0.5, 1.0, 3.0 * math.pi, 3),
+        ("mem", 0.5, 1.0, 3.0 * math.pi, 101),
+        ("mem", 5.0, 0.0, 10.0, 100),
+        ("mem", 0.05, 1.0, 640.0, 100),  # the pinned witness
+    ]
+    for _ in range(1000):
+        cases.append((
+            str(rng.choice(["mem", "post"])),
+            float(rng.choice([rng.uniform(0.0, 0.25), rng.uniform(0.25, 5.0)])),
+            float(rng.uniform(0.0, 10.0)),
+            float(10.0 ** rng.uniform(-3.0, 5.0)),
+            int(rng.integers(2, 121)),
+        ))
+    for kind, r, n, tau_end, grid in cases:
+        p = MapParams.from_ratio(r, n_occ=n)
+        got = divisibility_scan(kind, p, tau_end=tau_end, grid=grid)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_refine_pair", _one_stencil_per_step)
+            want = divisibility_scan(kind, p, tau_end=tau_end, grid=grid)
+        # a frozen dataclass: floats compare exactly
+        assert got == want, (kind, r, n, tau_end, grid)
+
+
+def test_divisibility_refinement_batches_pending_halvings(monkeypatch):
+    # one checked snapshot_arrays call for the screen, one per batch of a
+    # step and its pending halvings for both corners of every pair, and two
+    # in intermediate_map
     calls = []
     real = analysis.snapshot_arrays
 
@@ -432,7 +533,7 @@ def test_divisibility_refinement_evaluates_each_stencil_in_one_call(monkeypatch)
     p = MapParams.from_ratio(0.05, n_occ=1.0)
     assert certified_horizon("mem", p) == 640.0
     divisibility_scan("mem", p, tau_end=640.0, grid=100)
-    assert len(calls) <= 40
+    assert len(calls) == 22
 
 
 @pytest.mark.parametrize(
