@@ -27,7 +27,9 @@ from . import measure as measure_mod
 from .maps import (
     MapParams,
     MapSnapshot,
+    _channels,
     _check_horizon,
+    _snapshot_pieces,
     _time_grid,
     parse_kind,
     snapshot_arrays,
@@ -62,9 +64,10 @@ DIVISIBILITY_TOL = 1e-9
 #: damping factors smaller than this make the earlier map non-invertible
 INVERSION_FLOOR = 1e-12
 #: cells per block of rows in the divisibility screen, which bounds its
-#: memory: 2**14 cells keep each temporary in cache and below glibc's
-#: 128 KiB mmap threshold
-_SCREEN_CELLS = 2**14
+#: memory: a temporary of 2**12 float64 cells is 32 KiB, which fits a 48 KiB
+#: L1 data cache and stays below glibc's default 128 KiB mmap threshold (a
+#: 2**14-cell temporary reaches it, and is mapped and unmapped per operation)
+_SCREEN_CELLS = 2**12
 
 
 class MapInversionError(RuntimeError):
@@ -301,32 +304,37 @@ _HALVINGS = 0.5 ** np.arange(5)
 
 def _refine_pair(kind, p: MapParams, tau_end: float, t1, t2, best, step) -> tuple[float, float]:
     """Stage 2 of divisibility_scan from the screened pair (t1, t2) of value best: the refined pair."""
+    channels = _channels(kind, p.R)
     min_step = 1e-7 * max(tau_end, 1.0)
-    while step >= min_step:
-        # the step and its pending halvings down to min_step, each exact:
-        # no step is subnormal
-        steps = step * _HALVINGS
-        steps = steps[steps >= min_step]
-        offsets = steps[:, None] * _STENCIL
-        # near the float range a stencil time overflows to inf, which
-        # clips to tau_end like any time past it
-        with np.errstate(over="ignore"):
-            a = np.clip(t1 + offsets[:, :, None], 0.0, tau_end)
-            b = np.clip(t2 + offsets[:, None, :], 0.0, tau_end)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        # one checked call for both ends of every pair of every level, split
-        # into lo's maps and hi's
-        values = _pair_min_eigs(*zip(*snapshot_arrays(kind, p, np.stack((lo, hi)))))
-        values = values.reshape(len(steps), -1)
-        # the first level whose first row-major argmin improves on best wins
-        # and keeps its step; a level after it was never reached
-        for level, k in enumerate(np.argmin(values, axis=1)):
-            if values[level, k] < best:
-                best, step = values[level, k], steps[level]
-                t1, t2 = float(lo[level].flat[k]), float(hi[level].flat[k])
-                break
-        else:
-            step = steps[-1] * 0.5
+    # near the float range a stencil time overflows to inf, which clips to
+    # tau_end like any time past it
+    with np.errstate(over="ignore"):
+        while step >= min_step:
+            # the step and its pending halvings down to min_step, each exact:
+            # no step is subnormal
+            steps = step * _HALVINGS
+            steps = steps[steps >= min_step]
+            # pair (i, j) of a level joins its times a[i] and b[j], ordered:
+            # one call evaluates the 2 x 9 distinct times of every level,
+            # and each pair takes the maps of its earlier and later time
+            a, b = ab = np.clip(
+                np.array((t1, t2))[:, None, None] + steps[:, None] * _STENCIL, 0.0, tau_end
+            )
+            snaps = np.array(_snapshot_pieces(*channels, p, ab))
+            at_a, at_b = snaps[:, 0, :, :, None], snaps[:, 1, :, None, :]
+            first = a[:, :, None] <= b[:, None, :]
+            early, late = np.where(first, at_a, at_b), np.where(first, at_b, at_a)
+            values = _pair_min_eigs(early, late).reshape(len(steps), -1)
+            # the first level whose first row-major argmin improves on best
+            # wins and keeps its step; a level after it was never reached
+            for level, k in enumerate(np.argmin(values, axis=1)):
+                if values[level, k] < best:
+                    best, step = values[level, k], steps[level]
+                    i, j = divmod(int(k), len(_STENCIL))
+                    t1, t2 = sorted((float(a[level, i]), float(b[level, j])))
+                    break
+            else:
+                step = steps[-1] * 0.5
     return t1, t2
 
 
@@ -340,7 +348,7 @@ def divisibility_scan(
 
     1. a uniform `grid` x `grid` screen of the pairs t1 < t2, skipping times
        where the one-time map is not invertible, in blocks of rows that
-       hold only the columns after the block's first row, at most 2**14
+       hold only the columns after the block's first row, at most 2**12
        cells each (one row of up to MAX_GRID - 1 cells above that), which
        bounds its memory;
     2. with `refine`, a stencil search from the grid winner: each step
@@ -349,8 +357,8 @@ def divisibility_scan(
        strict improvement and halves `step` otherwise, from the grid
        spacing down to 1e-7 * max(tau_end, 1); the stencils of a step and
        of its next pending halvings are evaluated in one vectorized call
-       and met in order, so the walk and its stopping rule are those of one
-       stencil per step;
+       on their distinct times and met in order, so the walk and its
+       stopping rule are those of one stencil per step;
     3. a numerical eigensolver verdict on the intermediate map at the winner.
 
     Raises ValueError unless tau_end is finite and > 0 and 2 <= grid <= MAX_GRID.
@@ -381,11 +389,9 @@ def divisibility_scan(
     if refine and np.isfinite(screened):
         t1, t2 = _refine_pair(kind, p, tau_end, t1, t2, screened, taus[1] - taus[0])
 
-    try:
-        worst = intermediate_map(kind, p, t1, t2)
-        min_eig = float(np.linalg.eigvalsh(choi_of(worst))[0])
-    except MapInversionError:
-        min_eig = float(screened) if np.isfinite(screened) else 0.0
+    # the screen and the stencil give inf to every pair whose earlier map
+    # fails intermediate_map's inversion test, so the winner inverts
+    min_eig = float(np.linalg.eigvalsh(choi_of(intermediate_map(kind, p, t1, t2)))[0])
     return DivisibilityReport(
         divisible=min_eig >= -DIVISIBILITY_TOL,
         min_eigenvalue=min_eig,

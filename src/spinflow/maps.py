@@ -392,8 +392,11 @@ def snapshot_arrays(kind, p: MapParams, taus) -> tuple[np.ndarray, np.ndarray, n
 
     A scalar tau gives three floats.
     """
-    t = _check_times(taus)
-    full, half = _channels(parse_kind(kind), p.R)
+    return _snapshot_pieces(*_channels(parse_kind(kind), p.R), p, _check_times(taus))
+
+
+def _snapshot_pieces(full: _Channel, half: _Channel, p: MapParams, t):
+    """(lambda1, lambda3, t3) from the channels of _channels, unchecked."""
     lam3 = full.value(t)
     t3 = (lam3 - 1.0) / (2.0 * p.n_occ + 1.0)
     return half.value(t), lam3, t3

@@ -519,21 +519,21 @@ def test_batched_refinement_equals_one_stencil_per_step(monkeypatch, rng):
 
 
 def test_divisibility_refinement_batches_pending_halvings(monkeypatch):
-    # one checked snapshot_arrays call for the screen, one per batch of a
-    # step and its pending halvings for both corners of every pair, and two
-    # in intermediate_map
+    # the refinement evaluates its stencil times at one place, once per batch
+    # of a step and its pending halvings: 19 batches at the pinned witness,
+    # where one stencil per step would take more
     calls = []
-    real = analysis.snapshot_arrays
+    real = analysis._snapshot_pieces
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "snapshot_arrays", counting)
+    monkeypatch.setattr(analysis, "_snapshot_pieces", counting)
     p = MapParams.from_ratio(0.05, n_occ=1.0)
     assert certified_horizon("mem", p) == 640.0
     divisibility_scan("mem", p, tau_end=640.0, grid=100)
-    assert len(calls) == 22
+    assert len(calls) == 19
 
 
 @pytest.mark.parametrize(
@@ -561,14 +561,16 @@ def _full_screen_pair(kind, p, tau_end, grid):
     "cells,grids",
     # a block of rows from start on holds the columns after start, cells //
     # (grid - 1 - start) rows of them and at least one: with 2**16 cells one
-    # block up to grid 257, two at 258, and with 2**14 one block up to grid
-    # 129, two at 130; with 64 cells one block up to grid 9, two at 10, a
-    # first block of two rows at 33, of one row of 63 and 64 cells at 64 and
-    # 65, and of one row longer than 64 cells at 66
+    # block up to grid 257, two at 258, with 2**14 one block up to grid 129,
+    # two at 130, and with the shipped 2**12 one block up to grid 65, two at
+    # 66; with 64 cells one block up to grid 9, two at 10, a first block of
+    # two rows at 33, of one row of 63 and 64 cells at 64 and 65, and of one
+    # row longer than 64 cells at 66
     [
         (2**16, (257, 258)),
         (64, (7, 8, 9, 10, 33, 64, 65, 66)),
-        (analysis._SCREEN_CELLS, (129, 130, 300)),
+        (2**14, (129, 130)),
+        (analysis._SCREEN_CELLS, (65, 66, 300)),
     ],
 )
 def test_blocked_screen_equals_full_grid(monkeypatch, cells, grids):
@@ -582,6 +584,24 @@ def test_blocked_screen_equals_full_grid(monkeypatch, cells, grids):
             assert report.worst_pair == _full_screen_pair(kind, p, 20.0, grid), (kind, r, grid)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["mem", "post"]),
+    r=st.floats(min_value=0.0, max_value=5.0),
+    n=st.floats(min_value=0.0, max_value=10.0),
+    tau_end=st.floats(min_value=1e-3, max_value=1e5),
+    grid=st.integers(min_value=2, max_value=300),
+)
+def test_screen_block_size_changes_no_report(kind, r, n, tau_end, grid):
+    p = _ratio_params(r, n)
+    reports = []
+    for cells in (64, 2**12, 2**16):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analysis, "_SCREEN_CELLS", cells)
+            reports.append(divisibility_scan(kind, p, tau_end=tau_end, grid=grid, refine=False))
+    assert len({(rep.worst_pair, rep.min_eigenvalue) for rep in reports}) == 1, reports
+
+
 def test_divisibility_screen_memory_is_bounded():
     p = MapParams.from_ratio(0.2, n_occ=1.0)
     divisibility_scan("mem", p, tau_end=20.0, grid=10)  # imports and caches warm
@@ -591,8 +611,9 @@ def test_divisibility_screen_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one 2000 x 2000 float array alone is 32 MB
-    assert peak < 8 * 2**20
+    # one 2000 x 2000 float array alone is 32 MB; blocks of 2**12 cells keep
+    # the peak near 0.45 MiB, where blocks of 2**14 took 1.3 MiB
+    assert peak < 2**20
 
 
 def test_divisibility_agrees_with_rate_signs():
